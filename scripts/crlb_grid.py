@@ -11,6 +11,7 @@ Example:
 import argparse
 import sys
 
+from gennorm_fisher.cli import csv_table, emit
 from gennorm_fisher.estimation import ExperimentConfig, run_crlb_experiment
 
 COLUMNS = ("beta", "theta", "n", "trials", "mle_mean", "mle_variance",
@@ -39,28 +40,20 @@ def main(argv=None):
     thetas = [float(t) for t in args.thetas.split(",")]
     sizes = [int(n) for n in args.sizes.split(",")]
 
-    lines = [",".join(COLUMNS)]
+    rows = []
     for beta in betas:
         for theta in thetas:
             for n in sizes:
                 config = ExperimentConfig(beta=beta, theta_true=theta, n=n,
                                           trials=args.trials, seed=args.seed)
                 rep = run_crlb_experiment(config)
-                lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                      for v in (beta, theta, n, args.trials,
-                                                rep.mle_mean, rep.mle_variance,
-                                                rep.crlb, rep.efficiency,
-                                                rep.variance_stderr,
-                                                rep.failed_trials)))
+                rows.append((beta, theta, n, args.trials, rep.mle_mean, rep.mle_variance,
+                             rep.crlb, rep.efficiency, rep.variance_stderr,
+                             rep.failed_trials))
                 print(f"beta={beta} theta={theta} n={n}: "
                       f"efficiency={rep.efficiency:.4f}", file=sys.stderr)
 
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit(csv_table(COLUMNS, rows), args.output)
     return 0
 
 

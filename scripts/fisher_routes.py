@@ -12,16 +12,10 @@ Example:
 import argparse
 import sys
 
-from gennorm_fisher import (
-    GenNormParams,
-    fisher_closed_form,
-    fisher_mc_score_variance,
-    fisher_quad_neg_hessian,
-    fisher_quad_score_variance,
-)
+from gennorm_fisher import METHODS, GenNormParams
+from gennorm_fisher.cli import csv_table, emit
 
-COLUMNS = ("beta", "closed_form", "quad_score_variance", "quad_neg_hessian",
-           "mc_score_variance", "mc_stderr", "rel_gap_quad", "rel_gap_mc")
+COLUMNS = ("beta", *METHODS, "mc_stderr", "rel_gap_quad", "rel_gap_mc")
 
 
 def parse_args(argv=None):
@@ -43,27 +37,21 @@ def main(argv=None):
     args = parse_args(argv)
     betas = [int(b) for b in args.betas.split(",")]
 
-    lines = [",".join(COLUMNS)]
+    rows = []
     for beta in betas:
         params = GenNormParams(args.theta, beta)
-        closed = fisher_closed_form(params).value
-        sv = fisher_quad_score_variance(params, tol=args.tol).value
-        nh = fisher_quad_neg_hessian(params, tol=args.tol).value
-        mc = fisher_mc_score_variance(params, args.n, args.seed)
-        rel_quad = max(abs(sv - closed), abs(nh - closed)) / closed
-        rel_mc = abs(mc.value - closed) / closed
-        lines.append(",".join(repr(float(v)) for v in
-                              (beta, closed, sv, nh, mc.value,
-                               mc.error_estimate, rel_quad, rel_mc)))
+        est = {name: route(params, tol=args.tol, n=args.n, seed=args.seed)
+               for name, route in METHODS.items()}
+        closed = est["closed_form"].value
+        rel_quad = max(abs(est[m].value - closed)
+                       for m in ("quad_score_variance", "quad_neg_hessian")) / closed
+        rel_mc = abs(est["mc_score_variance"].value - closed) / closed
+        rows.append((float(beta), *(e.value for e in est.values()),
+                     est["mc_score_variance"].error_estimate, rel_quad, rel_mc))
         print(f"beta={beta}: closed={closed:.6g} quad gap={rel_quad:.2e} "
               f"mc gap={rel_mc:.2e}", file=sys.stderr)
 
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    emit(csv_table(COLUMNS, rows), args.output)
     return 0
 
 

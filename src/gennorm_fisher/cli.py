@@ -21,33 +21,25 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .distribution import (
-    GenNormParams,
-    MomentSpec,
-    exact_moment,
-    sample,
-)
-from .distribution import _log_pdf_arr  # CLI renders the same vectorized density the quadrature sees
+from .distribution import GenNormParams, MomentSpec, exact_moment, log_pdf_z, require_count, sample
 from .estimation import (
-    DegenerateDataError,
     ExperimentConfig,
     mle_theta,
     run_crlb_experiment,
 )
 from .fisher import (
     METHODS,
-    _score_arr,
     expected_score_quad,
     fisher_closed_form,
     fisher_mc_score_variance,
     fisher_quad_neg_hessian,
     fisher_quad_score_variance,
+    score_z,
 )
 from .quadrature import QuadratureError
 from .special_functions import RationalArg, gamma, gamma_rational
 
 DEFAULT_SEED = 20260819
-_METHOD_ORDER = ("closed_form", "quad_score_variance", "quad_neg_hessian", "mc_score_variance")
 
 
 @dataclass
@@ -69,7 +61,8 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(text: str, output: str | None) -> None:
+def emit(text: str, output: str | None) -> None:
+    """Write text to the file output, or to stdout when output is None."""
     if output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -79,7 +72,8 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _csv(columns: list[str], rows: list[tuple]) -> str:
+def csv_table(columns, rows) -> str:
+    """A header row and one line per row; floats as repr, so they read back exactly."""
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -87,7 +81,7 @@ def _csv(columns: list[str], rows: list[tuple]) -> str:
 
 def _table(args, command: str, inputs: dict, columns: list[str], rows: list[tuple], metadata: dict) -> None:
     if args.format == "csv":
-        _emit(_csv(columns, rows), args.output)
+        emit(csv_table(columns, rows), args.output)
     else:
         record = OutputRecord(
             command=command,
@@ -95,7 +89,7 @@ def _table(args, command: str, inputs: dict, columns: list[str], rows: list[tupl
             outputs={"columns": columns, "rows": [list(r) for r in rows]},
             metadata=metadata,
         )
-        _emit(record.to_json(), args.output)
+        emit(record.to_json(), args.output)
 
 
 def _metadata(seed=None, tolerances=None) -> dict:
@@ -106,8 +100,7 @@ def _metadata(seed=None, tolerances=None) -> dict:
 
 def _cmd_pdf(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
+    require_count("--count", args.count, 1)
     if args.count == 1:
         if args.min != args.max:
             raise ValueError("--count 1 requires --min equal to --max")
@@ -116,7 +109,8 @@ def _cmd_pdf(args) -> int:
         if not args.min < args.max:
             raise ValueError("--min must be strictly below --max for --count >= 2")
         grid = np.linspace(args.min, args.max, args.count)
-    log_density = _log_pdf_arr(params, grid)
+    # the same vectorized kernel the quadrature routes and log_pdf evaluate
+    log_density = log_pdf_z(params.beta, grid / params.theta) - math.log(params.theta)
     rows = [
         (float(x), float(math.exp(lp)), float(lp))
         for x, lp in zip(grid, log_density)
@@ -131,34 +125,24 @@ def _cmd_pdf(args) -> int:
 
 def _parse_methods(spec: str, beta: float) -> list[str]:
     if spec == "all":
-        methods = [m for m in _METHOD_ORDER]
         even = float(beta).is_integer() and int(beta) % 2 == 0
-        if not even:
-            methods.remove("closed_form")  # only defined for even integer shapes
-        return methods
-    methods = [m.strip() for m in spec.split(",") if m.strip()]
+        # the closed form is only defined for even integer shapes
+        return [m for m in METHODS if even or m != "closed_form"]
+    methods = {m.strip() for m in spec.split(",") if m.strip()}
     if not methods:
         raise ValueError("--methods must name at least one method")
-    unknown = sorted(set(methods) - METHODS)
+    unknown = sorted(methods - METHODS.keys())
     if unknown:
         raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
-    return [m for m in _METHOD_ORDER if m in methods]
+    return [m for m in METHODS if m in methods]
 
 
 def _cmd_fisher(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     methods = _parse_methods(args.methods, params.beta)
-    rows: list[tuple] = []
-    for method in methods:
-        if method == "closed_form":
-            est = fisher_closed_form(params)  # ValueError for non-even shapes -> exit 2
-        elif method == "quad_score_variance":
-            est = fisher_quad_score_variance(params, tol=args.tol)
-        elif method == "quad_neg_hessian":
-            est = fisher_quad_neg_hessian(params, tol=args.tol)
-        else:
-            est = fisher_mc_score_variance(params, n=args.n, seed=args.seed)
-        rows.append((est.method, est.value, est.error_estimate))
+    # ValueError (closed form at a non-even shape, an underflowed value) -> exit 2
+    estimates = [METHODS[m](params, tol=args.tol, n=args.n, seed=args.seed) for m in methods]
+    rows = [(est.method, est.value, est.error_estimate) for est in estimates]
     inputs = {"theta": params.theta, "beta": params.beta, "methods": methods,
               "tol": args.tol, "n": args.n}
     _table(args, "fisher", inputs, ["method", "value", "error_estimate"], rows,
@@ -170,18 +154,13 @@ def _cmd_fisher(args) -> int:
 
 def _cmd_moments(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
-    orders = []
-    for part in args.k.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            k = int(part)
-        except ValueError:
-            raise ValueError(f"--k entries must be integers, got {part!r}") from None
-        orders.append(k)
-    if not orders:
+    parts = [part.strip() for part in args.k.split(",") if part.strip()]
+    if not parts:
         raise ValueError("--k must list at least one moment order")
+    try:
+        orders = [int(part) for part in parts]
+    except ValueError as exc:
+        raise ValueError(f"--k entries must be integers: {exc}") from None
     rows = [(k, exact_moment(MomentSpec(k=k, params=params))) for k in orders]
     inputs = {"theta": params.theta, "beta": params.beta, "k": orders}
     _table(args, "moments", inputs, ["k", "value"], rows, _metadata())
@@ -222,17 +201,16 @@ def _cmd_estimate(args) -> int:
         draws = _read_samples(args.input)
         source = {"file": args.input}
     theta_hat = mle_theta(draws, args.beta)
-    fitted = GenNormParams(theta=theta_hat, beta=args.beta)
-    residual = float(_score_arr(fitted, draws).sum())
+    residual = float(score_z(args.beta, draws / theta_hat).sum()) / theta_hat
     outputs = {"theta_hat": theta_hat, "score_residual": residual,
                "n_samples": int(draws.size)}
     inputs = {"beta": args.beta, **source}
     if args.format == "csv":
-        _emit(_csv(list(outputs), [tuple(outputs.values())]), args.output)
+        emit(csv_table(list(outputs), [tuple(outputs.values())]), args.output)
     else:
         record = OutputRecord("estimate", inputs, outputs,
                               _metadata(seed=args.seed if args.simulate else None))
-        _emit(record.to_json(), args.output)
+        emit(record.to_json(), args.output)
     return 0
 
 
@@ -359,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher = sub.add_parser("fisher", help="Fisher information estimates")
     add_common(p_fisher)
     p_fisher.add_argument("--methods", default="all",
-                          help="comma list from closed_form, quad_score_variance, "
-                               "quad_neg_hessian, mc_score_variance; 'all' selects "
+                          help=f"comma list from {', '.join(METHODS)}; 'all' selects "
                                "every method valid for the given beta (default all)")
     p_fisher.add_argument("--tol", type=float, default=1e-9,
                           help="relative quadrature tolerance (default 1e-9)")

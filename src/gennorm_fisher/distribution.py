@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadResult, integrate_decaying
+from .quadrature import QuadResult, integrate_decaying, scaled
 from .special_functions import log_gamma
 
 __all__ = [
     "GenNormParams",
     "MomentSpec",
+    "standardized_power",
+    "log_pdf_z",
+    "pdf_z",
     "log_pdf",
     "pdf",
     "exact_moment",
@@ -29,10 +32,33 @@ __all__ = [
     "sample",
     "pdf_normalization",
     "abs_moment_quad",
+    "require_count",
     "require_even_shape",
+    "require_real",
 ]
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
+
+
+def require_real(name: str, value, positive: bool = False) -> float:
+    """Return value as a float after checking it is a finite real number (not
+    a bool), and strictly positive when positive is set."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        val = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
+    if not math.isfinite(val) or (positive and val <= 0.0):
+        kind = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return val
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Check that value is an int (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,14 +70,7 @@ class GenNormParams:
 
     def __post_init__(self):
         for name in ("theta", "beta"):
-            raw = getattr(self, name)
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a real number, got {raw!r}") from None
-            if not math.isfinite(val) or val <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {raw!r}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
 
 
 @dataclass(frozen=True)
@@ -62,8 +81,7 @@ class MomentSpec:
     params: GenNormParams
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 0:
-            raise ValueError(f"moment order k must be an integer >= 0, got {self.k!r}")
+        require_count("moment order k", self.k, 0)
 
 
 def require_even_shape(beta) -> int:
@@ -74,18 +92,46 @@ def require_even_shape(beta) -> int:
     return int(bf)
 
 
-def _log_norm_const(params: GenNormParams) -> float:
-    return math.log(params.beta / 2.0) - math.log(params.theta) - log_gamma(1.0 / params.beta)
+# Standardized-unit kernels: every quantity depends on x only through z = x/theta,
+# and f(x) = f_Z(z)/theta.  A kernel takes an ndarray or a scalar (as a 0-d array),
+# so scalar wrappers and vectorized callers run the same ufuncs and get the same bits.
 
 
-def _check_finite_x(x) -> float:
-    try:
-        xf = float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"x must be a real number, got {x!r}") from None
-    if not math.isfinite(xf):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return xf
+def standardized_power(beta: float, z) -> np.ndarray:
+    """|z|**beta as a new float64 array; inf where it overflows.
+
+    The one place the package raises |x/theta| to the power beta: every
+    kernel builds its quantity from this value, in place.
+    """
+    p = np.absolute(z, out=np.empty(np.shape(z)))
+    with np.errstate(over="ignore"):
+        np.power(p, beta, out=p)
+    return p
+
+
+def _log_norm_z(beta: float) -> float:
+    return math.log(beta / 2.0) - log_gamma(1.0 / beta)
+
+
+def log_pdf_z(beta: float, z) -> np.ndarray:
+    """log f_Z(z) = log(beta/2) - log Gamma(1/beta) - |z|^beta (-inf where the power overflows)."""
+    p = standardized_power(beta, z)
+    return np.subtract(_log_norm_z(beta), p, out=p)
+
+
+def pdf_z(beta: float, z, weight=None) -> np.ndarray:
+    """Standardized density f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|^beta).
+
+    With weight, returns weight(p) * f_Z(z) for p = |z|**beta, so an
+    integrand that depends on z through p takes the power once per node.
+    weight may overwrite p.
+    """
+    p = standardized_power(beta, z)
+    density = np.subtract(_log_norm_z(beta), p, out=p if weight is None else None)
+    np.exp(density, out=density)
+    if weight is not None:
+        density *= weight(p)
+    return density
 
 
 def log_pdf(params: GenNormParams, x) -> float:
@@ -94,28 +140,13 @@ def log_pdf(params: GenNormParams, x) -> float:
     -inf when the power term overflows double precision (the true density
     underflows to zero there anyway).
     """
-    xf = _check_finite_x(x)
-    z = abs(xf) / params.theta
-    try:
-        power = z**params.beta
-    except OverflowError:
-        power = math.inf
-    return _log_norm_const(params) - power
+    z = require_real("x", x) / params.theta
+    return float(log_pdf_z(params.beta, z)) - math.log(params.theta)
 
 
 def pdf(params: GenNormParams, x) -> float:
     """Density exp(log_pdf); symmetric in x bit-for-bit since |x| enters first."""
     return math.exp(log_pdf(params, x))
-
-
-def _log_pdf_arr(params: GenNormParams, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        power = np.abs(x / params.theta) ** params.beta
-    return _log_norm_const(params) - power
-
-
-def _pdf_arr(params: GenNormParams, x: np.ndarray) -> np.ndarray:
-    return np.exp(_log_pdf_arr(params, x))
 
 
 def exact_moment(spec: MomentSpec) -> float:
@@ -159,10 +190,8 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     index space is cut into fixed 2**18 chunks with spawned child seeds, so
     any parallel execution of chunks reproduces this exact output.
     """
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be an integer >= 1, got {count!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    require_count("count", count, 1)
+    require_count("seed", seed, 0)
     theta, beta = params.theta, params.beta
     inv_beta = 1.0 / beta
     n_chunks = (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
@@ -187,20 +216,24 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
 
 
 def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:
-    """Quadrature of the density over the real line (should be 1)."""
+    """Quadrature of the density over the real line (should be 1).
+
+    The integral is dimensionless, so it is taken in z = x/theta directly.
+    """
     return integrate_decaying(
-        lambda x: _pdf_arr(params, x), params.theta, params.beta, abs_tol=abs_tol, rel_tol=0.0
+        lambda z: pdf_z(params.beta, z), 1.0, params.beta, abs_tol=abs_tol, rel_tol=0.0
     )
 
 
 def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11) -> QuadResult:
-    """Quadrature of E[|X|^order], the numerical route next to the exact formulas."""
+    """Quadrature of E[|X|^order], the numerical route next to the exact formulas.
+
+    Integrates E|Z|^order in z = x/theta and returns theta^order times it;
+    a QuadratureError carries its partial value in x units too.
+    """
     if not (order >= 0.0 and math.isfinite(order)):
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
-    return integrate_decaying(
-        lambda x: np.abs(x) ** order * _pdf_arr(params, x),
-        params.theta,
-        params.beta,
-        abs_tol=0.0,
-        rel_tol=rel_tol,
-    )
+    beta = params.beta
+    return scaled(params.theta**order, lambda: integrate_decaying(
+        lambda z: np.abs(z) ** order * pdf_z(beta, z), 1.0, beta, abs_tol=0.0, rel_tol=rel_tol
+    ))

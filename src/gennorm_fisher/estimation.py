@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import GenNormParams, require_even_shape, sample
+from .distribution import GenNormParams, require_count, require_even_shape, require_real, sample
 
 __all__ = [
     "DegenerateDataError",
@@ -50,16 +50,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", require_even_shape(self.beta))
-        theta = float(self.theta_true)
-        if not math.isfinite(theta) or theta <= 0.0:
-            raise ValueError(f"theta_true must be positive and finite, got {self.theta_true!r}")
+        theta = require_real("theta_true", self.theta_true, positive=True)
         object.__setattr__(self, "theta_true", theta)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.trials, int) or self.trials < 3:
-            raise ValueError(f"trials must be an integer >= 3, got {self.trials!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        require_count("n", self.n, 1)
+        require_count("trials", self.trials, 3)
+        require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -84,29 +79,30 @@ class EstimationReport:
 def mle_theta(samples, beta) -> float:
     """The unique stationary point of the sample log-likelihood in theta.
 
-    Closed form ((beta/n) * sum |x_i|^beta)**(1/beta); the sample score at
-    the returned value vanishes to roundoff.  All-zero samples put the
-    maximum at theta = 0, outside the parameter space, and raise
-    DegenerateDataError.
+    Closed form ((beta/n) * sum |x_i|^beta)**(1/beta), evaluated as
+    m * (beta * mean((|x_i|/m)^beta))**(1/beta) with m = max |x_i| so the
+    power neither overflows nor underflows for any representable estimate;
+    the sample score at the returned value vanishes to roundoff.  All-zero
+    samples put the maximum at theta = 0, outside the parameter space, and
+    raise DegenerateDataError.
     """
-    bf = float(beta)
-    if not math.isfinite(bf) or bf <= 0.0:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    bf = require_real("beta", beta, positive=True)
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("samples must be nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must all be finite")
     magnitudes = np.abs(arr)
-    if not magnitudes.any():
+    m = float(magnitudes.max())
+    if m == 0.0:
         raise DegenerateDataError(
             "all samples are zero; the likelihood maximum theta=0 is outside the parameter space"
         )
-    with np.errstate(over="ignore"):
-        mean_power = float(np.mean(magnitudes**bf))
-    theta_hat = (bf * mean_power) ** (1.0 / bf)
+    magnitudes /= m
+    magnitudes **= bf
+    theta_hat = m * (bf * float(np.mean(magnitudes))) ** (1.0 / bf)
     if not math.isfinite(theta_hat):
-        raise OverflowError("sum of |x|^beta overflowed double precision")
+        raise OverflowError(f"theta_hat overflows double precision (max |x| = {m!r})")
     return theta_hat
 
 

@@ -8,27 +8,39 @@ cross-checked here against three independent numerical routes:
   * quad_neg_hessian:     I = -integral of d2 log f(x) * f(x) dx
   * mc_score_variance:    sample mean of score^2 over simulated draws
 
-The score and second derivative are
+In standardized units z = x/theta the score and second derivative are
 
-    score(x)      = -1/theta + beta |x|^beta / theta^(beta+1)
-    d2 log f(x)   =  1/theta^2 - beta (beta+1) |x|^beta / theta^(beta+2)
+    theta   * score(x)      = beta |z|^beta - 1
+    theta^2 * d2 log f(x)   = 1 - beta (beta+1) |z|^beta
 
-computed below with |x/theta|^beta factored out for range safety.
+so every route integrates or averages in z and applies the exact scale law
+I(theta) = I(1)/theta^2 at the end; METHODS maps each route name to it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .distribution import GenNormParams, _check_finite_x, _pdf_arr, require_even_shape, sample
-from .quadrature import QuadResult, integrate_decaying
+from .distribution import (
+    GenNormParams,
+    pdf_z,
+    require_count,
+    require_even_shape,
+    require_real,
+    sample,
+    standardized_power,
+)
+from .quadrature import QuadResult, integrate_decaying, scaled
 
 __all__ = [
     "METHODS",
     "FisherEstimate",
+    "score_z",
+    "neg_d2_z",
     "score",
     "d2_log_pdf",
     "fisher_closed_form",
@@ -39,17 +51,15 @@ __all__ = [
     "expected_score_quad",
 ]
 
-METHODS = frozenset(
-    {"closed_form", "quad_score_variance", "quad_neg_hessian", "mc_score_variance"}
-)
-
 
 @dataclass(frozen=True)
 class FisherEstimate:
     """One estimate of I(theta): value, producing method, and an error bound.
 
-    error_estimate is the quadrature error bound or the Monte Carlo standard
-    error; exactly 0.0 for the closed form.
+    value is strictly positive, as I(theta) is; a value that underflowed to
+    0.0 is rejected rather than reported.  error_estimate is the quadrature
+    error bound or the Monte Carlo standard error; exactly 0.0 for the
+    closed form.
     """
 
     value: float
@@ -59,12 +69,30 @@ class FisherEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {sorted(METHODS)}, got {self.method!r}")
-        if not (self.value >= 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"value must be finite and >= 0, got {self.value!r}")
+        if not (self.value > 0.0 and math.isfinite(self.value)):
+            raise ValueError(f"value must be finite and > 0, got {self.value!r}")
         if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
             raise ValueError(
                 f"error_estimate must be finite and >= 0, got {self.error_estimate!r}"
             )
+
+
+def _affine(p: np.ndarray, slope: float) -> np.ndarray:
+    """slope*p - 1 in place on p = |z|**beta: the standardized score at slope
+    beta, the negated second derivative at slope beta*(beta+1)."""
+    p *= slope
+    p -= 1.0
+    return p
+
+
+def score_z(beta: float, z) -> np.ndarray:
+    """theta * score at x = theta*z: beta*|z|^beta - 1 (vectorized kernel)."""
+    return _affine(standardized_power(beta, z), beta)
+
+
+def neg_d2_z(beta: float, z) -> np.ndarray:
+    """-theta^2 * d2 log f at x = theta*z: beta(beta+1)|z|^beta - 1 (vectorized kernel)."""
+    return _affine(standardized_power(beta, z), beta * (beta + 1.0))
 
 
 def score(params: GenNormParams, x) -> float:
@@ -72,36 +100,14 @@ def score(params: GenNormParams, x) -> float:
 
     Zero exactly at |x| = theta / beta**(1/beta), negative below, positive above.
     """
-    xf = _check_finite_x(x)
-    z = abs(xf) / params.theta
-    try:
-        power = z**params.beta
-    except OverflowError:
-        power = math.inf
-    return (params.beta * power - 1.0) / params.theta
+    z = require_real("x", x) / params.theta
+    return float(score_z(params.beta, z)) / params.theta
 
 
 def d2_log_pdf(params: GenNormParams, x) -> float:
     """Second theta-derivative of log f: 1/theta^2 - beta(beta+1)|x|^beta/theta^(beta+2)."""
-    xf = _check_finite_x(x)
-    z = abs(xf) / params.theta
-    try:
-        power = z**params.beta
-    except OverflowError:
-        power = math.inf
-    return (1.0 - params.beta * (params.beta + 1.0) * power) / params.theta**2
-
-
-def _score_arr(params: GenNormParams, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        power = np.abs(x / params.theta) ** params.beta
-    return (params.beta * power - 1.0) / params.theta
-
-
-def _neg_d2_arr(params: GenNormParams, x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        power = np.abs(x / params.theta) ** params.beta
-    return (params.beta * (params.beta + 1.0) * power - 1.0) / params.theta**2
+    z = require_real("x", x) / params.theta
+    return -float(neg_d2_z(params.beta, z)) / params.theta**2
 
 
 def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
@@ -111,14 +117,19 @@ def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
     and Monte Carlo routes below remain available for any beta > 0.
     """
     b = require_even_shape(params.beta)
-    return FisherEstimate(value=b / params.theta**2, method="closed_form", error_estimate=0.0)
+    return FisherEstimate(b / params.theta / params.theta, "closed_form", error_estimate=0.0)
 
 
-def _check_tol(tol: float) -> float:
+def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
+    """Integrate weight(p) * f_Z(z) over z, then divide by theta^2."""
     tf = float(tol)
     if not (0.0 < tf <= 1e-2):
         raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
-    return tf
+    beta = params.beta
+    res = scaled(1.0 / params.theta / params.theta, lambda: integrate_decaying(
+        lambda z: pdf_z(beta, z, weight), 1.0, beta, abs_tol=0.0, rel_tol=tf, max_level=max_level
+    ))
+    return FisherEstimate(res.value, method, res.error_estimate)
 
 
 def fisher_quad_score_variance(
@@ -128,34 +139,23 @@ def fisher_quad_score_variance(
 
     tol is relative; the reported error_estimate is at most tol*value.
     Non-convergence within max_level refinements raises QuadratureError
-    carrying the partial value.
+    carrying the partial value (in the units of I(theta)).
     """
-    tf = _check_tol(tol)
-    res = integrate_decaying(
-        lambda x: _score_arr(params, x) ** 2 * _pdf_arr(params, x),
-        params.theta,
-        params.beta,
-        abs_tol=0.0,
-        rel_tol=tf,
-        max_level=max_level,
+    b = params.beta
+    return _fisher_quad(
+        params, lambda p: np.square(_affine(p, b), out=p),
+        "quad_score_variance", tol, max_level,
     )
-    return FisherEstimate(res.value, "quad_score_variance", res.error_estimate)
 
 
 def fisher_quad_neg_hessian(
     params: GenNormParams, tol: float = 1e-9, max_level: int = 22
 ) -> FisherEstimate:
     """Negative-expected-Hessian route: quadrature of -d2_log_pdf * pdf."""
-    tf = _check_tol(tol)
-    res = integrate_decaying(
-        lambda x: _neg_d2_arr(params, x) * _pdf_arr(params, x),
-        params.theta,
-        params.beta,
-        abs_tol=0.0,
-        rel_tol=tf,
-        max_level=max_level,
+    b = params.beta
+    return _fisher_quad(
+        params, lambda p: _affine(p, b * (b + 1.0)), "quad_neg_hessian", tol, max_level
     )
-    return FisherEstimate(res.value, "quad_neg_hessian", res.error_estimate)
 
 
 def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> FisherEstimate:
@@ -164,24 +164,36 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
     error_estimate is the standard error of that mean (unbiased sample
     standard deviation over sqrt(n)).  Deterministic given seed.
     """
-    if not isinstance(n, int) or n < 100:
-        raise ValueError(f"n must be an integer >= 100, got {n!r}")
+    require_count("n", n, 100)
     draws = sample(params, n, seed)
-    sq = _score_arr(params, draws) ** 2
-    value = float(sq.mean())
-    stderr = float(sq.std(ddof=1)) / math.sqrt(n)
+    sq = score_z(params.beta, draws / params.theta)
+    sq *= sq
+    unit = 1.0 / params.theta / params.theta
+    value = float(sq.mean()) * unit
+    stderr = float(sq.std(ddof=1)) / math.sqrt(n) * unit
     return FisherEstimate(value, "mc_score_variance", stderr)
 
 
 def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:
-    """Quadrature of score * pdf over the real line (the zero-mean identity)."""
-    return integrate_decaying(
-        lambda x: _score_arr(params, x) * _pdf_arr(params, x),
-        params.theta,
-        params.beta,
-        abs_tol=abs_tol,
-        rel_tol=0.0,
-    )
+    """Quadrature of score * pdf over the real line (the zero-mean identity).
+
+    Integrates theta * score in z and divides by theta; abs_tol applies to
+    the result in x units.
+    """
+    beta, theta = params.beta, params.theta
+    return scaled(1.0 / theta, lambda: integrate_decaying(
+        lambda z: pdf_z(beta, z, lambda p: _affine(p, beta)),
+        1.0, beta, abs_tol=abs_tol * theta, rel_tol=0.0,
+    ))
+
+
+# Route name -> callable(params, *, tol, n, seed), in report order.
+METHODS = MappingProxyType({
+    "closed_form": lambda params, *, tol, n, seed: fisher_closed_form(params),
+    "quad_score_variance": lambda params, *, tol, n, seed: fisher_quad_score_variance(params, tol),
+    "quad_neg_hessian": lambda params, *, tol, n, seed: fisher_quad_neg_hessian(params, tol),
+    "mc_score_variance": lambda params, *, tol, n, seed: fisher_mc_score_variance(params, n, seed),
+})
 
 
 def fisher_beta_sweep(

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_decaying"]
+__all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "scaled"]
 
 _EXP_UNDERFLOW = 746.0  # exp(-746) == 0.0 in double precision
 _BASE_INTERVALS = 32
@@ -44,6 +44,23 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.partial = partial
         self.error_estimate = error_estimate
+
+    def __str__(self) -> str:
+        return (
+            f"{self.args[0]} (last difference {self.error_estimate:.3e}, "
+            f"partial value {self.partial!r})"
+        )
+
+
+def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:
+    """integrate() with its value and error (or the partial value and error of
+    the QuadratureError it raises) multiplied by unit: an exact scale law that
+    maps an integral taken in z = x/theta to the caller's units."""
+    try:
+        res = integrate()
+    except QuadratureError as exc:
+        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
+    return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
 
 
 def integrate_decaying(
@@ -92,9 +109,4 @@ def integrate_decaying(
         h *= 0.5
         if level >= min_level and err <= max(abs_tol, rel_tol * abs(total)):
             return QuadResult(value=total, error_estimate=err, intervals=n)
-    raise QuadratureError(
-        f"no convergence after {max_level} refinements "
-        f"(last difference {err:.3e}, partial value {total!r})",
-        partial=total,
-        error_estimate=err,
-    )
+    raise QuadratureError(f"no convergence after {max_level} refinements", total, err)

@@ -146,6 +146,12 @@ class TestFisherCommand:
         _, rows = parse_csv(out)
         assert "closed_form" not in [r[0] for r in rows]
 
+    def test_underflowed_information_is_usage_error(self, capsys):
+        for method in ("closed_form", "quad_score_variance"):
+            code, out, err = run(capsys, "fisher", "--theta", "1e200", "--methods", method)
+            assert code == 2 and out == ""
+            assert "> 0" in err
+
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "fisher", "--methods", "sorcery")
         assert code == 2

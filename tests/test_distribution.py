@@ -20,6 +20,8 @@ from gennorm_fisher import (
     pdf_normalization,
     sample,
 )
+from gennorm_fisher.distribution import log_pdf_z, pdf_z, standardized_power
+from gennorm_fisher.estimation import ExperimentConfig
 
 mp.mp.dps = 50
 
@@ -228,3 +230,48 @@ class TestSample:
         assert np.all(np.isfinite(draws))
         assert np.all(draws != 0.0)  # the boost construction never collapses to 0
         assert np.abs(draws).max() < 1.2  # essentially uniform on [-1, 1]
+
+
+_P = GenNormParams(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GenNormParams(True, 2.0),
+        lambda: GenNormParams(1.0, True),
+        lambda: MomentSpec(k=True, params=_P),
+        lambda: sample(_P, True, 0),
+        lambda: sample(_P, 10, True),
+        lambda: ExperimentConfig(beta=2, theta_true=True, n=100, trials=10, seed=0),
+        lambda: ExperimentConfig(beta=2, theta_true=1.0, n=True, trials=10, seed=0),
+        lambda: ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=10, seed=True),
+    ],
+    ids=["theta", "beta", "moment-k", "count", "seed", "theta_true", "n", "config-seed"],
+)
+def test_bool_is_not_a_number(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+class TestStandardizedKernels:
+    @pytest.mark.parametrize("theta,beta", [(1.3, 3.5), (0.7, 1.0), (2.0, 0.6), (1.0, 2.0)])
+    def test_scalar_wrappers_match_the_vectorized_kernel(self, theta, beta):
+        params = GenNormParams(theta, beta)
+        x = np.random.default_rng(3).uniform(-4.0, 4.0, 500)
+        logs = log_pdf_z(beta, x / theta) - math.log(theta)
+        assert [log_pdf(params, v) for v in x] == logs.tolist()
+
+    def test_scalar_input_gives_0d_array(self):
+        assert log_pdf_z(2.0, 0.5).shape == ()
+        assert float(pdf_z(2.0, 0.0)) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
+
+    def test_power_overflow_is_inf_without_warning(self):
+        with np.errstate(over="raise"):
+            assert float(standardized_power(2.0, 1e300)) == math.inf
+            assert float(pdf_z(2.0, 1e300)) == 0.0
+
+    def test_weight_uses_the_same_power(self):
+        z = np.linspace(-3.0, 3.0, 13)
+        weighted = pdf_z(3.0, z, lambda p: p + 1.0)
+        assert np.array_equal(weighted, pdf_z(3.0, z) * (np.abs(z) ** 3.0 + 1.0))

@@ -173,3 +173,12 @@ class TestCrlbExperiment:
         )
         assert trial_seed(123, 4) == expected
         assert trial_seed(123, 5) != expected
+
+
+class TestMleExtremeScales:
+    @pytest.mark.parametrize("theta", [1e-300, 1e300])
+    def test_estimate_stays_in_parameter_space(self, theta):
+        base = sample(GenNormParams(1.0, 2.0), 1000, seed=1)
+        draws = sample(GenNormParams(theta, 2.0), 1000, seed=1)
+        expected = theta * mle_theta(base, 2.0)
+        assert mle_theta(draws, 2.0) == pytest.approx(expected, rel=1e-12, abs=0.0)

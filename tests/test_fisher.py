@@ -19,6 +19,7 @@ from gennorm_fisher import (
     log_pdf,
     score,
 )
+from gennorm_fisher.fisher import METHODS, neg_d2_z, score_z
 
 GRID = [
     GenNormParams(theta, float(beta))
@@ -207,3 +208,57 @@ class TestBetaSweep:
             fisher_beta_sweep(1.0, [])
         with pytest.raises(ValueError):
             fisher_beta_sweep(1.0, [2, 3])
+
+
+class TestStandardizedUnits:
+    """The routes integrate in z = x/theta and apply the exact scale law, so
+    the information stays correct wherever I(theta) itself is representable."""
+
+    def test_large_theta_does_not_underflow(self):
+        est = fisher_quad_score_variance(GenNormParams(1e150, 2.0))
+        assert est.value == pytest.approx(2e-300, rel=1e-9, abs=0.0)
+
+    def test_small_theta_does_not_overflow(self):
+        est = fisher_quad_score_variance(GenNormParams(1e-150, 2.0))
+        assert est.value == pytest.approx(2e300, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [1e-150, 1e150])
+    def test_neg_hessian_extreme_theta(self, theta):
+        est = fisher_quad_neg_hessian(GenNormParams(theta, 4.0))
+        assert est.value == pytest.approx(4.0 / theta / theta, rel=1e-9, abs=0.0)
+
+    def test_budget_exhaustion_partial_in_theta_units(self):
+        with pytest.raises(QuadratureError) as at_one:
+            fisher_quad_score_variance(GenNormParams(1.0, 1.0), max_level=3)
+        with pytest.raises(QuadratureError) as at_three:
+            fisher_quad_score_variance(GenNormParams(3.0, 1.0), max_level=3)
+        err = at_three.value
+        assert err.partial == pytest.approx(at_one.value.partial / 9.0, rel=1e-12)
+        assert err.error_estimate == pytest.approx(at_one.value.error_estimate / 9.0, rel=1e-12)
+        assert repr(err.partial) in str(err)
+
+    def test_underflowed_value_rejected(self):
+        with pytest.raises(ValueError):
+            FisherEstimate(value=0.0, method="quad_score_variance", error_estimate=0.0)
+        with pytest.raises(ValueError):
+            fisher_closed_form(GenNormParams(1e200, 2.0))
+        with pytest.raises(ValueError):
+            fisher_quad_score_variance(GenNormParams(1e200, 2.0))
+
+
+class TestKernelsAndRegistry:
+    @pytest.mark.parametrize("theta,beta", [(1.3, 3.5), (0.7, 1.0), (2.0, 0.6)])
+    def test_scalar_wrappers_match_the_vectorized_kernels(self, theta, beta):
+        params = GenNormParams(theta, beta)
+        x = np.random.default_rng(5).uniform(-4.0, 4.0, 500)
+        assert [score(params, v) for v in x] == (score_z(beta, x / theta) / theta).tolist()
+        d2 = -neg_d2_z(beta, x / theta) / theta**2
+        assert [d2_log_pdf(params, v) for v in x] == d2.tolist()
+
+    def test_registry_order_and_dispatch(self):
+        assert list(METHODS) == ["closed_form", "quad_score_variance",
+                                 "quad_neg_hessian", "mc_score_variance"]
+        params = GenNormParams(1.0, 2.0)
+        for name, route in METHODS.items():
+            est = route(params, tol=1e-9, n=1000, seed=1)
+            assert est.method == name and est.value > 0.0
