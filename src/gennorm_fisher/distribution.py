@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadResult, integrate_decaying, scaled
-from .special_functions import log_gamma
+from .quadrature import ROUTE_MIN_LEVEL, QuadResult, integrate_decaying, scaled
+from .special_functions import log_gamma, require_count
 
 __all__ = [
     "GenNormParams",
@@ -53,12 +53,6 @@ def require_real(name: str, value, positive: bool = False) -> float:
         kind = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     return val
-
-
-def require_count(name: str, value, minimum: int) -> None:
-    """Check that value is an int (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,8 @@ def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResu
     The integral is dimensionless, so it is taken in z = x/theta directly.
     """
     return integrate_decaying(
-        lambda z: pdf_z(params.beta, z), 1.0, params.beta, abs_tol=abs_tol, rel_tol=0.0
+        lambda z: pdf_z(params.beta, z), 1.0, params.beta,
+        abs_tol=abs_tol, rel_tol=0.0, min_level=ROUTE_MIN_LEVEL,
     )
 
 
@@ -235,5 +230,6 @@ def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11)
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     beta = params.beta
     return scaled(params.theta**order, lambda: integrate_decaying(
-        lambda z: np.abs(z) ** order * pdf_z(beta, z), 1.0, beta, abs_tol=0.0, rel_tol=rel_tol
+        lambda z: np.abs(z) ** order * pdf_z(beta, z), 1.0, beta,
+        abs_tol=0.0, rel_tol=rel_tol, min_level=ROUTE_MIN_LEVEL,
     ))

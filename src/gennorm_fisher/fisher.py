@@ -34,7 +34,7 @@ from .distribution import (
     sample,
     standardized_power,
 )
-from .quadrature import QuadResult, integrate_decaying, scaled
+from .quadrature import ROUTE_MIN_LEVEL, QuadResult, integrate_decaying, scaled
 
 __all__ = [
     "METHODS",
@@ -127,7 +127,8 @@ def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
     beta = params.beta
     res = scaled(1.0 / params.theta / params.theta, lambda: integrate_decaying(
-        lambda z: pdf_z(beta, z, weight), 1.0, beta, abs_tol=0.0, rel_tol=tf, max_level=max_level
+        lambda z: pdf_z(beta, z, weight), 1.0, beta,
+        abs_tol=0.0, rel_tol=tf, max_level=max_level, min_level=ROUTE_MIN_LEVEL,
     ))
     return FisherEstimate(res.value, method, res.error_estimate)
 
@@ -177,13 +178,14 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
 def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:
     """Quadrature of score * pdf over the real line (the zero-mean identity).
 
-    Integrates theta * score in z and divides by theta; abs_tol applies to
-    the result in x units.
+    Integrates theta * score in z and divides by theta.  abs_tol applies to
+    the dimensionless theta * E[score], so the work does not depend on theta
+    and the result's error bound is abs_tol / theta.
     """
-    beta, theta = params.beta, params.theta
-    return scaled(1.0 / theta, lambda: integrate_decaying(
+    beta = params.beta
+    return scaled(1.0 / params.theta, lambda: integrate_decaying(
         lambda z: pdf_z(beta, z, lambda p: _affine(p, beta)),
-        1.0, beta, abs_tol=abs_tol * theta, rel_tol=0.0,
+        1.0, beta, abs_tol=abs_tol, rel_tol=0.0, min_level=ROUTE_MIN_LEVEL,
     ))
 
 

@@ -1,15 +1,29 @@
-"""Shared quadrature core: adaptive trapezoid rule on the real line.
+"""Shared quadrature core: tanh-sinh rule on the folded real line.
 
 All the integrals in this package have the shape
 
     integral over R of  g(x) * exp(-|x/scale|^shape) dx
 
-up to bounded prefactors.  Substituting x = scale*sinh(u) turns the tail
-decay doubly exponential in u, where the trapezoid rule converges
-geometrically (and still at a healthy O(h^2) when shape = 1 puts a |x| kink
-at the origin, which the symmetric grid pins on a node).  Truncation is
-exact in double precision: beyond |x/scale|^shape = 746 the exponential
-factor underflows to 0.0.
+up to bounded prefactors.  Folding the line at 0 leaves the integral of
+f(x) + f(-x) over [0, b] with b = scale * 746**(1/shape): beyond b the factor
+exp(-|x/scale|^shape) underflows to 0.0 in double precision, so the
+truncation is exact.  The double exponential (tanh-sinh) substitution of
+Takahasi & Mori, Publ. RIMS 9 (1974) 721-741,
+
+    x = b * logistic(pi * sinh(u)),   dx/du = pi * cosh(u) * x * logistic(-pi * sinh(u)),
+
+sends both ends of [0, b] to infinity in u with doubly exponential decay, so
+the trapezoid rule in u converges geometrically.  The fold puts the |x| kink
+of shape = 1, and the power singularity of shape < 1, on the endpoint x = 0,
+where the node clustering absorbs it.  Each pass evaluates f once, on the
+symmetric nodes [x, -x].
+
+The u range is cut on the right where the node reaches b in double precision,
+and on the left where the mass below x = scale * eps * Gamma(1 + 1/shape) is
+negligible (relative eps).  Both cutoffs follow from shape alone: about
+[-3.14, 3.17] for large shapes and [-4.38, 3.17] at shape 0.05, and the
+tests cover shapes from 0.05 to 1e4.  Below shape 0.0093, b itself exceeds
+the double range and the call raises OverflowError.
 
 Refinement halves the step and reuses previous evaluations; convergence is
 declared when two successive levels agree to the requested tolerance, and
@@ -19,6 +33,7 @@ the last successive difference is reported as a (conservative) error bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +42,14 @@ import numpy as np
 __all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "scaled"]
 
 _EXP_UNDERFLOW = 746.0  # exp(-746) == 0.0 in double precision
-_BASE_INTERVALS = 32
+_LOG_EPS = math.log(sys.float_info.epsilon)
+_S_RIGHT = 54.0 * math.log(2.0)  # logistic(s) rounds to 1.0 beyond this
+_BASE_INTERVALS = 16  # per half-line at level 0
+
+# min_level of the package's own routes: their integrands are the density
+# times a power of |z| or a polynomial in |z|^shape, which 512 intervals
+# already resolve for every shape in [0.05, 1e4].
+ROUTE_MIN_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,27 @@ def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:
     return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
 
 
+def _fold_sum(f, b: float, start: float, step: float, count: int) -> float:
+    """pi * sum over u_k = start + k*step (k < count) of
+    cosh(u_k) * x_k * logistic(-pi sinh u_k) * (f(x_k) + f(-x_k)),
+    x_k = b * logistic(pi sinh u_k): the tanh-sinh nodes of one pass."""
+    u = np.arange(count, dtype=np.float64)
+    u *= step
+    u += start
+    w = np.cosh(u)
+    e = np.exp(np.multiply(np.sinh(u, out=u), math.pi, out=u), out=u)
+    one_plus_e = e + 1.0
+    x = np.empty(2 * count)
+    pos = np.divide(e, one_plus_e, out=x[:count])
+    pos *= b
+    np.negative(pos, out=x[count:])
+    fx = f(x)
+    w *= pos
+    w /= one_plus_e
+    halves = fx.reshape(2, count) @ w
+    return math.pi * float(halves[0] + halves[1])
+
+
 def integrate_decaying(
     f: Callable[[np.ndarray], np.ndarray],
     scale: float,
@@ -78,8 +121,9 @@ def integrate_decaying(
     least like exp(-|x/scale|^shape).  Convergence requires the successive
     refinement difference to drop below max(abs_tol, rel_tol*|value|); at
     least one of the tolerances must be positive.  min_level guards against
-    accidental agreement on grids too coarse to see narrow features (shape
-    up to ~128 keeps all variation at |x/scale| near 1).
+    accidental agreement on grids too coarse to see narrow features.
+    intervals counts the trapezoid intervals of both halves of the line:
+    32 at level 0, doubling per level.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
@@ -88,25 +132,23 @@ def integrate_decaying(
     if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
         raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
 
-    # Half-width in u: |sinh(u)|^shape reaches the underflow cutoff at the ends.
-    u_max = math.asinh(_EXP_UNDERFLOW ** (1.0 / shape))
-
-    def eval_at(u: np.ndarray) -> np.ndarray:
-        return f(scale * np.sinh(u)) * (scale * np.cosh(u))
+    b = scale * _EXP_UNDERFLOW ** (1.0 / shape)
+    # log(x/b) at the left cutoff x = scale * eps * Gamma(1 + 1/shape)
+    s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - math.log(_EXP_UNDERFLOW) / shape
+    u_left = math.asinh(s_left / math.pi)
+    u_right = math.asinh(_S_RIGHT / math.pi)
 
     n = _BASE_INTERVALS
-    h = 2.0 * u_max / n
-    fu = eval_at(np.linspace(-u_max, u_max, n + 1))
-    total = h * (float(fu.sum()) - 0.5 * (float(fu[0]) + float(fu[-1])))
+    h = (u_right - u_left) / n
+    total = h * _fold_sum(f, b, u_left, h, n + 1)
 
     err = math.inf
     for level in range(1, max_level + 1):
-        mid = np.linspace(-u_max + 0.5 * h, u_max - 0.5 * h, n)
-        refined = 0.5 * total + 0.5 * h * float(eval_at(mid).sum())
+        refined = 0.5 * total + 0.5 * h * _fold_sum(f, b, u_left + 0.5 * h, h, n)
         err = abs(refined - total)
         total = refined
         n *= 2
         h *= 0.5
         if level >= min_level and err <= max(abs_tol, rel_tol * abs(total)):
-            return QuadResult(value=total, error_estimate=err, intervals=n)
+            return QuadResult(value=total, error_estimate=err, intervals=2 * n)
     raise QuadratureError(f"no convergence after {max_level} refinements", total, err)

@@ -35,6 +35,7 @@ __all__ = [
     "log_gamma",
     "multifactorial",
     "gamma_rational",
+    "require_count",
 ]
 
 # Lanczos coefficients for g = 671/128 = 5.2421875, n = 14 (double precision set).
@@ -64,6 +65,12 @@ _G_PLUS_HALF = 5.2421875  # g + 0.5, exact in binary
 GAMMA_OVERFLOW_Z = 171.62437695630271
 
 _MAX_EXACT_FACTORIAL_ARG = 171  # gamma(171) = 170! is the last representable one
+
+
+def require_count(name: str, value, minimum: int) -> None:
+    """Check that value is an int (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _series(z: float) -> float:
@@ -167,12 +174,8 @@ def multifactorial(m: int, p: int) -> int:
     there is no overflow here; the float conversion in gamma_rational() is
     where the representable range ends.
     """
-    if not isinstance(m, int) or not isinstance(p, int):
-        raise ValueError(f"multifactorial requires integers, got ({m!r}, {p!r})")
-    if m < 0:
-        raise ValueError(f"multifactorial requires m >= 0, got {m}")
-    if p < 1:
-        raise ValueError(f"multifactorial requires p >= 1, got {p}")
+    require_count("multifactorial m", m, 0)
+    require_count("multifactorial p", p, 1)
     out = 1
     while m >= 1:
         out *= m
@@ -188,10 +191,8 @@ class RationalArg:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"p must be an integer >= 1, got {self.p!r}")
+        require_count("n", self.n, 1)
+        require_count("p", self.p, 1)
 
 
 def gamma_rational(arg: RationalArg) -> float:

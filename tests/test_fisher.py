@@ -227,6 +227,14 @@ class TestStandardizedUnits:
         est = fisher_quad_neg_hessian(GenNormParams(theta, 4.0))
         assert est.value == pytest.approx(4.0 / theta / theta, rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("theta", [1e-150, 1e150])
+    def test_mean_score_extreme_theta(self, theta):
+        # abs_tol bounds theta * E[score], which does not depend on theta
+        res = expected_score_quad(GenNormParams(theta, 2.0))
+        assert math.isfinite(res.value)
+        assert abs(res.value * theta) <= 1e-9
+        assert res.intervals <= 4096
+
     def test_budget_exhaustion_partial_in_theta_units(self):
         with pytest.raises(QuadratureError) as at_one:
             fisher_quad_score_variance(GenNormParams(1.0, 1.0), max_level=3)

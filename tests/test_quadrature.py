@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from gennorm_fisher import QuadratureError, integrate_decaying
+from gennorm_fisher import (
+    GenNormParams,
+    QuadratureError,
+    abs_moment_quad,
+    expected_score_quad,
+    fisher_quad_neg_hessian,
+    fisher_quad_score_variance,
+    integrate_decaying,
+    pdf_normalization,
+)
 
 
 class TestKnownIntegrals:
@@ -24,7 +33,7 @@ class TestKnownIntegrals:
         )
         assert res.value == pytest.approx(2.0, abs=1e-10)
 
-    @pytest.mark.parametrize("shape", [4.0, 16.0, 100.0])
+    @pytest.mark.parametrize("shape", [0.25, 0.5, 1.0, 4.0, 16.0, 100.0, 1e4])
     def test_exponential_power_mass(self, shape):
         # integral of exp(-|x|^s) over R is 2*Gamma(1 + 1/s)
         res = integrate_decaying(
@@ -90,3 +99,48 @@ class TestBehavior:
     def test_parameter_validation(self, kwargs):
         with pytest.raises(ValueError):
             integrate_decaying(lambda x: np.exp(-x * x), **kwargs)
+
+
+class TestRoutesAcrossShapes:
+    """Every quadrature route converges on a few thousand intervals from the
+    rough shapes (power singularity of the folded density at 0) up to the
+    near-uniform beta = 1e4 (a drop of width ~1/beta at |x| = theta)."""
+
+    THETA = 1.3
+    MAX_INTERVALS = 4096  # 32 * 2**7
+    SHAPES = [0.05, 0.25, 0.5, 0.75, 1e4]
+
+    @pytest.mark.parametrize("beta", SHAPES)
+    @pytest.mark.parametrize("route", [fisher_quad_score_variance, fisher_quad_neg_hessian])
+    def test_information(self, route, beta):
+        # max_level=7 caps the rule at MAX_INTERVALS; more would raise QuadratureError
+        est = route(GenNormParams(self.THETA, beta), max_level=7)
+        assert est.value == pytest.approx(beta / self.THETA**2, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("beta", SHAPES)
+    def test_normalization(self, beta):
+        res = pdf_normalization(GenNormParams(self.THETA, beta))
+        assert abs(res.value - 1.0) <= 1e-10
+        assert res.intervals <= self.MAX_INTERVALS
+
+    @pytest.mark.parametrize("beta", SHAPES)
+    def test_mean_score(self, beta):
+        res = expected_score_quad(GenNormParams(self.THETA, beta))
+        assert abs(res.value) <= 1e-9
+        assert res.intervals <= self.MAX_INTERVALS
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    @pytest.mark.parametrize("beta", SHAPES)
+    def test_abs_moment(self, beta, order):
+        # E|X|^order = theta^order * Gamma((order + 1)/beta) / Gamma(1/beta)
+        log_ratio = math.lgamma((order + 1.0) / beta) - math.lgamma(1.0 / beta)
+        expected = self.THETA**order * math.exp(log_ratio)
+        res = abs_moment_quad(GenNormParams(self.THETA, beta), order)
+        assert res.value == pytest.approx(expected, rel=1e-9, abs=0.0)
+        assert res.intervals <= self.MAX_INTERVALS
+
+    def test_laplace_normalization_node_count(self):
+        # the shape-1 kink sits on the fold, so the route stops at its 512-interval floor
+        res = pdf_normalization(GenNormParams(1.0, 1.0))
+        assert res.value == pytest.approx(1.0, abs=1e-11)
+        assert res.intervals <= 512

@@ -133,7 +133,9 @@ class TestMultifactorial:
         else:
             assert multifactorial(m, p) == m
 
-    @pytest.mark.parametrize("m,p", [(-1, 2), (3, 0), (3, -1), (2.5, 2), (3, 1.0)])
+    @pytest.mark.parametrize(
+        "m,p", [(-1, 2), (3, 0), (3, -1), (2.5, 2), (3, 1.0), (True, 1), (3, True)]
+    )
     def test_validation(self, m, p):
         with pytest.raises(ValueError):
             multifactorial(m, p)
@@ -163,7 +165,7 @@ class TestGammaRational:
         expected = mp.gamma(50 + mp.mpf(1) / 3)
         assert val == pytest.approx(float(expected), rel=1e-11)
 
-    @pytest.mark.parametrize("n,p", [(0, 1), (1, 0), (-1, 2), (2, -3)])
+    @pytest.mark.parametrize("n,p", [(0, 1), (1, 0), (-1, 2), (2, -3), (True, 2), (1, True)])
     def test_arg_validation(self, n, p):
         with pytest.raises(ValueError):
             RationalArg(n=n, p=p)
