@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import ROUTE_MIN_LEVEL, QuadResult, integrate_decaying, scaled
-from .special_functions import log_gamma, require_count
+from .special_functions import log_gamma, require_count, require_real
 
 __all__ = [
     "GenNormParams",
@@ -38,21 +38,6 @@ __all__ = [
 ]
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
-
-
-def require_real(name: str, value, positive: bool = False) -> float:
-    """Return value as a float after checking it is a finite real number (not
-    a bool), and strictly positive when positive is set."""
-    try:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError
-        val = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
-    if not math.isfinite(val) or (positive and val <= 0.0):
-        kind = "positive and finite" if positive else "finite"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return val
 
 
 @dataclass(frozen=True)
@@ -196,16 +181,23 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
         hi = min(lo + _SAMPLE_CHUNK, count)
         m = hi - lo
         rng = np.random.Generator(np.random.PCG64(child))
+        # Built in place in its slice of out, one chunk-sized temporary at a
+        # time: a fresh array per step let a loop of calls (the CRLB
+        # experiment) return heap pages to the system and fault them back in.
+        x = out[lo:hi]
+        rng.standard_gamma(1.0 + inv_beta if beta > 1.0 else inv_beta, out=x)
+        x **= inv_beta
         if beta > 1.0:
-            g1 = rng.standard_gamma(1.0 + inv_beta, size=m)
-            u = 1.0 - rng.random(m)  # (0, 1], avoids log/pow of exact zero
-            magnitude = u * g1**inv_beta
-        else:
-            magnitude = rng.standard_gamma(inv_beta, size=m) ** inv_beta
-        signs = rng.integers(0, 2, size=m) * 2 - 1
+            u = rng.random(m)
+            x *= np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
+            del u
+        signs = rng.integers(0, 2, size=m)
+        signs *= 2
+        signs -= 1
         # theta enters in exactly one multiply and signs are exact, so
         # samples scale bit-for-bit with theta
-        out[lo:hi] = signs * (theta * magnitude)
+        x *= theta
+        x *= signs
     return out
 
 

@@ -22,12 +22,14 @@ The u range is cut on the right where the node reaches b in double precision,
 and on the left where the mass below x = scale * eps * Gamma(1 + 1/shape) is
 negligible (relative eps).  Both cutoffs follow from shape alone: about
 [-3.14, 3.17] for large shapes and [-4.38, 3.17] at shape 0.05, and the
-tests cover shapes from 0.05 to 1e4.  Below shape 0.0093, b itself exceeds
-the double range and the call raises OverflowError.
+tests cover shapes from 0.05 to 1e4.  Where b itself exceeds the double
+range (shape below 0.0093 at scale 1), the call raises ValueError.
 
 Refinement halves the step and reuses previous evaluations; convergence is
 declared when two successive levels agree to the requested tolerance, and
 the last successive difference is reported as a (conservative) error bound.
+A nan or infinite value never converges, so it raises QuadratureError at
+once.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def integrate_decaying(
     f maps an ndarray of x values to integrand values and must decay at
     least like exp(-|x/scale|^shape).  Convergence requires the successive
     refinement difference to drop below max(abs_tol, rel_tol*|value|); at
-    least one of the tolerances must be positive.  min_level guards against
+    least one of the tolerances must be positive, and the integration range
+    scale * 746**(1/shape) must be finite.  min_level guards against
     accidental agreement on grids too coarse to see narrow features.
     intervals counts the trapezoid intervals of both halves of the line:
     32 at level 0, doubling per level.
@@ -132,7 +135,12 @@ def integrate_decaying(
     if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
         raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
 
-    b = scale * _EXP_UNDERFLOW ** (1.0 / shape)
+    try:
+        b = scale * _EXP_UNDERFLOW ** (1.0 / shape)
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        raise ValueError(f"scale * 746**(1/shape) overflows at shape {shape!r}, scale {scale!r}")
     # log(x/b) at the left cutoff x = scale * eps * Gamma(1 + 1/shape)
     s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - math.log(_EXP_UNDERFLOW) / shape
     u_left = math.asinh(s_left / math.pi)
@@ -147,6 +155,8 @@ def integrate_decaying(
         refined = 0.5 * total + 0.5 * h * _fold_sum(f, b, u_left + 0.5 * h, h, n)
         err = abs(refined - total)
         total = refined
+        if not math.isfinite(total):
+            raise QuadratureError(f"non-finite value at refinement {level}", total, err)
         n *= 2
         h *= 0.5
         if level >= min_level and err <= max(abs_tol, rel_tol * abs(total)):

@@ -85,6 +85,18 @@ class TestBehavior:
         assert err.partial == pytest.approx(math.sqrt(math.pi), rel=1e-3)
         assert err.error_estimate >= 0.0
 
+    def test_non_finite_value_stops_at_once(self):
+        passes = []
+
+        def f(x):
+            passes.append(x.size)
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_decaying(f, scale=1.0, shape=2.0, abs_tol=1e-12, rel_tol=0.0)
+        assert math.isnan(excinfo.value.partial)
+        assert len(passes) <= 2
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -94,6 +106,9 @@ class TestBehavior:
             {"scale": 1.0, "shape": float("inf"), "abs_tol": 1e-9, "rel_tol": 0.0},
             {"scale": 1.0, "shape": 2.0, "abs_tol": 0.0, "rel_tol": 0.0},
             {"scale": 1.0, "shape": 2.0, "abs_tol": -1e-9, "rel_tol": 1e-9},
+            # the integration range scale * 746**(1/shape) overflows
+            {"scale": 1.0, "shape": 0.009, "abs_tol": 1e-9, "rel_tol": 0.0},
+            {"scale": 1e306, "shape": 0.5, "abs_tol": 1e-9, "rel_tol": 0.0},
         ],
     )
     def test_parameter_validation(self, kwargs):

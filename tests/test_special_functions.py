@@ -24,6 +24,9 @@ ORACLE_GRID = [
     1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, 2.0 / 3.0, 0.99, 1.0 + 1e-9,
     1.5, 2.0 - 1e-9, 2.5, 3.7, 7.3, 12.1, 25.6, 50.2, 99.7, 127.82, 150.3,
     161.33, 170.0, 171.5, 171.62,
+] + [
+    # fixed, seeded log-uniform sample of [1e-5, 171.6]
+    float(z) for z in np.exp(np.random.default_rng(20201).uniform(np.log(1e-5), np.log(171.6), 48))
 ]
 
 
@@ -58,7 +61,9 @@ class TestGamma:
             assert gamma(mid) > 0.0
             assert log_gamma(mid) <= 0.5 * (log_gamma(a) + log_gamma(b)) + 1e-12
 
-    @pytest.mark.parametrize("bad", [0, -1, -2.5, float("nan"), float("inf"), "x", None])
+    @pytest.mark.parametrize(
+        "bad", [0, -1, -2.5, float("nan"), float("inf"), "x", None, True, np.True_]
+    )
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             gamma(bad)
@@ -102,7 +107,12 @@ class TestLogGamma:
         for z in (0.2, 0.9, 1.3, 4.6, 20.5, 101.1, 170.3):
             assert math.exp(log_gamma(z)) == pytest.approx(gamma(z), rel=5e-13)
 
-    @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("-inf")])
+    def test_overflow_past_double_range(self):
+        # ln Gamma(z) ~ z ln z exceeds the double range near z = 2.6e305
+        with pytest.raises(OverflowError):
+            log_gamma(1e306)
+
+    @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("-inf"), True, np.True_])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
