@@ -11,6 +11,7 @@ beta -> infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,14 +89,18 @@ def standardized_power(beta: float, z) -> np.ndarray:
     return p
 
 
+@functools.lru_cache
 def _log_norm_z(beta: float) -> float:
+    # Cached: a pure function of beta, taken once per shape rather than once
+    # per integrand pass of the quadrature routes.  Callers pass float(beta),
+    # so a 0-d array or numpy scalar shape keys the same entry.
     return math.log(beta / 2.0) - log_gamma(1.0 / beta)
 
 
 def log_pdf_z(beta: float, z) -> np.ndarray:
     """log f_Z(z) = log(beta/2) - log Gamma(1/beta) - |z|^beta (-inf where the power overflows)."""
     p = standardized_power(beta, z)
-    return np.subtract(_log_norm_z(beta), p, out=p)
+    return np.subtract(_log_norm_z(float(beta)), p, out=p)
 
 
 def pdf_z(beta: float, z, weight=None) -> np.ndarray:
@@ -106,7 +111,7 @@ def pdf_z(beta: float, z, weight=None) -> np.ndarray:
     weight may overwrite p.
     """
     p = standardized_power(beta, z)
-    density = np.subtract(_log_norm_z(beta), p, out=p if weight is None else None)
+    density = np.subtract(_log_norm_z(float(beta)), p, out=p if weight is None else None)
     np.exp(density, out=density)
     if weight is not None:
         density *= weight(p)

@@ -25,9 +25,13 @@ negligible (relative eps).  Both cutoffs follow from shape alone: about
 tests cover shapes from 0.05 to 1e4.  Where b itself exceeds the double
 range (shape below 0.0093 at scale 1), the call raises ValueError.
 
-Refinement halves the step and reuses previous evaluations; convergence is
-declared when two successive levels agree to the requested tolerance, and
-the last successive difference is reported as a (conservative) error bound.
+No level below min_level may end a call, so the first pass evaluates the
+whole grid of level min_level (capped by max_level) in one call of f; its
+even-indexed nodes form the grid one level down, whose sum gives the first
+successive difference.  Each further level halves the step and evaluates f
+only at the new midpoints.  Convergence is declared when two successive
+levels agree to the requested tolerance, and the last successive difference
+is reported as a (conservative) error bound.
 A nan or infinite value never converges, so it raises QuadratureError at
 once.
 """
@@ -87,10 +91,10 @@ def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:
     return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
 
 
-def _fold_sum(f, b: float, start: float, step: float, count: int) -> float:
-    """pi * sum over u_k = start + k*step (k < count) of
-    cosh(u_k) * x_k * logistic(-pi sinh u_k) * (f(x_k) + f(-x_k)),
-    x_k = b * logistic(pi sinh u_k): the tanh-sinh nodes of one pass."""
+def _fold_terms(f, b: float, start: float, step: float, count: int) -> np.ndarray:
+    """cosh(u_k) * x_k * logistic(-pi sinh u_k) * (f(x_k) + f(-x_k)) for
+    u_k = start + k*step (k < count), x_k = b * logistic(pi sinh u_k): the
+    tanh-sinh terms of one pass, each still to be multiplied by pi * step."""
     u = np.arange(count, dtype=np.float64)
     u *= step
     u += start
@@ -104,8 +108,8 @@ def _fold_sum(f, b: float, start: float, step: float, count: int) -> float:
     fx = f(x)
     w *= pos
     w /= one_plus_e
-    halves = fx.reshape(2, count) @ w
-    return math.pi * float(halves[0] + halves[1])
+    w *= fx[:count] + fx[count:]
+    return w
 
 
 def integrate_decaying(
@@ -124,7 +128,8 @@ def integrate_decaying(
     refinement difference to drop below max(abs_tol, rel_tol*|value|); at
     least one of the tolerances must be positive, and the integration range
     scale * 746**(1/shape) must be finite.  min_level guards against
-    accidental agreement on grids too coarse to see narrow features.
+    accidental agreement on grids too coarse to see narrow features; f is
+    called once on the whole min_level grid, then once per further level.
     intervals counts the trapezoid intervals of both halves of the line:
     32 at level 0, doubling per level.
     """
@@ -146,19 +151,27 @@ def integrate_decaying(
     u_left = math.asinh(s_left / math.pi)
     u_right = math.asinh(_S_RIGHT / math.pi)
 
-    n = _BASE_INTERVALS
+    # The first pass evaluates the whole grid of the floor min_level (capped
+    # by the budget max_level, and at least level 1 so that a coarser grid
+    # exists): no level below it may end the call.  Its even-indexed nodes
+    # are the grid one level down, since 2j * (h/2) == j * h exactly.
+    level = max(min(min_level, max_level), 1)
+    n = _BASE_INTERVALS << level
     h = (u_right - u_left) / n
-    total = h * _fold_sum(f, b, u_left, h, n + 1)
-
-    err = math.inf
-    for level in range(1, max_level + 1):
-        refined = 0.5 * total + 0.5 * h * _fold_sum(f, b, u_left + 0.5 * h, h, n)
-        err = abs(refined - total)
-        total = refined
+    terms = _fold_terms(f, b, u_left, h, n + 1)
+    previous = 2.0 * math.pi * h * float(terms[::2].sum())
+    total = math.pi * h * float(terms.sum())
+    while True:
+        err = abs(total - previous)
         if not math.isfinite(total):
             raise QuadratureError(f"non-finite value at refinement {level}", total, err)
-        n *= 2
-        h *= 0.5
         if level >= min_level and err <= max(abs_tol, rel_tol * abs(total)):
             return QuadResult(value=total, error_estimate=err, intervals=2 * n)
-    raise QuadratureError(f"no convergence after {max_level} refinements", total, err)
+        if level >= max_level:
+            raise QuadratureError(f"no convergence after {level} refinements", total, err)
+        midpoints = _fold_terms(f, b, u_left + 0.5 * h, h, n)
+        previous = total
+        total = 0.5 * total + 0.5 * math.pi * h * float(midpoints.sum())
+        n *= 2
+        h *= 0.5
+        level += 1

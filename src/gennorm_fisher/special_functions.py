@@ -42,9 +42,9 @@ def require_count(name: str, value, minimum: int) -> None:
 
 def require_real(name: str, value, positive: bool = False) -> float:
     """Return value as a float after checking it is a finite real number (not
-    a bool), and strictly positive when positive is set."""
+    a bool or numeric text), and strictly positive when positive is set."""
     try:
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
             raise TypeError
         val = float(value)
     except (TypeError, ValueError):

@@ -13,8 +13,10 @@ from scipy import stats as sp_stats
 from gennorm_fisher import (
     GenNormParams,
     MomentSpec,
+    distribution,
     exact_moment,
     expected_abs_moment,
+    log_gamma,
     log_pdf,
     pdf,
     pdf_normalization,
@@ -240,6 +242,7 @@ _P = GenNormParams(1.0, 2.0)
     [
         lambda: GenNormParams(True, 2.0),
         lambda: GenNormParams(1.0, True),
+        lambda: GenNormParams("2", "1"),
         lambda: MomentSpec(k=True, params=_P),
         lambda: sample(_P, True, 0),
         lambda: sample(_P, 10, True),
@@ -247,7 +250,7 @@ _P = GenNormParams(1.0, 2.0)
         lambda: ExperimentConfig(beta=2, theta_true=1.0, n=True, trials=10, seed=0),
         lambda: ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=10, seed=True),
     ],
-    ids=["theta", "beta", "moment-k", "count", "seed", "theta_true", "n", "config-seed"],
+    ids=["theta", "beta", "text", "moment-k", "count", "seed", "theta_true", "n", "config-seed"],
 )
 def test_bool_is_not_a_number(make):
     with pytest.raises(ValueError):
@@ -275,3 +278,20 @@ class TestStandardizedKernels:
         z = np.linspace(-3.0, 3.0, 13)
         weighted = pdf_z(3.0, z, lambda p: p + 1.0)
         assert np.array_equal(weighted, pdf_z(3.0, z) * (np.abs(z) ** 3.0 + 1.0))
+
+    def test_log_normalizer_taken_once_per_shape(self, monkeypatch):
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(z)
+            return log_gamma(z)
+
+        monkeypatch.setattr(distribution, "log_gamma", counting_log_gamma)
+        beta = 2.375  # a shape no other test uses, so it is not cached yet
+        first = pdf_normalization(GenNormParams(1.0, beta))
+        assert len(calls) <= 1
+        taken = len(calls)
+        assert pdf_normalization(GenNormParams(1.0, beta)) == first
+        assert len(calls) == taken
+        assert float(log_pdf_z(beta, 0.0)) == math.log(beta / 2.0) - log_gamma(1.0 / beta)
+        assert pdf_z(np.array(beta), 0.5) == pdf_z(beta, 0.5)  # a 0-d shape keys the same entry

@@ -10,12 +10,26 @@ from gennorm_fisher import (
     GenNormParams,
     QuadratureError,
     abs_moment_quad,
+    distribution,
     expected_score_quad,
+    fisher,
     fisher_quad_neg_hessian,
     fisher_quad_score_variance,
     integrate_decaying,
     pdf_normalization,
+    quadrature,
 )
+
+
+def _counted(f):
+    """f, and the list of node counts it is called with, one entry per pass."""
+    passes = []
+
+    def counting(x):
+        passes.append(x.size)
+        return f(x)
+
+    return counting, passes
 
 
 class TestKnownIntegrals:
@@ -84,6 +98,41 @@ class TestBehavior:
         assert math.isfinite(err.partial)
         assert err.partial == pytest.approx(math.sqrt(math.pi), rel=1e-3)
         assert err.error_estimate >= 0.0
+
+    def test_zero_budget_raises_with_a_finite_partial(self):
+        with pytest.raises(QuadratureError) as excinfo:
+            integrate_decaying(
+                lambda x: np.exp(-x * x), scale=1.0, shape=2.0, abs_tol=1e-12, rel_tol=0.0,
+                max_level=0,
+            )
+        assert math.isfinite(excinfo.value.partial)
+
+    def test_budget_below_the_route_floor_evaluates_its_grid(self):
+        # levels 0..3 hold 2 * (16 * 2**3 + 1) = 258 nodes
+        f, passes = _counted(lambda x: np.exp(-x * x))
+        with pytest.raises(QuadratureError):
+            integrate_decaying(
+                f, scale=1.0, shape=2.0, abs_tol=1e-12, rel_tol=0.0,
+                max_level=3, min_level=quadrature.ROUTE_MIN_LEVEL,
+            )
+        assert sum(passes) == 258
+
+    def test_convergence_at_the_floor_takes_one_pass(self):
+        f, passes = _counted(lambda x: np.exp(-x * x))
+        res = integrate_decaying(
+            f, scale=1.0, shape=2.0, abs_tol=1e-6, rel_tol=0.0,
+            min_level=quadrature.ROUTE_MIN_LEVEL,
+        )
+        assert res.intervals == 32 * 2**quadrature.ROUTE_MIN_LEVEL
+        assert passes == [res.intervals + 2]
+
+    def test_each_level_above_the_floor_takes_one_pass(self):
+        f, passes = _counted(lambda x: np.exp(-x * x))
+        res = integrate_decaying(f, scale=1.0, shape=2.0, abs_tol=0.0, rel_tol=1e-14, min_level=1)
+        levels_above_floor = int(math.log2(res.intervals // 32)) - 1
+        assert levels_above_floor == 4
+        assert len(passes) == levels_above_floor + 1
+        assert sum(passes) == res.intervals + 2
 
     def test_non_finite_value_stops_at_once(self):
         passes = []
@@ -159,3 +208,42 @@ class TestRoutesAcrossShapes:
         res = pdf_normalization(GenNormParams(1.0, 1.0))
         assert res.value == pytest.approx(1.0, abs=1e-11)
         assert res.intervals <= 512
+
+
+# Intervals each route took at theta = 1.3 for PINNED_SHAPES when every call
+# still refined level by level from level 0, one integrand pass per level.
+# Starting at the min_level grid must evaluate exactly the same node sets.
+PINNED_SHAPES = [0.05, 0.5, 1.0, 2.5, 64.0, 1e4]
+PINNED_INTERVALS = {
+    "pdf_normalization": [1024, 512, 512, 512, 1024, 2048],
+    "abs_moment_quad": [1024, 512, 512, 512, 1024, 2048],
+    "fisher_quad_score_variance": [1024, 512, 512, 512, 2048, 4096],
+    "fisher_quad_neg_hessian": [1024, 512, 512, 512, 1024, 4096],
+    "expected_score_quad": [1024, 512, 512, 1024, 2048, 4096],
+}
+PINNED_ROUTES = {
+    "pdf_normalization": pdf_normalization,
+    "abs_moment_quad": lambda params: abs_moment_quad(params, 1.0),
+    "fisher_quad_score_variance": fisher_quad_score_variance,
+    "fisher_quad_neg_hessian": fisher_quad_neg_hessian,
+    "expected_score_quad": expected_score_quad,
+}
+
+
+@pytest.mark.parametrize("beta", PINNED_SHAPES)
+@pytest.mark.parametrize("route", list(PINNED_INTERVALS))
+def test_route_node_sets_are_pinned(route, beta, monkeypatch):
+    seen = []
+
+    def counted_integrate(f, *args, **kwargs):
+        counting, passes = _counted(f)
+        res = quadrature.integrate_decaying(counting, *args, **kwargs)
+        seen.append((res.intervals, sum(passes)))
+        return res
+
+    monkeypatch.setattr(distribution, "integrate_decaying", counted_integrate)
+    monkeypatch.setattr(fisher, "integrate_decaying", counted_integrate)
+    PINNED_ROUTES[route](GenNormParams(1.3, beta))
+    intervals = PINNED_INTERVALS[route][PINNED_SHAPES.index(beta)]
+    # both halves of the line: intervals + 2 nodes, each evaluated once
+    assert seen == [(intervals, intervals + 2)]

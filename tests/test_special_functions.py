@@ -62,7 +62,11 @@ class TestGamma:
             assert log_gamma(mid) <= 0.5 * (log_gamma(a) + log_gamma(b)) + 1e-12
 
     @pytest.mark.parametrize(
-        "bad", [0, -1, -2.5, float("nan"), float("inf"), "x", None, True, np.True_]
+        "bad",
+        [
+            0, -1, -2.5, float("nan"), float("inf"), "x", None, True, np.True_,
+            "1.5", np.str_("1.5"),
+        ],
     )
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
@@ -112,7 +116,7 @@ class TestLogGamma:
         with pytest.raises(OverflowError):
             log_gamma(1e306)
 
-    @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("-inf"), True, np.True_])
+    @pytest.mark.parametrize("bad", [0, -3, float("nan"), float("-inf"), True, np.True_, b"2"])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
