@@ -17,13 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import ROUTE_MIN_LEVEL, QuadResult, integrate_decaying, scaled
+from .quadrature import QuadResult, expect_power
+from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 from .special_functions import log_gamma, require_count, require_real
 
 __all__ = [
     "GenNormParams",
     "MomentSpec",
     "standardized_power",
+    "log_norm_z",
     "log_pdf_z",
     "pdf_z",
     "log_pdf",
@@ -90,32 +92,28 @@ def standardized_power(beta: float, z) -> np.ndarray:
 
 
 @functools.lru_cache
-def _log_norm_z(beta: float) -> float:
-    # Cached: a pure function of beta, taken once per shape rather than once
-    # per integrand pass of the quadrature routes.  Callers pass float(beta),
-    # so a 0-d array or numpy scalar shape keys the same entry.
+def log_norm_z(beta: float) -> float:
+    """log(beta / (2 Gamma(1/beta))), the log-normalizer of f_Z.
+
+    The one copy behind the density kernels and the quadrature routes.
+    Cached: a pure function of beta, taken once per shape rather than once
+    per kernel call or quadrature pass.  Callers pass float(beta), so a 0-d
+    array or numpy scalar shape keys the same entry.
+    """
     return math.log(beta / 2.0) - log_gamma(1.0 / beta)
 
 
 def log_pdf_z(beta: float, z) -> np.ndarray:
     """log f_Z(z) = log(beta/2) - log Gamma(1/beta) - |z|^beta (-inf where the power overflows)."""
     p = standardized_power(beta, z)
-    return np.subtract(_log_norm_z(float(beta)), p, out=p)
+    return np.subtract(log_norm_z(float(beta)), p, out=p)
 
 
-def pdf_z(beta: float, z, weight=None) -> np.ndarray:
-    """Standardized density f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|^beta).
-
-    With weight, returns weight(p) * f_Z(z) for p = |z|**beta, so an
-    integrand that depends on z through p takes the power once per node.
-    weight may overwrite p.
-    """
+def pdf_z(beta: float, z) -> np.ndarray:
+    """Standardized density f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|^beta)."""
     p = standardized_power(beta, z)
-    density = np.subtract(_log_norm_z(float(beta)), p, out=p if weight is None else None)
-    np.exp(density, out=density)
-    if weight is not None:
-        density *= weight(p)
-    return density
+    np.subtract(log_norm_z(float(beta)), p, out=p)
+    return np.exp(p, out=p)
 
 
 def log_pdf(params: GenNormParams, x) -> float:
@@ -211,22 +209,23 @@ def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResu
 
     The integral is dimensionless, so it is taken in z = x/theta directly.
     """
-    return integrate_decaying(
-        lambda z: pdf_z(params.beta, z), 1.0, params.beta,
-        abs_tol=abs_tol, rel_tol=0.0, min_level=ROUTE_MIN_LEVEL,
-    )
+    beta = params.beta
+    return expect_power(None, beta, log_unit=log_norm_z(beta), abs_tol=abs_tol)
 
 
 def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11) -> QuadResult:
     """Quadrature of E[|X|^order], the numerical route next to the exact formulas.
 
-    Integrates E|Z|^order in z = x/theta and returns theta^order times it;
-    a QuadratureError carries its partial value in x units too.
+    Integrates theta^order * |z|^order against f_Z, with both factors taken
+    through their logarithms, so the result is finite wherever E|X|^order is
+    (E|Z|^order alone can overflow: 4e550 at beta 4, order 1100); a
+    QuadratureError carries its partial value in x units too.  Raises
+    OverflowError where E|X|^order itself exceeds the double range.
     """
     if not (order >= 0.0 and math.isfinite(order)):
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     beta = params.beta
-    return scaled(params.theta**order, lambda: integrate_decaying(
-        lambda z: np.abs(z) ** order * pdf_z(beta, z), 1.0, beta,
-        abs_tol=0.0, rel_tol=rel_tol, min_level=ROUTE_MIN_LEVEL,
-    ))
+    return expect_power(
+        None, beta, exponent=order / beta,
+        log_unit=log_norm_z(beta) + order * math.log(params.theta), rel_tol=rel_tol,
+    )

@@ -27,14 +27,15 @@ import numpy as np
 
 from .distribution import (
     GenNormParams,
-    pdf_z,
+    log_norm_z,
     require_count,
     require_even_shape,
     require_real,
     sample,
     standardized_power,
 )
-from .quadrature import ROUTE_MIN_LEVEL, QuadResult, integrate_decaying, scaled
+from .quadrature import QuadResult, expect_power, scaled
+from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 
 __all__ = [
     "METHODS",
@@ -121,14 +122,17 @@ def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
 
 
 def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
-    """Integrate weight(p) * f_Z(z) over z, then divide by theta^2."""
+    """Integrate I(1)/beta = E[weight(p)] over z, then multiply by beta/theta^2.
+
+    Taking I/beta keeps every weight below beta * 700^2, so beta^2 never
+    overflows.
+    """
     tf = float(tol)
     if not (0.0 < tf <= 1e-2):
         raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
     beta = params.beta
-    res = scaled(1.0 / params.theta / params.theta, lambda: integrate_decaying(
-        lambda z: pdf_z(beta, z, weight), 1.0, beta,
-        abs_tol=0.0, rel_tol=tf, max_level=max_level, min_level=ROUTE_MIN_LEVEL,
+    res = scaled(beta / params.theta / params.theta, lambda: expect_power(
+        weight, beta, log_unit=log_norm_z(beta), rel_tol=tf, max_level=max_level,
     ))
     return FisherEstimate(res.value, method, res.error_estimate)
 
@@ -143,10 +147,12 @@ def fisher_quad_score_variance(
     carrying the partial value (in the units of I(theta)).
     """
     b = params.beta
-    return _fisher_quad(
-        params, lambda p: np.square(_affine(p, b), out=p),
-        "quad_score_variance", tol, max_level,
-    )
+
+    def score_sq_over_beta(p):  # (beta p - 1)^2 / beta = (beta p - 1) (p - 1/beta)
+        q = p - 1.0 / b
+        return np.multiply(_affine(p, b), q, out=p)
+
+    return _fisher_quad(params, score_sq_over_beta, "quad_score_variance", tol, max_level)
 
 
 def fisher_quad_neg_hessian(
@@ -154,9 +160,13 @@ def fisher_quad_neg_hessian(
 ) -> FisherEstimate:
     """Negative-expected-Hessian route: quadrature of -d2_log_pdf * pdf."""
     b = params.beta
-    return _fisher_quad(
-        params, lambda p: _affine(p, b * (b + 1.0)), "quad_neg_hessian", tol, max_level
-    )
+
+    def neg_d2_over_beta(p):  # (beta (beta+1) p - 1) / beta
+        p *= b + 1.0
+        p -= 1.0 / b
+        return p
+
+    return _fisher_quad(params, neg_d2_over_beta, "quad_neg_hessian", tol, max_level)
 
 
 def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> FisherEstimate:
@@ -183,9 +193,8 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     and the result's error bound is abs_tol / theta.
     """
     beta = params.beta
-    return scaled(1.0 / params.theta, lambda: integrate_decaying(
-        lambda z: pdf_z(beta, z, lambda p: _affine(p, beta)),
-        1.0, beta, abs_tol=abs_tol, rel_tol=0.0, min_level=ROUTE_MIN_LEVEL,
+    return scaled(1.0 / params.theta, lambda: expect_power(
+        lambda p: _affine(p, beta), beta, log_unit=log_norm_z(beta), abs_tol=abs_tol,
     ))
 
 

@@ -1,7 +1,10 @@
-"""The sweep scripts run end to end, and modules use only each other's public names."""
+"""The sweep scripts run end to end, modules use only each other's public
+names, and every name the benchmark's tracer patches exists."""
 
 import ast
+import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,19 @@ def test_no_module_imports_a_private_name():
     files += sorted((ROOT / "scripts").glob("*.py"))
     assert files
     assert [hit for path in files for hit in _private_imports(path)] == []
+
+
+def test_tracer_patch_targets_resolve(monkeypatch):
+    # perfbench/tracing.py replaces these names while it runs; a missing one
+    # makes `perfbench/run.py --trace 1` fail when it installs the tracer
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, *_ in tracing.PATCHES
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

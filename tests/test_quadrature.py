@@ -210,16 +210,130 @@ class TestRoutesAcrossShapes:
         assert res.intervals <= 512
 
 
-# Intervals each route took at theta = 1.3 for PINNED_SHAPES when every call
-# still refined level by level from level 0, one integrand pass per level.
-# Starting at the min_level grid must evaluate exactly the same node sets.
+class TestExpectPower:
+    """The half-line rule in p = |z|**beta behind every quadrature route."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"beta": 0.0},
+            {"beta": -1.0},
+            {"beta": math.inf},
+            {"beta": math.nan},
+            {"beta": 2.0, "exponent": -1.0},
+            {"beta": 2.0, "exponent": math.inf},
+            {"beta": 2.0, "abs_tol": 0.0, "rel_tol": 0.0},
+            # the range 700**(1/beta) overflows
+            {"beta": 0.009},
+        ],
+    )
+    def test_parameter_validation(self, kwargs):
+        kwargs = {"abs_tol": 1e-9, **kwargs}
+        with pytest.raises(ValueError):
+            quadrature.expect_power(None, **kwargs)
+
+    def test_weight_sees_the_power_and_one_half_line(self):
+        # E[p] = 1/beta; the weight gets p itself, on intervals/2 + 1 nodes
+        seen = []
+
+        def weight(p):
+            seen.append(p.copy())
+            return p
+
+        res = quadrature.expect_power(
+            weight, 2.5, log_unit=distribution.log_norm_z(2.5), rel_tol=1e-12
+        )
+        assert res.value == pytest.approx(1.0 / 2.5, rel=1e-12)
+        assert sum(p.size for p in seen) == res.intervals // 2 + 1
+        assert all(p.min() >= 0.0 and p.max() < 700.0 for p in seen)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 7.0])
+    def test_unit_log_scale_integrates_the_bare_exponential(self, beta):
+        # integral over R of exp(-|z|^beta) dz = 2 Gamma(1 + 1/beta)
+        res = quadrature.expect_power(None, beta, rel_tol=1e-12)
+        assert res.value == pytest.approx(2.0 * math.gamma(1.0 + 1.0 / beta), rel=1e-12)
+
+    def test_overflowing_result_raises_overflow_error_without_warning(self):
+        with np.errstate(over="raise"), pytest.raises(OverflowError):
+            quadrature.expect_power(None, 2.0, exponent=1.0, log_unit=800.0, rel_tol=1e-11)
+
+
+def _gamma_ratio(order, beta):
+    """E|Z|^order = Gamma((order+1)/beta) / Gamma(1/beta), written through
+    Gamma(1 + x) so that it stays exact to a few eps at any beta."""
+    return math.exp(math.lgamma(1.0 + (order + 1.0) / beta) - math.lgamma(1.0 + 1.0 / beta)) / (
+        order + 1.0
+    )
+
+
+# A log grid over [0.05, 1e300]: round decades plus seeded log-uniform points.
+EXTREME_SHAPES = sorted(
+    [0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9, 1e10, 1e11, 1e12, 1e16, 1e20, 1e50,
+     1e100, 1e150, 1e200, 1e250, 1e300]
+    + [10.0 ** x for x in np.random.default_rng(20).uniform(math.log10(0.05), 300.0, 12)]
+)
+
+
+class TestExtremeShapes:
+    """Every route lands within its own error_estimate plus 1e-13 relative of
+    the exact value, for shapes from 0.05 to 1e300.  Where the drop of the
+    density sits at s ~ ln(beta) beyond a fixed right cutoff, or between the
+    nodes of a coarse floor grid, two levels agree on a wrong value (0 for
+    the information at beta = 1e300); these cases catch that."""
+
+    THETA = 1.3
+    ROUND_OFF = 1e-13
+    MAX_INTERVALS = 2**20  # a few ms of work, even at beta = 1e300
+
+    def _check(self, res, exact, scale):
+        assert res.intervals <= self.MAX_INTERVALS
+        assert abs(res.value - exact) <= res.error_estimate + self.ROUND_OFF * scale
+
+    @pytest.mark.parametrize("beta", EXTREME_SHAPES)
+    @pytest.mark.parametrize("route", [fisher_quad_score_variance, fisher_quad_neg_hessian])
+    def test_information(self, route, beta):
+        exact = beta / self.THETA / self.THETA
+        est = route(GenNormParams(self.THETA, beta))
+        assert abs(est.value - exact) <= est.error_estimate + self.ROUND_OFF * exact
+
+    @pytest.mark.parametrize("beta", EXTREME_SHAPES)
+    def test_normalization(self, beta):
+        self._check(pdf_normalization(GenNormParams(self.THETA, beta)), 1.0, 1.0)
+
+    @pytest.mark.parametrize("beta", EXTREME_SHAPES)
+    def test_mean_score(self, beta):
+        res = expected_score_quad(GenNormParams(self.THETA, beta))
+        self._check(res, 0.0, 1.0 / self.THETA)
+
+    @pytest.mark.parametrize("order", [1.0, 2.0])
+    @pytest.mark.parametrize("beta", EXTREME_SHAPES)
+    def test_abs_moment(self, beta, order):
+        exact = self.THETA**order * _gamma_ratio(order, beta)
+        self._check(abs_moment_quad(GenNormParams(self.THETA, beta), order), exact, exact)
+
+    def test_score_variance_at_every_decade_past_1e100(self):
+        # where s ~ ln(beta) nears 700, an exp(-s) taken from a rounded s
+        # puts errors of ~1e-13 into p (1e178, 1e228 and 1e295 among these)
+        missed = []
+        for k in range(100, 301):
+            beta = 10.0**k
+            exact = beta / self.THETA / self.THETA
+            est = fisher_quad_score_variance(GenNormParams(self.THETA, beta))
+            if abs(est.value - exact) > est.error_estimate + self.ROUND_OFF * exact:
+                missed.append(k)
+        assert missed == []
+
+
+# Intervals each route takes at theta = 1.3 for PINNED_SHAPES.  Every route
+# evaluates one half-line through quadrature.expect_power, intervals/2 + 1
+# nodes in all, each once.
 PINNED_SHAPES = [0.05, 0.5, 1.0, 2.5, 64.0, 1e4]
 PINNED_INTERVALS = {
-    "pdf_normalization": [1024, 512, 512, 512, 1024, 2048],
-    "abs_moment_quad": [1024, 512, 512, 512, 1024, 2048],
-    "fisher_quad_score_variance": [1024, 512, 512, 512, 2048, 4096],
-    "fisher_quad_neg_hessian": [1024, 512, 512, 512, 1024, 4096],
-    "expected_score_quad": [1024, 512, 512, 1024, 2048, 4096],
+    "pdf_normalization": [512, 512, 512, 512, 1024, 2048],
+    "abs_moment_quad": [512, 512, 512, 512, 1024, 2048],
+    "fisher_quad_score_variance": [512, 512, 512, 512, 1024, 2048],
+    "fisher_quad_neg_hessian": [512, 512, 512, 512, 1024, 2048],
+    "expected_score_quad": [512, 512, 512, 512, 1024, 4096],
 }
 PINNED_ROUTES = {
     "pdf_normalization": pdf_normalization,
@@ -235,15 +349,20 @@ PINNED_ROUTES = {
 def test_route_node_sets_are_pinned(route, beta, monkeypatch):
     seen = []
 
-    def counted_integrate(f, *args, **kwargs):
-        counting, passes = _counted(f)
-        res = quadrature.integrate_decaying(counting, *args, **kwargs)
+    def counted_expect_power(weight, *args, **kwargs):
+        passes = []
+
+        def counting(p):
+            passes.append(p.size)
+            return np.ones_like(p) if weight is None else weight(p)
+
+        res = quadrature.expect_power(counting, *args, **kwargs)
         seen.append((res.intervals, sum(passes)))
         return res
 
-    monkeypatch.setattr(distribution, "integrate_decaying", counted_integrate)
-    monkeypatch.setattr(fisher, "integrate_decaying", counted_integrate)
+    monkeypatch.setattr(distribution, "expect_power", counted_expect_power)
+    monkeypatch.setattr(fisher, "expect_power", counted_expect_power)
     PINNED_ROUTES[route](GenNormParams(1.3, beta))
     intervals = PINNED_INTERVALS[route][PINNED_SHAPES.index(beta)]
-    # both halves of the line: intervals + 2 nodes, each evaluated once
-    assert seen == [(intervals, intervals + 2)]
+    # one half-line: intervals/2 + 1 nodes, each evaluated once
+    assert seen == [(intervals, intervals // 2 + 1)]
