@@ -317,14 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=0, fmt_default="csv"):
+    def add_common(p, seed_default=None, fmt_default="csv"):
+        # --seed only where a command draws samples, --format/--output only
+        # where it emits a table or record: argparse rejects the others
         p.add_argument("--theta", type=float, default=1.0, help="scale parameter (default 1)")
         p.add_argument("--beta", type=float, default=2.0, help="shape parameter (default 2)")
-        p.add_argument("--seed", type=int, default=seed_default,
-                       help=f"RNG seed (default {seed_default})")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                       help=f"output format (default {fmt_default})")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        if seed_default is not None:
+            p.add_argument("--seed", type=int, default=seed_default,
+                           help=f"RNG seed (default {seed_default})")
+        if fmt_default is not None:
+            p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
+                           help=f"output format (default {fmt_default})")
+            p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p_pdf = sub.add_parser("pdf", help="density table over an x grid")
     add_common(p_pdf)
@@ -335,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pdf.set_defaults(func=_cmd_pdf)
 
     p_fisher = sub.add_parser("fisher", help="Fisher information estimates")
-    add_common(p_fisher)
+    add_common(p_fisher, seed_default=0)
     p_fisher.add_argument("--methods", default="all",
                           help=f"comma list from {', '.join(METHODS)}; 'all' selects "
                                "every method valid for the given beta (default all)")
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments.set_defaults(func=_cmd_moments)
 
     p_est = sub.add_parser("estimate", help="maximum-likelihood scale estimate")
-    add_common(p_est, fmt_default="json")
+    add_common(p_est, seed_default=0, fmt_default="json")
     p_est.add_argument("--input", default=None,
                        help="sample file: one number per line, blank lines ignored")
     p_est.add_argument("--simulate", action="store_true",
@@ -361,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
-    add_common(p_verify, seed_default=DEFAULT_SEED)
+    add_common(p_verify, seed_default=DEFAULT_SEED, fmt_default=None)
     p_verify.add_argument("suite", choices=("lemma2", "theorem1", "equivalence", "crlb"))
     p_verify.add_argument("--tol", type=float, default=1e-9,
                           help="relative quadrature tolerance (default 1e-9)")

@@ -31,7 +31,8 @@ __all__ = [
 
 
 class DegenerateDataError(ValueError):
-    """Samples admit no interior likelihood maximum (all zero)."""
+    """Samples admit no interior likelihood maximum (all zero), or one that
+    underflows to theta = 0."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def mle_theta(samples, beta) -> float:
     power neither overflows nor underflows for any representable estimate;
     the sample score at the returned value vanishes to roundoff.  All-zero
     samples put the maximum at theta = 0, outside the parameter space, and
-    raise DegenerateDataError.
+    raise DegenerateDataError, as does an estimate that underflows to 0.0.
     """
     bf = require_real("beta", beta, positive=True)
     arr = np.asarray(samples, dtype=np.float64).ravel()
@@ -103,6 +104,10 @@ def mle_theta(samples, beta) -> float:
     theta_hat = m * (bf * float(np.mean(magnitudes))) ** (1.0 / bf)
     if not math.isfinite(theta_hat):
         raise OverflowError(f"theta_hat overflows double precision (max |x| = {m!r})")
+    if theta_hat == 0.0:
+        raise DegenerateDataError(
+            f"theta_hat underflows to zero (max |x| = {m!r}), outside the parameter space"
+        )
     return theta_hat
 
 

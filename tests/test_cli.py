@@ -206,6 +206,13 @@ class TestEstimateCommand:
         assert code == 2
         assert "zero" in err
 
+    def test_underflowing_estimate_is_degenerate(self, capsys, tmp_path):
+        f = tmp_path / "tiny.txt"
+        f.write_text("0\n" * 39 + "1e-322\n")
+        code, out, err = run(capsys, "estimate", "--beta", "0.5", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "underflows" in err
+
     def test_empty_and_unparsable_files(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n")
@@ -259,6 +266,27 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(capsys, "verify", "fermat")[0] == 2
+
+    def test_output_option_is_rejected(self, capsys, tmp_path):
+        # verify prints its checks; an --output it would ignore is a usage error
+        target = tmp_path / "f"
+        code, out, err = run(capsys, "verify", "lemma2", "--output", str(target))
+        assert code == 2 and out == "" and "--output" in err
+        assert not target.exists()
+
+
+class TestUnreadOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "lemma2", "--format", "json"),
+            ("pdf", "--min", "0", "--max", "0", "--count", "1", "--seed", "3"),
+            ("moments", "--k", "2", "--seed", "3"),
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
 
 
 class TestInvocation:

@@ -60,8 +60,8 @@ class TestMleTheta:
     )
     def test_equivariance_property(self, values, beta, c):
         arr = np.asarray(values)
-        if not np.abs(arr).max() > 0.0:
-            return  # degenerate case covered separately
+        if not np.abs(arr).max() >= 1e-300:
+            return  # all zero, or c * arr or the estimate underflows: covered separately
         base = mle_theta(arr, beta)
         assert mle_theta(c * arr, beta) == pytest.approx(c * base, rel=1e-12)
 
@@ -89,6 +89,14 @@ class TestMleTheta:
     def test_degenerate_all_zero(self):
         with pytest.raises(DegenerateDataError):
             mle_theta([0.0, 0.0, 0.0], beta=2.0)
+
+    @pytest.mark.parametrize(
+        "values, beta", [([0.0, 5e-324], 1.0), ([0.0] * 39 + [1e-322], 0.5)]
+    )
+    def test_underflowing_estimate_is_degenerate(self, values, beta):
+        # the closed form is below the smallest subnormal: theta = 0 is no estimate
+        with pytest.raises(DegenerateDataError):
+            mle_theta(values, beta)
 
     @pytest.mark.parametrize("bad", [[], [1.0, float("nan")], [1.0, float("inf")]])
     def test_invalid_samples(self, bad):

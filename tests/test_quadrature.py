@@ -32,6 +32,14 @@ def _counted(f):
     return counting, passes
 
 
+# A log grid over [0.05, 1e300]: round decades plus seeded log-uniform points.
+EXTREME_SHAPES = sorted(
+    [0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9, 1e10, 1e11, 1e12, 1e16, 1e20, 1e50,
+     1e100, 1e150, 1e200, 1e250, 1e300]
+    + [10.0 ** x for x in np.random.default_rng(20).uniform(math.log10(0.05), 300.0, 12)]
+)
+
+
 class TestKnownIntegrals:
     def test_gaussian(self):
         res = integrate_decaying(
@@ -47,18 +55,20 @@ class TestKnownIntegrals:
         )
         assert res.value == pytest.approx(2.0, abs=1e-10)
 
-    @pytest.mark.parametrize("shape", [0.25, 0.5, 1.0, 4.0, 16.0, 100.0, 1e4])
+    @pytest.mark.parametrize(
+        "shape", sorted({0.25, 0.5, 1.0, 4.0, 16.0, 100.0, 1e4, *EXTREME_SHAPES})
+    )
     def test_exponential_power_mass(self, shape):
-        # integral of exp(-|x|^s) over R is 2*Gamma(1 + 1/s)
-        res = integrate_decaying(
-            lambda x: np.exp(-np.abs(x) ** shape),
-            scale=1.0,
-            shape=shape,
-            abs_tol=0.0,
-            rel_tol=1e-11,
-        )
-        expected = 2.0 * math.gamma(1.0 + 1.0 / shape)
-        assert res.value == pytest.approx(expected, rel=1e-9)
+        # integral of exp(-|x/scale|^s) over R is 2*scale*Gamma(1 + 1/s)
+        for scale in (1.0, 1.3):
+
+            def f(x):
+                with np.errstate(over="ignore"):  # |x/scale| rounds above 1 at huge s
+                    return np.exp(-np.abs(x / scale) ** shape)
+
+            res = integrate_decaying(f, scale=scale, shape=shape, abs_tol=0.0, rel_tol=1e-11)
+            exact = 2.0 * scale * math.gamma(1.0 + 1.0 / shape)
+            assert abs(res.value - exact) <= res.error_estimate + 1e-13 * exact
 
     def test_against_scipy_quad(self):
         def f(x):
@@ -130,7 +140,7 @@ class TestBehavior:
         f, passes = _counted(lambda x: np.exp(-x * x))
         res = integrate_decaying(f, scale=1.0, shape=2.0, abs_tol=0.0, rel_tol=1e-14, min_level=1)
         levels_above_floor = int(math.log2(res.intervals // 32)) - 1
-        assert levels_above_floor == 4
+        assert levels_above_floor == 3
         assert len(passes) == levels_above_floor + 1
         assert sum(passes) == res.intervals + 2
 
@@ -155,7 +165,7 @@ class TestBehavior:
             {"scale": 1.0, "shape": float("inf"), "abs_tol": 1e-9, "rel_tol": 0.0},
             {"scale": 1.0, "shape": 2.0, "abs_tol": 0.0, "rel_tol": 0.0},
             {"scale": 1.0, "shape": 2.0, "abs_tol": -1e-9, "rel_tol": 1e-9},
-            # the integration range scale * 746**(1/shape) overflows
+            # the integration range scale * 700**(1/shape) overflows
             {"scale": 1.0, "shape": 0.009, "abs_tol": 1e-9, "rel_tol": 0.0},
             {"scale": 1e306, "shape": 0.5, "abs_tol": 1e-9, "rel_tol": 0.0},
         ],
@@ -253,6 +263,17 @@ class TestExpectPower:
         res = quadrature.expect_power(None, beta, rel_tol=1e-12)
         assert res.value == pytest.approx(2.0 * math.gamma(1.0 + 1.0 / beta), rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 64.0])
+    def test_shares_the_rule_of_integrate_decaying(self, beta):
+        # one node map, range and floor: the same levels at the same tolerance
+        res = quadrature.expect_power(None, beta, rel_tol=1e-12)
+        same = integrate_decaying(
+            lambda x: np.exp(-np.abs(x) ** beta), scale=1.0, shape=beta, abs_tol=0.0,
+            rel_tol=1e-12, min_level=quadrature.ROUTE_MIN_LEVEL,
+        )
+        assert same.intervals == res.intervals
+        assert same.value == pytest.approx(res.value, rel=1e-14)
+
     def test_overflowing_result_raises_overflow_error_without_warning(self):
         with np.errstate(over="raise"), pytest.raises(OverflowError):
             quadrature.expect_power(None, 2.0, exponent=1.0, log_unit=800.0, rel_tol=1e-11)
@@ -264,14 +285,6 @@ def _gamma_ratio(order, beta):
     return math.exp(math.lgamma(1.0 + (order + 1.0) / beta) - math.lgamma(1.0 + 1.0 / beta)) / (
         order + 1.0
     )
-
-
-# A log grid over [0.05, 1e300]: round decades plus seeded log-uniform points.
-EXTREME_SHAPES = sorted(
-    [0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 1e3, 1e6, 1e9, 1e10, 1e11, 1e12, 1e16, 1e20, 1e50,
-     1e100, 1e150, 1e200, 1e250, 1e300]
-    + [10.0 ** x for x in np.random.default_rng(20).uniform(math.log10(0.05), 300.0, 12)]
-)
 
 
 class TestExtremeShapes:
