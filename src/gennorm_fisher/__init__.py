@@ -11,6 +11,7 @@ from .distribution import (
     pdf,
     pdf_normalization,
     sample,
+    sample_abs,
 )
 from .estimation import (
     DegenerateDataError,
@@ -78,6 +79,7 @@ __all__ = [
     "pdf_normalization",
     "run_crlb_experiment",
     "sample",
+    "sample_abs",
     "score",
     "trial_seed",
 ]

@@ -21,7 +21,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .distribution import GenNormParams, MomentSpec, exact_moment, log_pdf_z, require_count, sample
+from .distribution import (
+    GenNormParams,
+    MomentSpec,
+    exact_moment,
+    log_pdf_z,
+    require_count,
+    sample_abs,
+)
+from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 from .estimation import (
     ExperimentConfig,
     mle_theta,
@@ -111,10 +119,7 @@ def _cmd_pdf(args) -> int:
         grid = np.linspace(args.min, args.max, args.count)
     # the same vectorized kernel the quadrature routes and log_pdf evaluate
     log_density = log_pdf_z(params.beta, grid / params.theta) - math.log(params.theta)
-    rows = [
-        (float(x), float(math.exp(lp)), float(lp))
-        for x, lp in zip(grid, log_density)
-    ]
+    rows = [(x, math.exp(lp), lp) for x, lp in zip(grid.tolist(), log_density.tolist())]
     inputs = {"theta": params.theta, "beta": params.beta,
               "min": args.min, "max": args.max, "count": args.count}
     _table(args, "pdf", inputs, ["x", "pdf", "log_pdf"], rows, _metadata())
@@ -194,7 +199,7 @@ def _cmd_estimate(args) -> int:
         raise ValueError("provide exactly one of --input FILE or --simulate")
     if args.simulate:
         params = GenNormParams(theta=args.theta, beta=args.beta)
-        draws = sample(params, args.n, args.seed)
+        draws = sample_abs(params, args.n, args.seed)  # theta_hat and the score use |x| only
         source = {"generator": {"theta": params.theta, "beta": params.beta,
                                 "n": args.n, "seed": args.seed}}
     else:
@@ -291,6 +296,9 @@ def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,
 
 
 def _cmd_verify(args) -> int:
+    if args.suite != "crlb" and (args.beta is not None or args.theta is not None):
+        raise ValueError(
+            f"--beta and --theta apply to verify crlb only, not to verify {args.suite}")
     printer = _CheckPrinter()
     if args.suite == "lemma2":
         _verify_lemma2(printer)
@@ -301,7 +309,8 @@ def _cmd_verify(args) -> int:
         _verify_equivalence(printer, tol=args.tol)
     else:
         n = args.n if args.n is not None else 10_000
-        _verify_crlb(printer, beta=args.beta, theta=args.theta, n=n,
+        _verify_crlb(printer, beta=2.0 if args.beta is None else args.beta,
+                     theta=1.0 if args.theta is None else args.theta, n=n,
                      trials=args.trials, seed=args.seed)
     return printer.finish(args.suite)
 
@@ -366,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
     add_common(p_verify, seed_default=DEFAULT_SEED, fmt_default=None)
+    # None marks --theta/--beta as not given: only crlb reads them (as 1 and
+    # 2 by default), the other suites reject them
+    p_verify.set_defaults(theta=None, beta=None)
     p_verify.add_argument("suite", choices=("lemma2", "theorem1", "equivalence", "crlb"))
     p_verify.add_argument("--tol", type=float, default=1e-9,
                           help="relative quadrature tolerance (default 1e-9)")

@@ -33,6 +33,7 @@ __all__ = [
     "exact_moment",
     "expected_abs_moment",
     "sample",
+    "sample_abs",
     "pdf_normalization",
     "abs_moment_quad",
     "require_count",
@@ -169,38 +170,56 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
 
     which stays well-scaled for arbitrarily large beta (it tends to the
     uniform theta*U).  Streams are PCG64 seeded via SeedSequence(seed); the
-    index space is cut into fixed 2**18 chunks with spawned child seeds, so
-    any parallel execution of chunks reproduces this exact output.
+    index space is cut into fixed 2**18 chunks, chunk i seeded by
+    SeedSequence(seed, spawn_key=(i,)) (the i-th child of SeedSequence(seed)),
+    so any parallel execution of chunks reproduces this exact output.  Each
+    chunk draws its magnitudes first and its signs last, so sample_abs, which
+    stops before the signs, returns |sample(...)| bit for bit.
     """
+    return _draw(params, count, seed, None, signed=True)
+
+
+def sample_abs(
+    params: GenNormParams, count: int, seed: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """|sample(params, count, seed)|, bit for bit, without drawing the signs.
+
+    For callers that use only |x| (the MLE, the score).  With out, a
+    float64 array of shape (count,), the draws are written into it and out
+    is returned, so a loop of calls can reuse one buffer.
+    """
+    return _draw(params, count, seed, out, signed=False)
+
+
+def _draw(params: GenNormParams, count: int, seed: int, out, signed: bool) -> np.ndarray:
     require_count("count", count, 1)
     require_count("seed", seed, 0)
+    if out is None:
+        out = np.empty(count)
+    elif not (isinstance(out, np.ndarray) and out.shape == (count,) and out.dtype == np.float64):
+        raise ValueError(f"out must be a float64 array of shape ({count},)")
     theta, beta = params.theta, params.beta
     inv_beta = 1.0 / beta
-    n_chunks = (count + _SAMPLE_CHUNK - 1) // _SAMPLE_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    out = np.empty(count, dtype=np.float64)
-    for i, child in enumerate(children):
-        lo = i * _SAMPLE_CHUNK
-        hi = min(lo + _SAMPLE_CHUNK, count)
-        m = hi - lo
-        rng = np.random.Generator(np.random.PCG64(child))
+    for i, lo in enumerate(range(0, count, _SAMPLE_CHUNK)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
         # Built in place in its slice of out, one chunk-sized temporary at a
         # time: a fresh array per step let a loop of calls (the CRLB
         # experiment) return heap pages to the system and fault them back in.
-        x = out[lo:hi]
+        x = out[lo:lo + _SAMPLE_CHUNK]
         rng.standard_gamma(1.0 + inv_beta if beta > 1.0 else inv_beta, out=x)
         x **= inv_beta
         if beta > 1.0:
-            u = rng.random(m)
+            u = rng.random(x.size)
             x *= np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
             del u
-        signs = rng.integers(0, 2, size=m)
-        signs *= 2
-        signs -= 1
         # theta enters in exactly one multiply and signs are exact, so
         # samples scale bit-for-bit with theta
         x *= theta
-        x *= signs
+        if signed:  # the last draw on the chunk's stream: skipping it changes no magnitude
+            signs = rng.integers(0, 2, size=x.size)
+            signs *= 2
+            signs -= 1
+            x *= signs
     return out
 
 

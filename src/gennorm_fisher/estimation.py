@@ -14,11 +14,13 @@ n grows; at n = 10^4 and 1000 trials it sits well inside [0.9, 1.1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import GenNormParams, require_count, require_even_shape, require_real, sample
+from .distribution import GenNormParams, require_count, require_even_shape, require_real, sample_abs
+from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 
 __all__ = [
     "DegenerateDataError",
@@ -91,17 +93,25 @@ def mle_theta(samples, beta) -> float:
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("samples must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must all be finite")
-    magnitudes = np.abs(arr)
+    return _mle_of_magnitudes(np.abs(arr), bf)
+
+
+def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
+    """mle_theta of nonnegative float64 magnitudes, overwriting them.
+
+    A max that is not finite (inf, or nan, which max propagates) is the
+    one finite check: it is non-finite exactly when some magnitude is.
+    """
     m = float(magnitudes.max())
+    if not math.isfinite(m):
+        raise ValueError("samples must all be finite")
     if m == 0.0:
         raise DegenerateDataError(
             "all samples are zero; the likelihood maximum theta=0 is outside the parameter space"
         )
     magnitudes /= m
-    magnitudes **= bf
-    theta_hat = m * (bf * float(np.mean(magnitudes))) ** (1.0 / bf)
+    magnitudes **= beta
+    theta_hat = m * (beta * float(np.mean(magnitudes))) ** (1.0 / beta)
     if not math.isfinite(theta_hat):
         raise OverflowError(f"theta_hat overflows double precision (max |x| = {m!r})")
     if theta_hat == 0.0:
@@ -120,19 +130,34 @@ def trial_seed(seed: int, trial: int) -> int:
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """Estimate theta over config.trials independent repetitions.
 
-    Each trial draws config.n samples seeded by trial_seed(config.seed, t),
-    so trials may run in any order or in parallel without changing the
-    report; the statistics below are reduced with numpy pairwise summation
-    over the trial-indexed array, which is order-independent.  Degenerate
-    trials are skipped and counted (never seen for n >= 10).
+    Each trial draws config.n magnitudes seeded by trial_seed(config.seed, t)
+    into one buffer reused across trials, so trials may run in any order or
+    in parallel without changing the report; the statistics below are
+    reduced with numpy pairwise summation over the trial-indexed array,
+    which is order-independent.  They are taken from theta_hat/theta_true
+    and scaled back, so they neither overflow nor underflow at extreme
+    scales.  Degenerate trials are skipped and counted (never seen for
+    n >= 10).  Raises ValueError, before any trial, where the bound
+    theta_true**2/(n*beta) is not a finite, normal double.
     """
-    params = GenNormParams(theta=config.theta_true, beta=float(config.beta))
+    theta = config.theta_true
+    try:
+        crlb = theta**2 / (config.n * config.beta)
+    except OverflowError:
+        crlb = math.inf
+    if not sys.float_info.min <= crlb < math.inf:
+        raise ValueError(
+            f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {crlb!r} "
+            f"outside the finite, normal doubles at n={config.n}, beta={config.beta}"
+        )
+    params = GenNormParams(theta=theta, beta=float(config.beta))
+    buf = np.empty(config.n)
     estimates = np.full(config.trials, np.nan)
     failed = 0
     for t in range(config.trials):
-        draws = sample(params, config.n, trial_seed(config.seed, t))
+        sample_abs(params, config.n, trial_seed(config.seed, t), out=buf)
         try:
-            estimates[t] = mle_theta(draws, config.beta)
+            estimates[t] = _mle_of_magnitudes(buf, params.beta)
         except DegenerateDataError:
             failed += 1
     kept = estimates[np.isfinite(estimates)]
@@ -140,9 +165,10 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
         raise DegenerateDataError(
             f"only {kept.size} of {config.trials} trials produced an estimate"
         )
-    t_count = int(kept.size)
-    mean = float(kept.mean())
-    centered = kept - mean
+    ratios = kept / theta
+    t_count = int(ratios.size)
+    mean = float(ratios.mean())
+    centered = ratios - mean
     centered_ss = float(np.sum(centered * centered))
     variance = centered_ss / (t_count - 1)
 
@@ -152,13 +178,13 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     loo_dev = loo_var - loo_var.mean()
     variance_stderr = math.sqrt((t_count - 1.0) / t_count * float(np.sum(loo_dev * loo_dev)))
 
-    crlb = config.theta_true**2 / (config.n * config.beta)
+    variance = variance * theta * theta
     return EstimationReport(
         config=config,
-        mle_mean=mean,
+        mle_mean=mean * theta,
         mle_variance=variance,
         crlb=crlb,
         efficiency=crlb / variance,
-        variance_stderr=variance_stderr,
+        variance_stderr=variance_stderr * theta * theta,
         failed_trials=failed,
     )

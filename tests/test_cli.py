@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gennorm_fisher import GenNormParams, log_pdf, pdf
+from gennorm_fisher import GenNormParams, log_pdf, mle_theta, pdf, sample
 from gennorm_fisher.cli import main
+from gennorm_fisher.fisher import score_z
 
 
 def run(capsys, *argv):
@@ -199,6 +200,16 @@ class TestEstimateCommand:
         band = 4.0 * math.sqrt(4.0 / (100000 * 4.0))
         assert abs(record["outputs"]["theta_hat"] - 2.0) <= band
 
+    def test_simulated_input_equals_signed_draws(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--beta", "0.5", "--simulate",
+                           "--theta", "1.7", "--n", "1000", "--seed", "3")
+        assert code == 0
+        draws = sample(GenNormParams(1.7, 0.5), 1000, 3)
+        theta_hat = mle_theta(draws, 0.5)
+        residual = float(score_z(0.5, draws / theta_hat).sum()) / theta_hat
+        assert json.loads(out)["outputs"] == {"theta_hat": theta_hat, "score_residual": residual,
+                                              "n_samples": 1000}
+
     def test_all_zero_file_is_degenerate(self, capsys, tmp_path):
         f = tmp_path / "zeros.txt"
         f.write_text("0\n0\n0\n")
@@ -263,6 +274,29 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "crlb", "--beta", "2", "--theta", "1")
         assert code == 0
         assert "efficiency" in out and "FAIL" not in out
+
+    def test_crlb_defaults_are_beta_2_theta_1(self, capsys):
+        argv = ("verify", "crlb", "--n", "200", "--trials", "20")
+        default = run(capsys, *argv)[:2]
+        assert "crlb[beta=2,theta=1.0] efficiency" in default[1]
+        assert default == run(capsys, *argv, "--beta", "2", "--theta", "1")[:2]
+
+    @pytest.mark.parametrize("theta", ["1e-320", "1e-170", "1e160"])
+    def test_crlb_unrepresentable_bound_is_usage_error(self, capsys, theta):
+        code, out, err = run(capsys, "verify", "crlb", "--theta", theta, "--n", "100", "--trials", "5")
+        assert code == 2 and out == "" and "theta_true" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "lemma2", "--beta", "7"),
+            ("verify", "theorem1", "--theta", "3"),
+            ("verify", "equivalence", "--beta", "2", "--theta", "1"),
+        ],
+    )
+    def test_beta_and_theta_are_crlb_only(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "verify crlb only" in err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(capsys, "verify", "fermat")[0] == 2

@@ -23,6 +23,7 @@ from gennorm_fisher import (
     pdf,
     pdf_normalization,
     sample,
+    sample_abs,
 )
 from gennorm_fisher.distribution import log_pdf_z, pdf_z, standardized_power
 from gennorm_fisher.estimation import ExperimentConfig
@@ -246,6 +247,62 @@ class TestSample:
         assert np.all(np.isfinite(draws))
         assert np.all(draws != 0.0)  # the boost construction never collapses to 0
         assert np.abs(draws).max() < 1.2  # essentially uniform on [-1, 1]
+
+
+def _reference_sample(params, count, seed):
+    # the sampler as first written: children from SeedSequence(seed).spawn,
+    # signs drawn last on each chunk's stream
+    inv_beta = 1.0 / params.beta
+    chunk = 1 << 18
+    children = np.random.SeedSequence(seed).spawn((count + chunk - 1) // chunk)
+    parts = []
+    for i, child in enumerate(children):
+        m = min(chunk, count - i * chunk)
+        rng = np.random.Generator(np.random.PCG64(child))
+        x = rng.standard_gamma(1.0 + inv_beta if params.beta > 1.0 else inv_beta, size=m)
+        x = x**inv_beta
+        if params.beta > 1.0:
+            x = x * (1.0 - rng.random(m))
+        signs = rng.integers(0, 2, size=m) * 2 - 1
+        parts.append(x * params.theta * signs)
+    return np.concatenate(parts)
+
+
+class TestSampleAbs:
+    @pytest.mark.parametrize("theta", [1.0, 3.0, 1e-3])
+    @pytest.mark.parametrize("count", [1, 1000, (1 << 18) + 3])
+    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 7.5, 1e6])
+    def test_is_abs_of_sample_bitwise(self, beta, count, theta):
+        p = GenNormParams(theta, beta)
+        magnitudes = sample_abs(p, count, seed=13)
+        assert magnitudes.dtype == np.float64 and magnitudes.shape == (count,)
+        assert magnitudes.tobytes() == np.abs(sample(p, count, seed=13)).tobytes()
+
+    @pytest.mark.parametrize("beta", [0.3, 2.0, 7.5])
+    def test_sample_keeps_its_stream(self, beta):
+        p = GenNormParams(1.7, beta)
+        n = (1 << 18) + 3
+        assert sample(p, n, seed=21).tobytes() == _reference_sample(p, n, 21).tobytes()
+
+    def test_out_is_filled_and_returned(self):
+        buf = np.full(1000, np.nan)
+        assert sample_abs(_P, 1000, 4, out=buf) is buf
+        assert np.array_equal(buf, np.abs(sample(_P, 1000, 4)))
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(999), np.empty((1000, 1)), np.empty(1000, dtype=np.float32), [0.0] * 1000,
+         np.empty(2000)[::2], np.frombuffer(bytes(8000))],
+        ids=["length", "shape", "dtype", "list", "strided", "read-only"],
+    )
+    def test_wrong_out_is_rejected(self, out):
+        with pytest.raises(ValueError, match="out"):
+            sample_abs(_P, 1000, 4, out=out)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_count_validation(self, count):
+        with pytest.raises(ValueError):
+            sample_abs(_P, count, seed=1)
 
 
 _P = GenNormParams(1.0, 2.0)

@@ -14,6 +14,7 @@ from gennorm_fisher import (
     ExperimentConfig,
     GenNormParams,
     d2_log_pdf,
+    estimation,
     log_pdf,
     mle_theta,
     run_crlb_experiment,
@@ -98,7 +99,9 @@ class TestMleTheta:
         with pytest.raises(DegenerateDataError):
             mle_theta(values, beta)
 
-    @pytest.mark.parametrize("bad", [[], [1.0, float("nan")], [1.0, float("inf")]])
+    @pytest.mark.parametrize(
+        "bad", [[], [1.0, float("nan")], [1.0, float("inf")], [float("-inf"), 1.0], [float("nan")] * 3]
+    )
     def test_invalid_samples(self, bad):
         with pytest.raises(ValueError):
             mle_theta(bad, beta=2.0)
@@ -172,6 +175,49 @@ class TestCrlbExperiment:
         assert 0.8 <= report.efficiency <= 1.2
         assert report.efficiency == report.crlb / report.mle_variance
 
+    @pytest.mark.parametrize("beta", [2, 4, 8])
+    def test_equals_reference_loop_bitwise(self, beta):
+        # the experiment as first written: signed draws, mle_theta, and the
+        # statistics taken on theta_hat itself (theta_true = 1, so no scaling)
+        cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=700, trials=40, seed=beta)
+        params = GenNormParams(1.0, float(beta))
+        estimates = np.array([mle_theta(sample(params, cfg.n, trial_seed(cfg.seed, t)), beta)
+                              for t in range(cfg.trials)])
+        mean = float(estimates.mean())
+        centered = estimates - mean
+        centered_ss = float(np.sum(centered * centered))
+        variance = centered_ss / (cfg.trials - 1)
+        loo_var = (centered_ss - centered**2 * (cfg.trials / (cfg.trials - 1.0))) / (cfg.trials - 2.0)
+        loo_dev = loo_var - loo_var.mean()
+        stderr = math.sqrt((cfg.trials - 1.0) / cfg.trials * float(np.sum(loo_dev * loo_dev)))
+        crlb = 1.0 / (cfg.n * beta)
+        assert run_crlb_experiment(cfg) == EstimationReport(
+            cfg, mean, variance, crlb, crlb / variance, stderr, 0
+        )
+
+    def test_degenerate_trials_are_counted(self, monkeypatch):
+        def zero_in_odd_trials(params, count, seed, out):
+            out[:] = 0.0 if seed % 2 else 1.0 + (seed % 7)
+            return out
+
+        monkeypatch.setattr(estimation, "sample_abs", zero_in_odd_trials)
+        cfg = ExperimentConfig(beta=2, theta_true=1.0, n=10, trials=60, seed=5)
+        odd = sum(trial_seed(cfg.seed, t) % 2 for t in range(cfg.trials))
+        assert 3 <= cfg.trials - odd and odd > 0
+        assert run_crlb_experiment(cfg).failed_trials == odd
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_draws_raise(self, bad, monkeypatch):
+        def one_bad_draw(params, count, seed, out):
+            out[:] = 1.0
+            out[count // 2] = bad
+            return out
+
+        monkeypatch.setattr(estimation, "sample_abs", one_bad_draw)
+        cfg = ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=5, seed=1)
+        with pytest.raises(ValueError, match="samples must all be finite"):
+            run_crlb_experiment(cfg)
+
     def test_trial_seed_split_is_stable(self):
         # documented derivation: SeedSequence(seed, spawn_key=(trial,))
         expected = int(
@@ -190,3 +236,30 @@ class TestMleExtremeScales:
         draws = sample(GenNormParams(theta, 2.0), 1000, seed=1)
         expected = theta * mle_theta(base, 2.0)
         assert mle_theta(draws, 2.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+class TestCrlbExtremeScales:
+    @pytest.mark.parametrize("theta", [1e-150, 1e150])
+    def test_statistics_scale_with_theta(self, theta):
+        base = run_crlb_experiment(ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=30, seed=4))
+        cfg = ExperimentConfig(beta=2, theta_true=theta, n=100, trials=30, seed=4)
+        report = run_crlb_experiment(cfg)
+        assert report.mle_mean == pytest.approx(theta * base.mle_mean, rel=1e-13, abs=0.0)
+        assert report.mle_variance == pytest.approx(theta**2 * base.mle_variance, rel=1e-11, abs=0.0)
+        assert report.variance_stderr == pytest.approx(
+            theta**2 * base.variance_stderr, rel=1e-9, abs=0.0)
+        assert report.efficiency == pytest.approx(base.efficiency, rel=1e-11)
+        assert report.efficiency == report.crlb / report.mle_variance
+        assert report.crlb == theta**2 / (cfg.n * cfg.beta)
+
+    @pytest.mark.parametrize(
+        "theta, n",
+        [(1e-170, 100), (1e-153, 10**4), (5e-324, 3), (1e160, 100), (1e155, 10**4), (1e308, 1)],
+    )
+    def test_unrepresentable_bound_is_rejected_before_any_trial(self, theta, n, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(estimation, "sample_abs", no_trials)
+        with pytest.raises(ValueError, match="theta_true"):
+            run_crlb_experiment(ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1))

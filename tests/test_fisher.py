@@ -17,6 +17,7 @@ from gennorm_fisher import (
     fisher_quad_neg_hessian,
     fisher_quad_score_variance,
     log_pdf,
+    sample,
     score,
 )
 from gennorm_fisher.fisher import METHODS, neg_d2_z, score_z
@@ -170,6 +171,18 @@ class TestMonteCarloRoute:
     def test_minimum_sample_size(self, n):
         with pytest.raises(ValueError):
             fisher_mc_score_variance(GenNormParams(1.0, 2.0), n=n, seed=1)
+
+    @pytest.mark.parametrize(
+        "params", [GenNormParams(1.3, 0.5), GenNormParams(0.7, 3.0), GenNormParams(2.0, 8.0)], ids=str
+    )
+    def test_equals_reference_from_signed_draws(self, params):
+        n = (1 << 18) + 5  # two sampler chunks
+        sq = score_z(params.beta, sample(params, n, 17) / params.theta)
+        sq *= sq
+        unit = 1.0 / params.theta / params.theta
+        expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
+                                  float(sq.std(ddof=1)) / math.sqrt(n) * unit)
+        assert fisher_mc_score_variance(params, n, 17) == expected
 
     @pytest.mark.parametrize("params", GRID, ids=str)
     def test_four_way_agreement(self, params):
