@@ -12,6 +12,7 @@ from .distribution import (
     pdf_normalization,
     sample,
     sample_abs,
+    sample_abs_trials,
 )
 from .estimation import (
     DegenerateDataError,
@@ -80,6 +81,7 @@ __all__ = [
     "run_crlb_experiment",
     "sample",
     "sample_abs",
+    "sample_abs_trials",
     "score",
     "trial_seed",
 ]

@@ -1,8 +1,8 @@
 """Command-line surface: pdf tables, Fisher estimates, moments, estimation,
 and the verification batteries.
 
-Tables default to CSV (header row, full-precision floats via repr); single
-records default to JSON with the schema
+Tables default to CSV (header row, floats as their shortest round-trip
+text); single records default to JSON with the schema
 
     {command, inputs{}, outputs{}, metadata{seed, tolerances, version}}
 
@@ -63,12 +63,6 @@ class OutputRecord:
         return json.dumps(asdict(self), indent=2)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def emit(text: str, output: str | None) -> None:
     """Write text to the file output, or to stdout when output is None."""
     if output is None:
@@ -81,9 +75,10 @@ def emit(text: str, output: str | None) -> None:
 
 
 def csv_table(columns, rows) -> str:
-    """A header row and one line per row; floats as repr, so they read back exactly."""
+    """A header row and one line per row; values as str, which for a float
+    (numpy's float64 included) is the shortest text that reads back exactly."""
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -231,7 +226,7 @@ class _CheckPrinter:
         if not ok:
             self.failures += 1
         status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} observed={_fmt(observed)} expected={_fmt(expected)} tol={tol}")
+        print(f"{status} {name} observed={observed} expected={expected} tol={tol}")
 
     def finish(self, suite: str) -> int:
         passed = self.count - self.failures
@@ -295,23 +290,31 @@ def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,
                   report.failed_trials, 0, "exact")
 
 
+# Each suite with the options it reads and their defaults.  On the parser
+# every verify option defaults to None ("not given"), so a suite can reject
+# an option it does not read.
+_VERIFY_SUITES = {
+    "lemma2": (_verify_lemma2, {}),
+    "theorem1": (_verify_theorem1, {"tol": 1e-9, "n": 1_000_000, "seed": DEFAULT_SEED}),
+    "equivalence": (_verify_equivalence, {"tol": 1e-9}),
+    "crlb": (_verify_crlb, {"beta": 2.0, "theta": 1.0, "n": 10_000, "trials": 1000,
+                            "seed": DEFAULT_SEED}),
+}
+_VERIFY_OPTIONS = ("theta", "beta", "seed", "tol", "n", "trials")
+
+
 def _cmd_verify(args) -> int:
-    if args.suite != "crlb" and (args.beta is not None or args.theta is not None):
-        raise ValueError(
-            f"--beta and --theta apply to verify crlb only, not to verify {args.suite}")
+    run_suite, defaults = _VERIFY_SUITES[args.suite]
+    given = {name: getattr(args, name) for name in _VERIFY_OPTIONS
+             if getattr(args, name) is not None}
+    unread = [name for name in given if name not in defaults]
+    if unread:
+        readers = {name: "/".join(suite for suite, (_, reads) in _VERIFY_SUITES.items()
+                                  if name in reads) for name in unread}
+        raise ValueError(f"verify {args.suite} does not read "
+                         + ", ".join(f"--{name} (verify {r} only)" for name, r in readers.items()))
     printer = _CheckPrinter()
-    if args.suite == "lemma2":
-        _verify_lemma2(printer)
-    elif args.suite == "theorem1":
-        n = args.n if args.n is not None else 1_000_000
-        _verify_theorem1(printer, tol=args.tol, n=n, seed=args.seed)
-    elif args.suite == "equivalence":
-        _verify_equivalence(printer, tol=args.tol)
-    else:
-        n = args.n if args.n is not None else 10_000
-        _verify_crlb(printer, beta=2.0 if args.beta is None else args.beta,
-                     theta=1.0 if args.theta is None else args.theta, n=n,
-                     trials=args.trials, seed=args.seed)
+    run_suite(printer, **{**defaults, **given})
     return printer.finish(args.suite)
 
 
@@ -374,18 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
-    add_common(p_verify, seed_default=DEFAULT_SEED, fmt_default=None)
-    # None marks --theta/--beta as not given: only crlb reads them (as 1 and
-    # 2 by default), the other suites reject them
-    p_verify.set_defaults(theta=None, beta=None)
-    p_verify.add_argument("suite", choices=("lemma2", "theorem1", "equivalence", "crlb"))
-    p_verify.add_argument("--tol", type=float, default=1e-9,
-                          help="relative quadrature tolerance (default 1e-9)")
-    p_verify.add_argument("--n", type=int, default=None,
+    p_verify.add_argument("suite", choices=tuple(_VERIFY_SUITES))
+    # no defaults here: each suite applies its own (_VERIFY_SUITES)
+    p_verify.add_argument("--theta", type=float, help="crlb scale parameter (default 1)")
+    p_verify.add_argument("--beta", type=float, help="crlb shape parameter (default 2)")
+    p_verify.add_argument("--seed", type=int,
+                          help=f"theorem1 and crlb RNG seed (default {DEFAULT_SEED})")
+    p_verify.add_argument("--tol", type=float,
+                          help="theorem1 and equivalence relative quadrature tolerance "
+                               "(default 1e-9)")
+    p_verify.add_argument("--n", type=int,
                           help="Monte Carlo draws (theorem1, default 1e6) or per-trial "
                                "samples (crlb, default 1e4)")
-    p_verify.add_argument("--trials", type=int, default=1000,
-                          help="crlb trials (default 1000)")
+    p_verify.add_argument("--trials", type=int, help="crlb trials (default 1000)")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

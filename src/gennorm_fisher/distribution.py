@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
     "expected_abs_moment",
     "sample",
     "sample_abs",
+    "sample_abs_trials",
+    "trial_seed",
     "pdf_normalization",
     "abs_moment_quad",
     "require_count",
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
+_SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_abs_trials
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,34 @@ def sample_abs(
     return _draw(params, count, seed, out, signed=False)
 
 
+def trial_seed(seed: int, trial: int) -> int:
+    """The documented per-trial seed split: SeedSequence(seed, spawn_key=(trial,)).
+
+    sample_abs_trials derives the same seeds for a block of trials at once;
+    this is the one-trial view, to reproduce a trial in isolation.
+    """
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def sample_abs_trials(
+    params: GenNormParams, count: int, seed: int, trials: int
+) -> Iterator[np.ndarray]:
+    """For t in range(trials), yield sample_abs(params, count, trial_seed(seed, t)),
+    bit for bit, in one buffer that every yield refills.
+
+    The streams are those of sample_abs; only their seeding is batched: the
+    trial seeds and every trial's chunk seed words are derived a block of
+    trials at a time in vectorized passes (the seeding module), so the
+    per-trial work is the draws alone.  Arguments are checked once, at the
+    call.
+    """
+    require_count("count", count, 1)
+    require_count("seed", seed, 0)
+    require_count("trials", trials, 0)
+    return _trial_draws(params, count, seed, trials)
+
+
 def _draw(params: GenNormParams, count: int, seed: int, out, signed: bool) -> np.ndarray:
     require_count("count", count, 1)
     require_count("seed", seed, 0)
@@ -198,29 +230,59 @@ def _draw(params: GenNormParams, count: int, seed: int, out, signed: bool) -> np
         out = np.empty(count)
     elif not (isinstance(out, np.ndarray) and out.shape == (count,) and out.dtype == np.float64):
         raise ValueError(f"out must be a float64 array of shape ({count},)")
-    theta, beta = params.theta, params.beta
-    inv_beta = 1.0 / beta
+    scratch = _uniform_scratch(params, count)
     for i, lo in enumerate(range(0, count, _SAMPLE_CHUNK)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-        # Built in place in its slice of out, one chunk-sized temporary at a
-        # time: a fresh array per step let a loop of calls (the CRLB
-        # experiment) return heap pages to the system and fault them back in.
         x = out[lo:lo + _SAMPLE_CHUNK]
-        rng.standard_gamma(1.0 + inv_beta if beta > 1.0 else inv_beta, out=x)
-        x **= inv_beta
-        if beta > 1.0:
-            u = rng.random(x.size)
-            x *= np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
-            del u
-        # theta enters in exactly one multiply and signs are exact, so
-        # samples scale bit-for-bit with theta
-        x *= theta
+        _draw_magnitudes(x, rng, params, scratch)
         if signed:  # the last draw on the chunk's stream: skipping it changes no magnitude
             signs = rng.integers(0, 2, size=x.size)
             signs *= 2
             signs -= 1
             x *= signs
     return out
+
+
+def _trial_draws(params: GenNormParams, count: int, seed: int, trials: int):
+    from . import seeding  # on first use: it imports numpy.random, which most callers never need
+
+    out = np.empty(count)
+    chunks = range(0, count, _SAMPLE_CHUNK)
+    scratch = _uniform_scratch(params, count)
+    block = max(1, _SEED_ROWS // len(chunks))
+    for first in range(0, trials, block):
+        seeds = seeding.trial_seeds(seed, np.arange(first, min(first + block, trials)))
+        keys = np.tile(np.arange(len(chunks)), seeds.size)
+        words = seeding.stream_words(np.repeat(seeds, len(chunks)), keys)
+        for trial_words in words.reshape(seeds.size, len(chunks), 4):
+            for lo, chunk_words in zip(chunks, trial_words):
+                rng = np.random.Generator(np.random.PCG64(seeding.SeedWords(chunk_words)))
+                _draw_magnitudes(out[lo:lo + _SAMPLE_CHUNK], rng, params, scratch)
+            yield out
+
+
+def _uniform_scratch(params: GenNormParams, count: int) -> np.ndarray | None:
+    """The buffer the boost's uniforms are drawn into (beta > 1 only), one per call."""
+    return np.empty(min(count, _SAMPLE_CHUNK)) if params.beta > 1.0 else None
+
+
+def _draw_magnitudes(x, rng, params: GenNormParams, scratch) -> None:
+    """Fill x with the chunk magnitudes drawn from rng.
+
+    Built in place in x, with the uniforms in scratch: a fresh array per step
+    let a loop of calls (the CRLB experiment) return heap pages to the system
+    and fault them back in.
+    """
+    beta = params.beta
+    inv_beta = 1.0 / beta
+    rng.standard_gamma(1.0 + inv_beta if beta > 1.0 else inv_beta, out=x)
+    x **= inv_beta
+    if beta > 1.0:
+        u = rng.random(out=scratch[:x.size])
+        x *= np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
+    # theta enters in exactly one multiply and signs are exact, so
+    # samples scale bit-for-bit with theta
+    x *= params.theta
 
 
 def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:

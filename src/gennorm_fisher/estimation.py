@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import GenNormParams, require_count, require_even_shape, require_real, sample_abs
+from .distribution import (
+    GenNormParams,
+    require_count,
+    require_even_shape,
+    require_real,
+    sample_abs_trials,
+    trial_seed,
+)
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 
 __all__ = [
@@ -111,7 +118,8 @@ def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
         )
     magnitudes /= m
     magnitudes **= beta
-    theta_hat = m * (beta * float(np.mean(magnitudes))) ** (1.0 / beta)
+    # the sum and the division np.mean makes, without its dispatch
+    theta_hat = m * (beta * (float(magnitudes.sum()) / magnitudes.size)) ** (1.0 / beta)
     if not math.isfinite(theta_hat):
         raise OverflowError(f"theta_hat overflows double precision (max |x| = {m!r})")
     if theta_hat == 0.0:
@@ -121,20 +129,14 @@ def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
     return theta_hat
 
 
-def trial_seed(seed: int, trial: int) -> int:
-    """The documented per-trial seed split: SeedSequence(seed, spawn_key=(trial,))."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """Estimate theta over config.trials independent repetitions.
 
-    Each trial draws config.n magnitudes seeded by trial_seed(config.seed, t)
-    into one buffer reused across trials, so trials may run in any order or
-    in parallel without changing the report; the statistics below are
-    reduced with numpy pairwise summation over the trial-indexed array,
-    which is order-independent.  They are taken from theta_hat/theta_true
+    Trial t draws config.n magnitudes seeded by trial_seed(config.seed, t)
+    into one buffer reused across trials (sample_abs_trials), so trials may
+    run in any order or in parallel without changing the report; the
+    statistics below are reduced with numpy pairwise summation over the
+    trial-indexed array, which is order-independent.  They are taken from theta_hat/theta_true
     and scaled back, so they neither overflow nor underflow at extreme
     scales.  Degenerate trials are skipped and counted (never seen for
     n >= 10).  Raises ValueError, before any trial, where the bound
@@ -151,13 +153,12 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
             f"outside the finite, normal doubles at n={config.n}, beta={config.beta}"
         )
     params = GenNormParams(theta=theta, beta=float(config.beta))
-    buf = np.empty(config.n)
     estimates = np.full(config.trials, np.nan)
     failed = 0
-    for t in range(config.trials):
-        sample_abs(params, config.n, trial_seed(config.seed, t), out=buf)
+    draws = sample_abs_trials(params, config.n, config.seed, config.trials)
+    for t, magnitudes in enumerate(draws):
         try:
-            estimates[t] = _mle_of_magnitudes(buf, params.beta)
+            estimates[t] = _mle_of_magnitudes(magnitudes, params.beta)
         except DegenerateDataError:
             failed += 1
     kept = estimates[np.isfinite(estimates)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gennorm_fisher import GenNormParams, log_pdf, mle_theta, pdf, sample
-from gennorm_fisher.cli import main
+from gennorm_fisher.cli import csv_table, main
 from gennorm_fisher.fisher import score_z
 
 
@@ -321,6 +321,44 @@ class TestUnreadOptions:
     def test_is_a_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("verify", "lemma2", "--seed", "3"), "--seed"),
+            (("verify", "lemma2", "--tol", "5"), "--tol"),
+            (("verify", "lemma2", "--n", "7"), "--n"),
+            (("verify", "lemma2", "--trials", "2"), "--trials"),
+            (("verify", "equivalence", "--n", "7"), "--n"),
+            (("verify", "equivalence", "--seed", "3"), "--seed"),
+            (("verify", "equivalence", "--trials", "2"), "--trials"),
+            (("verify", "theorem1", "--trials", "2"), "--trials"),
+            (("verify", "crlb", "--tol", "1e-9"), "--tol"),
+        ],
+    )
+    def test_a_verify_suite_rejects_options_it_does_not_read(self, capsys, argv, option):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"verify {argv[1]} does not read {option} (verify " in err
+
+    def test_lemma2_names_every_unread_option(self, capsys):
+        code, out, err = run(capsys, "verify", "lemma2", "--seed", "3", "--tol", "5",
+                             "--n", "7", "--trials", "2")
+        assert code == 2 and out == ""
+        assert all(option in err for option in ("--seed", "--tol", "--n", "--trials"))
+
+    def test_a_suite_reads_its_options_with_their_defaults(self, capsys):
+        default = run(capsys, "verify", "equivalence")
+        assert default[0] == 0
+        assert run(capsys, "verify", "equivalence", "--tol", "1e-9") == default
+        argv = ("verify", "crlb", "--n", "300", "--trials", "30")
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", "20260819")
+
+
+class TestCsvTable:
+    def test_values_print_as_str(self):
+        rows = [(1, 0.1, "a"), (np.float64(1e-300), np.float64(2.5), np.int64(3))]
+        assert csv_table(["x", "y", "z"], rows) == "x,y,z\n1,0.1,a\n1e-300,2.5,3\n"
 
 
 class TestInvocation:

@@ -24,6 +24,7 @@ from gennorm_fisher import (
     pdf_normalization,
     sample,
     sample_abs,
+    seeding,
 )
 from gennorm_fisher.distribution import log_pdf_z, pdf_z, standardized_power
 from gennorm_fisher.estimation import ExperimentConfig
@@ -303,6 +304,101 @@ class TestSampleAbs:
     def test_count_validation(self, count):
         with pytest.raises(ValueError):
             sample_abs(_P, count, seed=1)
+
+
+def _numpy_words(entropy, key, n_words):
+    # the oracle: numpy's own SeedSequence
+    return np.random.SeedSequence(int(entropy), spawn_key=(int(key),)).generate_state(n_words)
+
+
+def _keys(size):
+    # spawn keys with both ends of the one-word range, then seeded random ones
+    keys = np.random.default_rng(size).integers(0, 2**32, size=size)
+    keys[:3] = [0, 1, 2**32 - 1][:size]
+    return keys
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("size", [1, 3, 40])
+    @pytest.mark.parametrize("n_words", [1, 2, 8, 9])
+    @pytest.mark.parametrize(
+        "entropy", [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**128 + 5])
+    def test_shared_entropy_equals_seed_sequence(self, entropy, n_words, size):
+        keys = _keys(size)
+        words = seeding.seed_words(entropy, keys, n_words)
+        assert words.dtype == np.uint32 and words.shape == (size, n_words)
+        expected = np.array([_numpy_words(entropy, k, n_words) for k in keys])
+        assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("size", [6, 200])
+    @pytest.mark.parametrize("n_words", [1, 2, 8, 9])
+    def test_per_row_entropy_equals_seed_sequence(self, n_words, size):
+        entropy = np.random.default_rng(2024).integers(0, 2**64, size=size, dtype=np.uint64)
+        entropy[:6] = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1]
+        keys = _keys(size)
+        words = seeding.seed_words(entropy, keys, n_words)
+        assert words.dtype == np.uint32 and words.shape == (size, n_words)
+        expected = np.array([_numpy_words(e, k, n_words) for e, k in zip(entropy, keys)])
+        assert np.array_equal(words, expected)
+
+    @pytest.mark.parametrize("key", [2**32, -1])
+    def test_keys_beyond_one_word_are_rejected(self, key):
+        keys = _keys(40)
+        keys[1] = key
+        with pytest.raises(ValueError, match="spawn keys"):
+            seeding.seed_words(7, keys, 2)
+
+    def test_words_seed_numpy_pcg64(self):
+        words = seeding.stream_words(2**70, np.arange(3))
+        for key, row in enumerate(words):
+            ours = np.random.PCG64(seeding.SeedWords(row))
+            numpy = np.random.PCG64(np.random.SeedSequence(2**70, spawn_key=(key,)))
+            assert ours.state == numpy.state
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (3, np.uint64), (8, np.uint32),
+                                                (5, np.uint64), (4, np.float64)])
+    def test_seed_type_answers_only_pcg64s_request(self, n_words, dtype):
+        seed_seq = seeding.SeedWords(seeding.stream_words(1, np.arange(1))[0])
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            seed_seq.generate_state(n_words, dtype)
+
+
+class TestSampleAbsTrials:
+    @pytest.mark.parametrize("seed", [0, 2**40, 2**70])
+    # 2 trials of two chunks each at 2**18 + 3
+    @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
+    def test_equals_a_loop_of_sample_abs(self, beta, count, trials, seed):
+        p = GenNormParams(0.7, beta)
+        draws = distribution.sample_abs_trials(p, count, seed, trials)
+        got = [x.tobytes() for x in draws]
+        expected = [sample_abs(p, count, distribution.trial_seed(seed, t)).tobytes()
+                    for t in range(trials)]
+        assert got == expected
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    @pytest.mark.parametrize("count", [7, (1 << 18) + 1])
+    def test_blocks_of_trials_join_seamlessly(self, count, rows, monkeypatch):
+        # seeding blocks of 1 or 2 trials at two chunks, of 1 to 5 at one
+        monkeypatch.setattr(distribution, "_SEED_ROWS", rows)
+        got = [x.tobytes() for x in distribution.sample_abs_trials(_P, count, 9, 5)]
+        assert got == [sample_abs(_P, count, distribution.trial_seed(9, t)).tobytes()
+                       for t in range(5)]
+
+    def test_yields_one_buffer_once_per_trial(self):
+        draws = list(distribution.sample_abs_trials(_P, 10, 3, 4))
+        assert len(draws) == 4 and all(x is draws[0] for x in draws)
+        assert draws[0].dtype == np.float64 and draws[0].shape == (10,)
+        assert list(distribution.sample_abs_trials(_P, 10, 3, 0)) == []
+
+    @pytest.mark.parametrize(
+        "count, seed, trials",
+        [(0, 1, 3), (10, -1, 3), (10, 1, -1), (10, 1, 2.5)],
+        ids=["count", "seed", "trials", "trials-float"],
+    )
+    def test_arguments_are_checked_at_the_call(self, count, seed, trials):
+        with pytest.raises(ValueError):
+            distribution.sample_abs_trials(_P, count, seed, trials)
 
 
 _P = GenNormParams(1.0, 2.0)

@@ -14,12 +14,14 @@ from gennorm_fisher import (
     ExperimentConfig,
     GenNormParams,
     d2_log_pdf,
+    distribution,
     estimation,
     log_pdf,
     mle_theta,
     run_crlb_experiment,
     sample,
     score,
+    seeding,
     trial_seed,
 )
 
@@ -196,11 +198,14 @@ class TestCrlbExperiment:
         )
 
     def test_degenerate_trials_are_counted(self, monkeypatch):
-        def zero_in_odd_trials(params, count, seed, out):
-            out[:] = 0.0 if seed % 2 else 1.0 + (seed % 7)
-            return out
+        def zero_in_odd_trials(params, count, seed, trials):
+            out = np.empty(count)
+            for t in range(trials):
+                ts = trial_seed(seed, t)
+                out[:] = 0.0 if ts % 2 else 1.0 + (ts % 7)
+                yield out
 
-        monkeypatch.setattr(estimation, "sample_abs", zero_in_odd_trials)
+        monkeypatch.setattr(estimation, "sample_abs_trials", zero_in_odd_trials)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=10, trials=60, seed=5)
         odd = sum(trial_seed(cfg.seed, t) % 2 for t in range(cfg.trials))
         assert 3 <= cfg.trials - odd and odd > 0
@@ -208,12 +213,14 @@ class TestCrlbExperiment:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_draws_raise(self, bad, monkeypatch):
-        def one_bad_draw(params, count, seed, out):
-            out[:] = 1.0
-            out[count // 2] = bad
-            return out
+        def one_bad_draw(params, count, seed, trials):
+            out = np.empty(count)
+            for _ in range(trials):
+                out[:] = 1.0
+                out[count // 2] = bad
+                yield out
 
-        monkeypatch.setattr(estimation, "sample_abs", one_bad_draw)
+        monkeypatch.setattr(estimation, "sample_abs_trials", one_bad_draw)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=5, seed=1)
         with pytest.raises(ValueError, match="samples must all be finite"):
             run_crlb_experiment(cfg)
@@ -227,6 +234,16 @@ class TestCrlbExperiment:
         )
         assert trial_seed(123, 4) == expected
         assert trial_seed(123, 5) != expected
+
+    @pytest.mark.parametrize("seed", [0, 123, 2**32 + 1, 2**70])
+    def test_batched_trial_seeds_equal_trial_seed(self, seed):
+        # the derivation sample_abs_trials runs for a block of 1000 trials
+        batched = seeding.trial_seeds(seed, np.arange(1000))
+        assert batched.dtype == np.uint64
+        assert batched.tolist() == [trial_seed(seed, t) for t in range(1000)]
+
+    def test_trial_seed_is_re_exported(self):
+        assert estimation.trial_seed is distribution.trial_seed
 
 
 class TestMleExtremeScales:
@@ -260,6 +277,6 @@ class TestCrlbExtremeScales:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(estimation, "sample_abs", no_trials)
+        monkeypatch.setattr(estimation, "sample_abs_trials", no_trials)
         with pytest.raises(ValueError, match="theta_true"):
             run_crlb_experiment(ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1))
