@@ -281,7 +281,7 @@ def _verify_equivalence(printer: _CheckPrinter, tol: float) -> None:
 
 def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,
                  trials: int, seed: int) -> None:
-    config = ExperimentConfig(beta=int(beta), theta_true=theta, n=n, trials=trials, seed=seed)
+    config = ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=trials, seed=seed)
     report = run_crlb_experiment(config)
     tag = f"crlb[beta={config.beta},theta={config.theta_true}]"
     printer.check(f"{tag} efficiency", 0.9 <= report.efficiency <= 1.1,

@@ -47,14 +47,19 @@ the floor is raised by as many levels as the grid of ROUTE_MIN_LEVEL needs
 to space its nodes at most 0.25 apart in s at s = ln(shape): two grids that
 both step over the drop there would agree on a wrong value (0, for the
 information at beta = 1e300).
+
+The rule of a shape (its range, floor raise and the node arrays of its
+passes of up to 1025 nodes) is cached for the 128 most recent shapes, so a
+shape that recurs, across routes or calls, builds its nodes once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -66,6 +71,12 @@ _BASE_INTERVALS = 16  # per half-line at level 0
 _U_GRID = 2.0**20  # the u cutoffs are multiples of 1/_U_GRID
 _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal double
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
+# A cached rule keeps the node arrays of its passes of at most _KEEP_COUNT
+# nodes, 16 B a node.  Those are the first and midpoint passes of levels 1-6,
+# 4038 nodes, so 128 rules keep at most ~8.3 MB.  One caller at one floor
+# keeps at most 2049 nodes a rule (a first pass and the midpoint levels up to
+# 6), so the package's routes keep at most ~4.2 MB.
+_KEEP_COUNT = 1025
 
 # Floor of expect_power, the integrator of the package's own routes: their
 # integrands are the density times a power of |z| or a polynomial in
@@ -114,16 +125,26 @@ def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:
     return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
 
 
-def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) -> QuadResult:
-    """The trapezoid rule in u over the half-line of exp(-|z|**shape), cut
-    where exp(-|z|**shape) = exp(-p_end), refined by step halving.
+class _Rule(NamedTuple):
+    """What the rule of one (shape, p_end) needs, whatever the tolerances."""
 
-    terms(jac, big_l, scratch) returns the terms of one pass from
-    jac = cosh(u) * exp(-s) and big_l = L = log1p(exp(-s)) at its nodes, each
-    still to be multiplied by pi * step; it may overwrite all three arrays.
+    u_left: float  # the u range, widened to multiples of 2**-20
+    u_right: float
+    floor_raise: int  # levels added to the caller's min_level
+    u_ref: float  # s is taken relative to s_ref = pi sinh(u_ref)
+    exp_ref: float  # exp(-s_ref)
+    # (start, step, count) -> the read-only (jac, L) of that pass
+    passes: dict
+
+
+@functools.lru_cache
+def _rule(shape: float, log_p_end: float) -> _Rule:
+    """The u range, floor raise and reference node of the half-line rule of
+    exp(-|z|**shape) cut at p_end, with an empty store of node arrays.
+
+    Cached: the same shape recurs across routes and calls, and each cached
+    rule keeps the node arrays of its small passes (see _nodes).
     """
-    if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
-        raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
     s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - log_p_end / shape
     u_left = math.asinh(s_left / math.pi)
@@ -132,7 +153,7 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     # s ~ ln(shape), where ds/du = hypot(pi, s).
     floor_step = (u_right - u_left) / (_BASE_INTERVALS << ROUTE_MIN_LEVEL)
     spacing = floor_step * math.hypot(math.pi, max(math.log(shape), 0.0))
-    min_level += max(0, math.ceil(math.log2(spacing / _S_SPACING)))
+    floor_raise = max(0, math.ceil(math.log2(spacing / _S_SPACING)))
     # s is taken relative to s_ref = pi sinh(u_ref), on the grid of the u
     # nodes near the drop of exp(-p) at s ~ ln(shape): the difference
     #   d = pi (sinh u - sinh u_ref) = 2 pi cosh((u + u_ref)/2) sinh((u - u_ref)/2)
@@ -143,39 +164,75 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     # so that exp(-d) never overflows.
     s_ref = min(max(math.log(shape), 0.0), math.pi * math.sinh(u_left) + 700.0)
     u_ref = math.floor(math.asinh(s_ref / math.pi) * _U_GRID) / _U_GRID
-    exp_ref = math.exp(-math.pi * math.sinh(u_ref))
     # Widen the range to multiples of 2**-20, so that every node start + k*step
     # of every level is exact in double precision.  A rounded u moves
     # s = pi sinh u by up to pi cosh(u) * ulp(u), the same way at every node
     # near it: at the right end of a large-shape range (s ~ 700) that shift
     # biases the result by ~1e-13 relative.
-    u_left = math.floor(u_left * _U_GRID) / _U_GRID
-    u_right = math.ceil(u_right * _U_GRID) / _U_GRID
+    return _Rule(
+        u_left=math.floor(u_left * _U_GRID) / _U_GRID,
+        u_right=math.ceil(u_right * _U_GRID) / _U_GRID,
+        floor_raise=floor_raise,
+        u_ref=u_ref,
+        exp_ref=math.exp(-math.pi * math.sinh(u_ref)),
+        passes={},
+    )
 
-    def pass_terms(start, step, count):
-        # the terms at u_k = start + k*step, k < count
-        u = np.arange(count, dtype=np.float64)
-        u *= step
-        u += start
-        jac = np.cosh(u)
-        x = np.add(u, u_ref)
-        x *= 0.5
-        np.cosh(x, out=x)
-        u -= u_ref
-        u *= 0.5
-        x *= np.sinh(u, out=u)
-        x *= -2.0 * math.pi  # -d
-        np.exp(x, out=x)
-        x *= exp_ref  # exp(-s)
-        jac *= x
-        return terms(jac, np.log1p(x, out=x), u)
+
+def _nodes(rule: _Rule, start: float, step: float, count: int):
+    """jac = cosh(u) * exp(-s) and L = log1p(exp(-s)) at u_k = start + k*step,
+    k < count, as read-only arrays.
+
+    The rule keeps the arrays of passes of at most _KEEP_COUNT nodes and
+    hands them out again.  They depend only on the rule and on (start, step,
+    count), their key, so a kept pass holds the bits a fresh one would build.
+    """
+    key = (start, step, count)
+    kept = rule.passes.get(key)
+    if kept is not None:
+        return kept
+    u = np.arange(count, dtype=np.float64)
+    u *= step
+    u += start
+    jac = np.cosh(u)
+    x = np.add(u, rule.u_ref)
+    x *= 0.5
+    np.cosh(x, out=x)
+    u -= rule.u_ref
+    u *= 0.5
+    x *= np.sinh(u, out=u)
+    x *= -2.0 * math.pi  # -d
+    np.exp(x, out=x)
+    x *= rule.exp_ref  # exp(-s)
+    jac *= x
+    big_l = np.log1p(x, out=x)
+    jac.flags.writeable = big_l.flags.writeable = False
+    if count <= _KEEP_COUNT:
+        rule.passes[key] = (jac, big_l)
+    return jac, big_l
+
+
+def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) -> QuadResult:
+    """The trapezoid rule in u over the half-line of exp(-|z|**shape), cut
+    where exp(-|z|**shape) = exp(-p_end), refined by step halving.
+
+    terms(jac, big_l) returns the terms of one pass from jac = cosh(u) *
+    exp(-s) and big_l = L = log1p(exp(-s)) at its nodes, each still to be
+    multiplied by pi * step, in a fresh array.  jac and big_l are read-only:
+    the rule of the shape may keep them and hand them to later calls.
+    """
+    if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
+        raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
+    rule = _rule(float(shape), log_p_end)
+    min_level += rule.floor_raise
+    u_left = rule.u_left
 
     # The first pass is at level 1 or above, so that a coarser grid exists:
     # its even-indexed nodes, since 2j * (h/2) == j * h exactly.
     level = max(min(min_level, max_level), 1)
     n = _BASE_INTERVALS << level
-    h = (u_right - u_left) / n
-    first = pass_terms(u_left, h, n + 1)
+    h = (rule.u_right - u_left) / n
+    first = terms(*_nodes(rule, u_left, h, n + 1))
     previous = 2.0 * math.pi * h * float(first[::2].sum())
     total = math.pi * h * float(first.sum())
     while True:
@@ -186,7 +243,7 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
             return QuadResult(value=total, error_estimate=err, intervals=2 * n)
         if level >= max_level:
             raise QuadratureError(f"no convergence after {level} refinements", total, err)
-        midpoints = pass_terms(u_left + 0.5 * h, h, n)
+        midpoints = terms(*_nodes(rule, u_left + 0.5 * h, h, n))
         previous = total
         total = 0.5 * total + 0.5 * math.pi * h * float(midpoints.sum())
         n *= 2
@@ -223,13 +280,14 @@ def integrate_decaying(
     if log_b > _LOG_MAX:
         raise ValueError(f"scale * 700**(1/shape) overflows at shape {shape!r}, scale {scale!r}")
 
-    def fold_terms(jac, big_l, scratch):
+    def fold_terms(jac, big_l):
         # jac * b * exp(-2L) * (f(x) + f(-x)), x = b * exp(-L)
         x = np.exp(log_b - big_l)
         fx = f(np.concatenate((x, -x)))
-        jac *= np.exp(log_b - 2.0 * big_l)
-        jac *= fx[: x.size] + fx[x.size :]
-        return jac
+        t = np.exp(log_b - 2.0 * big_l)
+        t *= jac
+        t *= fx[: x.size] + fx[x.size :]
+        return t
 
     return _half_line(fold_terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level)
 
@@ -295,11 +353,11 @@ def expect_power(
     # every term that do not depend on the node
     log_const = math.log(2.0) + log_b + log_unit
 
-    def power_terms(jac, big_l, scratch):
+    def power_terms(jac, big_l):
         # jac * exp(log_const - 2L + exponent*log p - p) * weight(p), p = p_end * exp(-beta L)
-        log_p = np.multiply(big_l, -beta, out=scratch)
+        log_p = big_l * -beta
         log_p += log_p_end
-        g = np.multiply(big_l, -2.0, out=big_l)
+        g = big_l * -2.0
         g += log_const
         if exponent:
             g += exponent * log_p

@@ -281,6 +281,12 @@ class TestVerifyCommand:
         assert "crlb[beta=2,theta=1.0] efficiency" in default[1]
         assert default == run(capsys, *argv, "--beta", "2", "--theta", "1")[:2]
 
+    @pytest.mark.parametrize("beta", ["2.5", "4.9", "3"])
+    def test_crlb_non_even_shape_is_usage_error(self, capsys, beta):
+        # not truncated to an even shape and run
+        code, out, err = run(capsys, "verify", "crlb", "--beta", beta, "--n", "100", "--trials", "5")
+        assert code == 2 and out == "" and "positive even integer" in err
+
     @pytest.mark.parametrize("theta", ["1e-320", "1e-170", "1e160"])
     def test_crlb_unrepresentable_bound_is_usage_error(self, capsys, theta):
         code, out, err = run(capsys, "verify", "crlb", "--theta", theta, "--n", "100", "--trials", "5")

@@ -379,3 +379,55 @@ def test_route_node_sets_are_pinned(route, beta, monkeypatch):
     intervals = PINNED_INTERVALS[route][PINNED_SHAPES.index(beta)]
     # one half-line: intervals/2 + 1 nodes, each evaluated once
     assert seen == [(intervals, intervals // 2 + 1)]
+
+
+@pytest.fixture
+def rules(monkeypatch):
+    """The cached rule maker, emptied, and every rule _half_line takes from it."""
+    cached, seen = quadrature._rule, []
+    cached.cache_clear()
+    monkeypatch.setattr(quadrature, "_rule", lambda *key: seen.append(cached(*key)) or seen[-1])
+    yield cached, seen
+    cached.cache_clear()
+
+
+def _kept(seen):
+    return [a for rule in seen for pair in rule.passes.values() for a in pair]
+
+
+@pytest.mark.parametrize("route", list(PINNED_ROUTES))
+def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
+    cached, seen = rules
+
+    def results():
+        return [PINNED_ROUTES[route](GenNormParams(1.3, beta)) for beta in PINNED_SHAPES]
+
+    cold = results()
+    warm = results()
+    for beta in np.linspace(3.0, 4.0, cached.cache_info().maxsize):
+        PINNED_ROUTES[route](GenNormParams(1.3, float(beta)))
+    misses = cached.cache_info().misses
+    evicted = results()
+    assert cached.cache_info().misses == misses + len(PINNED_SHAPES)
+    assert cold == warm == evicted
+    kept = _kept(seen)
+    assert kept and not any(a.flags.writeable for a in kept)
+
+
+def _most_kept(seen):
+    return max(sum(jac.size for jac, _ in rule.passes.values()) for rule in seen)
+
+
+def test_the_rule_cache_is_bounded(rules):
+    cached, seen = rules
+    for beta in np.geomspace(0.5, 50.0, 200):
+        pdf_normalization(GenNormParams(1.0, float(beta)))
+    # a route at its floor: a first pass and the midpoint levels up to 6
+    assert _most_kept(seen) <= 2049
+    # first passes of 4097 down to 33 nodes at one shape
+    for level in range(8, 0, -1):
+        integrate_decaying(lambda x: np.exp(-x * x), 1.0, 2.0, 0.0, 1e-12, min_level=level)
+    assert cached.cache_info().currsize == cached.cache_info().maxsize == 128
+    assert max(a.size for a in _kept(seen)) <= 1025
+    # at most the first and midpoint passes of levels 1-6
+    assert 2049 < _most_kept(seen) <= 4038
