@@ -8,6 +8,10 @@ text); single records default to JSON with the schema
 
 Exit codes: 0 success, 1 verification or numerical failure, 2 usage or
 input error.
+
+The parser, the exact commands (moments, verify lemma2) and the error
+handling use only the numpy-free layer (exact, special_functions); every
+other command imports numpy and the numeric modules it calls when it runs.
 """
 
 from __future__ import annotations
@@ -18,36 +22,26 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
-from .distribution import (
-    GenNormParams,
-    MomentSpec,
-    exact_moment,
-    log_pdf_z,
-    require_count,
-    sample_abs,
-)
-from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
-from .estimation import (
-    ExperimentConfig,
-    mle_theta,
-    run_crlb_experiment,
-)
-from .fisher import (
-    METHODS,
-    expected_score_quad,
-    fisher_closed_form,
-    fisher_mc_score_variance,
-    fisher_quad_neg_hessian,
-    fisher_quad_score_variance,
-    score_z,
-)
-from .quadrature import QuadratureError
-from .special_functions import RationalArg, gamma, gamma_rational
+from .exact import METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError, exact_moment
+from .special_functions import RationalArg, gamma, gamma_rational, require_count
 
 DEFAULT_SEED = 20260819
+
+# Numeric names the commands import when they run.  They stay attributes of
+# this module, loaded from the package on first access and cached, so that
+# perfbench's tracer can patch one and restore that same object.
+_NUMERIC_NAMES = frozenset({
+    "sample", "mle_theta", "run_crlb_experiment", "expected_score_quad", "fisher_closed_form",
+    "fisher_mc_score_variance", "fisher_quad_neg_hessian", "fisher_quad_score_variance",
+})
+
+
+def __getattr__(name):
+    if name not in _NUMERIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 @dataclass
@@ -75,14 +69,14 @@ def emit(text: str, output: str | None) -> None:
 
 
 def csv_table(columns, rows) -> str:
-    """A header row and one line per row; values as str, which for a float
-    (numpy's float64 included) is the shortest text that reads back exactly."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    """A header row and one line per row tuple; values as str, which for a
+    float (numpy's float64 included) is the shortest text that reads back
+    exactly."""
+    line = ",".join(["%s"] * len(columns))
+    return "\n".join([",".join(columns), *map(line.__mod__, rows)]) + "\n"
 
 
-def _table(args, command: str, inputs: dict, columns: list[str], rows: list[tuple], metadata: dict) -> None:
+def _table(args, command: str, inputs: dict, columns: list[str], rows, metadata: dict) -> None:
     if args.format == "csv":
         emit(csv_table(columns, rows), args.output)
     else:
@@ -104,20 +98,30 @@ def _metadata(seed=None, tolerances=None) -> dict:
 def _cmd_pdf(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     require_count("--count", args.count, 1)
-    if args.count == 1:
-        if args.min != args.max:
-            raise ValueError("--count 1 requires --min equal to --max")
-        grid = np.array([args.min])
-    else:
-        if not args.min < args.max:
-            raise ValueError("--min must be strictly below --max for --count >= 2")
-        grid = np.linspace(args.min, args.max, args.count)
+    if args.count == 1 and args.min != args.max:
+        raise ValueError("--count 1 requires --min equal to --max")
+    if args.count > 1 and not args.min < args.max:
+        raise ValueError("--min must be strictly below --max for --count >= 2")
+
+    import numpy as np
+
+    from .distribution import log_pdf_z
+
+    grid = np.array([args.min]) if args.count == 1 else np.linspace(args.min, args.max, args.count)
+    with np.errstate(over="ignore"):  # an x/theta past the double range has density 0
+        z = grid / params.theta
     # the same vectorized kernel the quadrature routes and log_pdf evaluate
-    log_density = log_pdf_z(params.beta, grid / params.theta) - math.log(params.theta)
-    rows = [(x, math.exp(lp), lp) for x, lp in zip(grid.tolist(), log_density.tolist())]
+    log_density = (log_pdf_z(params.beta, z) - math.log(params.theta)).tolist()
+    xs = grid.tolist()
+    try:
+        density = list(map(math.exp, log_density))
+    except OverflowError:
+        x = xs[log_density.index(max(log_density))]
+        raise OverflowError(f"the density at x={x!r} exceeds the double range") from None
     inputs = {"theta": params.theta, "beta": params.beta,
               "min": args.min, "max": args.max, "count": args.count}
-    _table(args, "pdf", inputs, ["x", "pdf", "log_pdf"], rows, _metadata())
+    _table(args, "pdf", inputs, ["x", "pdf", "log_pdf"], zip(xs, density, log_density),
+           _metadata())
     return 0
 
 
@@ -127,19 +131,21 @@ def _parse_methods(spec: str, beta: float) -> list[str]:
     if spec == "all":
         even = float(beta).is_integer() and int(beta) % 2 == 0
         # the closed form is only defined for even integer shapes
-        return [m for m in METHODS if even or m != "closed_form"]
+        return [m for m in METHOD_NAMES if even or m != "closed_form"]
     methods = {m.strip() for m in spec.split(",") if m.strip()}
     if not methods:
         raise ValueError("--methods must name at least one method")
-    unknown = sorted(methods - METHODS.keys())
+    unknown = sorted(methods.difference(METHOD_NAMES))
     if unknown:
-        raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHODS)}")
-    return [m for m in METHODS if m in methods]
+        raise ValueError(f"unknown methods {unknown}; choose from {sorted(METHOD_NAMES)}")
+    return [m for m in METHOD_NAMES if m in methods]
 
 
 def _cmd_fisher(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     methods = _parse_methods(args.methods, params.beta)
+    from .fisher import METHODS
+
     # ValueError (closed form at a non-even shape, an underflowed value) -> exit 2
     estimates = [METHODS[m](params, tol=args.tol, n=args.n, seed=args.seed) for m in methods]
     rows = [(est.method, est.value, est.error_estimate) for est in estimates]
@@ -169,7 +175,9 @@ def _cmd_moments(args) -> int:
 
 # ---------------------------------------------------------------- estimate
 
-def _read_samples(path: str) -> np.ndarray:
+def _read_samples(path: str):
+    import numpy as np
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -190,6 +198,10 @@ def _read_samples(path: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
+    from .distribution import sample_abs
+    from .estimation import mle_theta
+    from .fisher import score_z
+
     if (args.input is None) == (not args.simulate):
         raise ValueError("provide exactly one of --input FILE or --simulate")
     if args.simulate:
@@ -248,6 +260,13 @@ _GRID_THETAS = (0.5, 1.0, 2.0)
 
 
 def _verify_theorem1(printer: _CheckPrinter, tol: float, n: int, seed: int) -> None:
+    from .fisher import (
+        fisher_closed_form,
+        fisher_mc_score_variance,
+        fisher_quad_neg_hessian,
+        fisher_quad_score_variance,
+    )
+
     cell = 0
     for beta in _GRID_BETAS:
         for theta in _GRID_THETAS:
@@ -267,6 +286,8 @@ def _verify_theorem1(printer: _CheckPrinter, tol: float, n: int, seed: int) -> N
 
 
 def _verify_equivalence(printer: _CheckPrinter, tol: float) -> None:
+    from .fisher import expected_score_quad, fisher_quad_neg_hessian, fisher_quad_score_variance
+
     for beta in _GRID_BETAS:
         for theta in _GRID_THETAS:
             params = GenNormParams(theta=theta, beta=float(beta))
@@ -281,6 +302,8 @@ def _verify_equivalence(printer: _CheckPrinter, tol: float) -> None:
 
 def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,
                  trials: int, seed: int) -> None:
+    from .estimation import ExperimentConfig, run_crlb_experiment
+
     config = ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=trials, seed=seed)
     report = run_crlb_experiment(config)
     tag = f"crlb[beta={config.beta},theta={config.theta_true}]"
@@ -353,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fisher = sub.add_parser("fisher", help="Fisher information estimates")
     add_common(p_fisher, seed_default=0)
     p_fisher.add_argument("--methods", default="all",
-                          help=f"comma list from {', '.join(METHODS)}; 'all' selects "
+                          help=f"comma list from {', '.join(METHOD_NAMES)}; 'all' selects "
                                "every method valid for the given beta (default all)")
     p_fisher.add_argument("--tol", type=float, default=1e-9,
                           help="relative quadrature tolerance (default 1e-9)")

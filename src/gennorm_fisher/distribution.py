@@ -1,4 +1,5 @@
-"""Zero-mean generalized normal family: density, exact moments, sampling.
+"""Zero-mean generalized normal family: density, sampling, and the quadrature
+routes beside the exact moments (defined in exact, re-exported here).
 
 The family is parameterized by a scale theta > 0 and a shape beta > 0:
 
@@ -14,10 +15,10 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import GenNormParams, MomentSpec, exact_moment, require_even_shape
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 from .special_functions import log_gamma, require_count, require_real
@@ -46,37 +47,6 @@ __all__ = [
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
 _SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_abs_trials
-
-
-@dataclass(frozen=True)
-class GenNormParams:
-    """Scale theta and shape beta, both strictly positive and finite."""
-
-    theta: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("theta", "beta"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment order k >= 0 and the parameters to evaluate it under."""
-
-    k: int
-    params: GenNormParams
-
-    def __post_init__(self):
-        require_count("moment order k", self.k, 0)
-
-
-def require_even_shape(beta) -> int:
-    """Return beta as an int after checking it is a positive even integer."""
-    bf = float(beta)
-    if not math.isfinite(bf) or bf <= 0.0 or not bf.is_integer() or int(bf) % 2 != 0:
-        raise ValueError(f"shape beta must be a positive even integer, got {beta!r}")
-    return int(bf)
 
 
 # Standardized-unit kernels: every quantity depends on x only through z = x/theta,
@@ -134,21 +104,6 @@ def log_pdf(params: GenNormParams, x) -> float:
 def pdf(params: GenNormParams, x) -> float:
     """Density exp(log_pdf); symmetric in x bit-for-bit since |x| enters first."""
     return math.exp(log_pdf(params, x))
-
-
-def exact_moment(spec: MomentSpec) -> float:
-    """E[X^k]: 0 for odd k, theta^k * Gamma((k+1)/beta) / Gamma(1/beta) for even k.
-
-    The even branch runs through log_gamma differences and a single exp so
-    large k stays finite as long as the result itself is representable;
-    beyond that the exp raises OverflowError.
-    """
-    if spec.k % 2 == 1:
-        return 0.0
-    p = spec.params
-    return math.exp(
-        spec.k * math.log(p.theta) + log_gamma((spec.k + 1) / p.beta) - log_gamma(1.0 / p.beta)
-    )
 
 
 def expected_abs_moment(params: GenNormParams) -> float:

@@ -35,6 +35,7 @@ from .distribution import (
     standardized_power,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
+from .exact import METHOD_NAMES
 from .quadrature import QuadResult, expect_power, scaled
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 
@@ -69,8 +70,8 @@ class FisherEstimate:
     error_estimate: float
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {sorted(METHODS)}, got {self.method!r}")
+        if self.method not in METHOD_NAMES:
+            raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {self.method!r}")
         if not (self.value > 0.0 and math.isfinite(self.value)):
             raise ValueError(f"value must be finite and > 0, got {self.value!r}")
         if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
@@ -200,13 +201,14 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     ))
 
 
-# Route name -> callable(params, *, tol, n, seed), in report order.
-METHODS = MappingProxyType({
+_ROUTES = {
     "closed_form": lambda params, *, tol, n, seed: fisher_closed_form(params),
     "quad_score_variance": lambda params, *, tol, n, seed: fisher_quad_score_variance(params, tol),
     "quad_neg_hessian": lambda params, *, tol, n, seed: fisher_quad_neg_hessian(params, tol),
     "mc_score_variance": lambda params, *, tol, n, seed: fisher_mc_score_variance(params, n, seed),
-})
+}
+# Route name -> callable(params, *, tol, n, seed), in the report order of METHOD_NAMES.
+METHODS = MappingProxyType({name: _ROUTES[name] for name in METHOD_NAMES})
 
 
 def fisher_beta_sweep(

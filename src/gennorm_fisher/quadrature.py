@@ -63,6 +63,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .exact import QuadratureError
+
 __all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "expect_power", "scaled"]
 
 _LOG_EPS = math.log(sys.float_info.epsilon)
@@ -97,21 +99,6 @@ class QuadResult:
     value: float
     error_estimate: float
     intervals: int
-
-
-class QuadratureError(RuntimeError):
-    """Raised when refinement exhausts its budget; carries the partial result."""
-
-    def __init__(self, message: str, partial: float, error_estimate: float):
-        super().__init__(message)
-        self.partial = partial
-        self.error_estimate = error_estimate
-
-    def __str__(self) -> str:
-        return (
-            f"{self.args[0]} (last difference {self.error_estimate:.3e}, "
-            f"partial value {self.partial!r})"
-        )
 
 
 def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:

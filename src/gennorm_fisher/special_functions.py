@@ -11,9 +11,8 @@ near its zeros at 1 and 2), inside the 1e-13 contract the tests assert.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "GAMMA_OVERFLOW_Z",
@@ -43,8 +42,11 @@ def require_count(name: str, value, minimum: int) -> None:
 def require_real(name: str, value, positive: bool = False) -> float:
     """Return value as a float after checking it is a finite real number (not
     a bool or numeric text), and strictly positive when positive is set."""
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is imported
     try:
-        if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
+        if isinstance(value, (bool, str, bytes, bytearray)) or (
+            np is not None and isinstance(value, np.bool_)
+        ):
             raise TypeError
         val = float(value)
     except (TypeError, ValueError):

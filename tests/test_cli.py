@@ -55,16 +55,29 @@ class TestPdfCommand:
             elif abs(x) > 1.1:
                 assert density <= 1e-3
 
-    def test_csv_round_trip(self, capsys):
-        code, out, _ = run(capsys, "pdf", "--theta", "1.3", "--beta", "3.5",
-                           "--min", "-2", "--max", "2", "--count", "9")
+    @pytest.mark.parametrize(
+        "beta, lo, hi, count",
+        [(3.5, -2, 2, 9), (0.5, -2, 2, 9), (2.0, -2, 2, 9), (64.0, -2, 2, 9),
+         (0.5, 0.7, 0.7, 1), (2.0, 0.7, 0.7, 1), (64.0, 0.7, 0.7, 1)],
+    )
+    def test_csv_round_trip(self, capsys, beta, lo, hi, count):
+        code, out, _ = run(capsys, "pdf", "--theta", "1.3", "--beta", str(beta),
+                           "--min", str(lo), "--max", str(hi), "--count", str(count))
         assert code == 0
-        _, rows = parse_csv(out)
-        params = GenNormParams(1.3, 3.5)
-        for r in rows:
-            x = float(r[0])
-            assert float(r[1]) == pdf(params, x)
-            assert float(r[2]) == log_pdf(params, x)
+        params = GenNormParams(1.3, beta)
+        # the text of each value is its repr, which reads back exactly
+        lines = [f"{x!r},{pdf(params, x)!r},{log_pdf(params, x)!r}"
+                 for x in np.linspace(lo, hi, count).tolist()]
+        assert out == "\n".join(["x,pdf,log_pdf", *lines]) + "\n"
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would raise here
+    def test_unrepresentable_density_is_usage_error(self, capsys):
+        # at theta = 1e-310 the density at x = 0 is 5.6e309; at x = 0.5 and 1,
+        # x/theta overflows and the density is 0
+        code, out, err = run(capsys, "pdf", "--min", "0", "--max", "1", "--count", "3",
+                             "--theta", "1e-310")
+        assert code == 2 and out == ""
+        assert err == "error: the density at x=0.0 exceeds the double range\n"
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "pdf", "--format", "json", "--theta", "1",
@@ -174,6 +187,17 @@ class TestMomentsCommand:
         _, rows = parse_csv(out)
         assert float(rows[0][1]) == 1.0
         assert float(rows[1][1]) == pytest.approx(0.5, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(("--k", "400", "--beta", "0.5"), "E[X^400] at theta=1.0, beta=0.5"),
+         (("--k", "2", "--theta", "1e200"), "E[X^2] at theta=1e+200, beta=2.0")],
+        ids=["order", "theta"],
+    )
+    def test_unrepresentable_moment_is_usage_error(self, capsys, argv, named):
+        code, out, err = run(capsys, "moments", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {named} exceeds the double range\n"
 
     def test_bad_order_list(self, capsys):
         assert run(capsys, "moments", "--k", "2,x")[0] == 2

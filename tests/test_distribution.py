@@ -144,9 +144,17 @@ class TestExactMoment:
         )
         assert exact_moment(spec) == pytest.approx(float(expected), rel=1e-12)
 
-    def test_overflow_for_huge_orders(self):
-        spec = MomentSpec(k=300, params=GenNormParams(2.0, 0.25))
-        with pytest.raises(OverflowError):
+    @pytest.mark.parametrize(
+        "k, theta, beta, message",
+        [
+            (300, 2.0, 0.25, r"E\[X\^300\] at theta=2.0, beta=0.25 "),
+            (2, 1e200, 2.0, r"E\[X\^2\] at theta=1e\+200, beta=2.0 "),
+        ],
+        ids=["order", "theta"],
+    )
+    def test_overflow_for_huge_orders(self, k, theta, beta, message):
+        spec = MomentSpec(k=k, params=GenNormParams(theta, beta))
+        with pytest.raises(OverflowError, match=message + "exceeds the double range"):
             exact_moment(spec)
 
     def test_quadrature_of_a_high_order(self):
@@ -410,6 +418,7 @@ _P = GenNormParams(1.0, 2.0)
         lambda: GenNormParams(True, 2.0),
         lambda: GenNormParams(1.0, True),
         lambda: GenNormParams("2", "1"),
+        lambda: GenNormParams(np.bool_(True), 2.0),
         lambda: MomentSpec(k=True, params=_P),
         lambda: sample(_P, True, 0),
         lambda: sample(_P, 10, True),
@@ -417,7 +426,8 @@ _P = GenNormParams(1.0, 2.0)
         lambda: ExperimentConfig(beta=2, theta_true=1.0, n=True, trials=10, seed=0),
         lambda: ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=10, seed=True),
     ],
-    ids=["theta", "beta", "text", "moment-k", "count", "seed", "theta_true", "n", "config-seed"],
+    ids=["theta", "beta", "text", "numpy-bool", "moment-k", "count", "seed", "theta_true", "n",
+         "config-seed"],
 )
 def test_bool_is_not_a_number(make):
     with pytest.raises(ValueError):

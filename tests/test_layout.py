@@ -1,9 +1,12 @@
 """The sweep scripts run end to end, modules use only each other's public
-names, and every name the benchmark's tracer patches exists."""
+names, the exact commands start without numpy, the package loads its names
+on first access, and every name the benchmark's tracer patches exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -84,3 +87,65 @@ def test_tracer_patch_targets_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (None, 0),  # the package import alone
+        (["verify", "lemma2"], 0),
+        (["moments", "--k", "0,2"], 0),
+        (["--help"], 0),
+        (["--version"], 0),
+        (["pdf", "--min", "0"], 2),
+        (["fisher", "--methods", "sorcery"], 2),
+        (["pdf", "--min", "1", "--max", "0", "--count", "5"], 2),
+    ],
+)
+def test_exact_commands_start_without_numpy(argv, exit_code):
+    # in a fresh interpreter, since this one has imported numpy
+    run = ("import gennorm_fisher; code = 0" if argv is None
+           else f"from gennorm_fisher.cli import main; code = main({argv!r})")
+    probe = f"import sys\n{run}\nprint('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == exit_code, proc.stderr
+    assert proc.stderr.endswith("False\n"), proc.stderr
+
+
+def _public_names_by_module():
+    names = {}
+    for path in sorted((ROOT / "src" / "gennorm_fisher").glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"gennorm_fisher.{path.stem}")
+            for name in getattr(module, "__all__", ()):
+                names.setdefault(name, []).append(module)
+    return names
+
+
+def test_each_package_name_is_the_object_of_every_module_that_exports_it():
+    import gennorm_fisher
+
+    exported = _public_names_by_module()
+    for name in gennorm_fisher.__all__:
+        if name == "__version__":
+            continue
+        assert exported.get(name), f"{name} is exported by no module"
+        value = getattr(gennorm_fisher, name)
+        assert all(getattr(module, name) is value for module in exported[name]), name
+
+
+def test_the_lazy_package_lists_imports_and_rejects_names():
+    import gennorm_fisher
+    import gennorm_fisher.cli
+
+    assert set(gennorm_fisher.__all__) <= set(dir(gennorm_fisher))
+    namespace = {}
+    exec("from gennorm_fisher import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(gennorm_fisher.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gennorm_fisher.no_such_name  # noqa: B018
+    assert not hasattr(gennorm_fisher.cli, "no_such_name")
