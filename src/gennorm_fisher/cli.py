@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .exact import METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError, exact_moment
-from .special_functions import RationalArg, gamma, gamma_rational, require_count
+from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
 
@@ -98,17 +98,22 @@ def _metadata(seed=None, tolerances=None) -> dict:
 def _cmd_pdf(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     require_count("--count", args.count, 1)
-    if args.count == 1 and args.min != args.max:
+    lo, hi = require_real("--min", args.min), require_real("--max", args.max)
+    if args.count == 1 and lo != hi:
         raise ValueError("--count 1 requires --min equal to --max")
-    if args.count > 1 and not args.min < args.max:
+    if args.count > 1 and not lo < hi:
         raise ValueError("--min must be strictly below --max for --count >= 2")
+    if math.isinf(hi - lo):
+        raise ValueError(f"the span --max - --min overflows: --min {lo!r}, --max {hi!r}")
 
     import numpy as np
 
     from .distribution import log_pdf_z
 
-    grid = np.array([args.min]) if args.count == 1 else np.linspace(args.min, args.max, args.count)
-    with np.errstate(over="ignore"):  # an x/theta past the double range has density 0
+    # linspace may overflow on its last node, (count-1) * step, which it then
+    # sets to --max; an x/theta past the double range has density 0
+    with np.errstate(over="ignore"):
+        grid = np.array([lo]) if args.count == 1 else np.linspace(lo, hi, args.count)
         z = grid / params.theta
     # the same vectorized kernel the quadrature routes and log_pdf evaluate
     log_density = (log_pdf_z(params.beta, z) - math.log(params.theta)).tolist()
@@ -213,7 +218,8 @@ def _cmd_estimate(args) -> int:
         draws = _read_samples(args.input)
         source = {"file": args.input}
     theta_hat = mle_theta(draws, args.beta)
-    residual = float(score_z(args.beta, draws / theta_hat).sum()) / theta_hat
+    draws /= theta_hat
+    residual = float(score_z(args.beta, draws, out=draws).sum()) / theta_hat
     outputs = {"theta_hat": theta_hat, "score_residual": residual,
                "n_samples": int(draws.size)}
     inputs = {"beta": args.beta, **source}

@@ -54,13 +54,14 @@ _SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample
 # so scalar wrappers and vectorized callers run the same ufuncs and get the same bits.
 
 
-def standardized_power(beta: float, z) -> np.ndarray:
-    """|z|**beta as a new float64 array; inf where it overflows.
+def standardized_power(beta: float, z, out=None) -> np.ndarray:
+    """|z|**beta as a new float64 array, or in out (z itself may be out); inf
+    where it overflows.
 
     The one place the package raises |x/theta| to the power beta: every
     kernel builds its quantity from this value, in place.
     """
-    p = np.absolute(z, out=np.empty(np.shape(z)))
+    p = np.absolute(z, out=np.empty(np.shape(z)) if out is None else out)
     with np.errstate(over="ignore"):
         np.power(p, beta, out=p)
     return p

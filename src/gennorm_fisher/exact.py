@@ -31,7 +31,8 @@ METHOD_NAMES = ("closed_form", "quad_score_variance", "quad_neg_hessian", "mc_sc
 
 @dataclass(frozen=True)
 class GenNormParams:
-    """Scale theta and shape beta, both strictly positive and finite."""
+    """Scale theta and shape beta, both strictly positive and finite, and
+    beta large enough that 1/beta is finite (the density needs Gamma(1/beta))."""
 
     theta: float
     beta: float
@@ -39,6 +40,8 @@ class GenNormParams:
     def __post_init__(self):
         for name in ("theta", "beta"):
             object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
+        if math.isinf(1.0 / self.beta):
+            raise ValueError(f"beta={self.beta!r} is too small: 1/beta overflows the double range")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,11 @@ information at beta = 1e300).
 
 The rule of a shape (its range, floor raise and the node arrays of its
 passes of up to 1025 nodes) is cached for the 128 most recent shapes, so a
-shape that recurs, across routes or calls, builds its nodes once.
+shape that recurs, across routes or calls, builds its nodes once.  Each kept
+pass also keeps expect_power's p and density terms, in one slot for the last
+(log_const, exponent) it served: the routes at one shape integrate different
+weights against the same density, so a repeated pass is its weight times the
+kept terms.
 """
 
 from __future__ import annotations
@@ -74,10 +78,11 @@ _U_GRID = 2.0**20  # the u cutoffs are multiples of 1/_U_GRID
 _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal double
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
 # A cached rule keeps the node arrays of its passes of at most _KEEP_COUNT
-# nodes, 16 B a node.  Those are the first and midpoint passes of levels 1-6,
-# 4038 nodes, so 128 rules keep at most ~8.3 MB.  One caller at one floor
-# keeps at most 2049 nodes a rule (a first pass and the midpoint levels up to
-# 6), so the package's routes keep at most ~4.2 MB.
+# nodes, 16 B a node, and one slot of density terms for each, 16 B more.
+# Those are the first and midpoint passes of levels 1-6, 4038 nodes, so 128
+# rules keep at most ~16.5 MB.  One caller at one floor keeps at most 2049
+# nodes a rule (a first pass and the midpoint levels up to 6), so the
+# package's routes keep at most ~8.4 MB.
 _KEEP_COUNT = 1025
 
 # Floor of expect_power, the integrator of the package's own routes: their
@@ -122,15 +127,20 @@ class _Rule(NamedTuple):
     exp_ref: float  # exp(-s_ref)
     # (start, step, count) -> the read-only (jac, L) of that pass
     passes: dict
+    # (start, step, count) -> the slot of a kept pass's density terms:
+    # ((log_const, exponent), p, w), for the last pair expect_power asked of it
+    densities: dict
 
 
 @functools.lru_cache
 def _rule(shape: float, log_p_end: float) -> _Rule:
     """The u range, floor raise and reference node of the half-line rule of
-    exp(-|z|**shape) cut at p_end, with an empty store of node arrays.
+    exp(-|z|**shape) cut at p_end, with empty stores of node arrays and
+    density terms.
 
     Cached: the same shape recurs across routes and calls, and each cached
-    rule keeps the node arrays of its small passes (see _nodes).
+    rule keeps the node arrays of its small passes (see _nodes) and a slot
+    of density terms for each (see expect_power).
     """
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
     s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - log_p_end / shape
@@ -163,21 +173,22 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
         u_ref=u_ref,
         exp_ref=math.exp(-math.pi * math.sinh(u_ref)),
         passes={},
+        densities={},
     )
 
 
-def _nodes(rule: _Rule, start: float, step: float, count: int):
+def _nodes(rule: _Rule, key: tuple):
     """jac = cosh(u) * exp(-s) and L = log1p(exp(-s)) at u_k = start + k*step,
-    k < count, as read-only arrays.
+    k < count, as read-only arrays; key is (start, step, count).
 
     The rule keeps the arrays of passes of at most _KEEP_COUNT nodes and
-    hands them out again.  They depend only on the rule and on (start, step,
-    count), their key, so a kept pass holds the bits a fresh one would build.
+    hands them out again.  They depend only on the rule and on their key, so
+    a kept pass holds the bits a fresh one would build.
     """
-    key = (start, step, count)
     kept = rule.passes.get(key)
     if kept is not None:
         return kept
+    start, step, count = key
     u = np.arange(count, dtype=np.float64)
     u *= step
     u += start
@@ -193,7 +204,8 @@ def _nodes(rule: _Rule, start: float, step: float, count: int):
     x *= rule.exp_ref  # exp(-s)
     jac *= x
     big_l = np.log1p(x, out=x)
-    jac.flags.writeable = big_l.flags.writeable = False
+    jac.setflags(write=False)
+    big_l.setflags(write=False)
     if count <= _KEEP_COUNT:
         rule.passes[key] = (jac, big_l)
     return jac, big_l
@@ -203,10 +215,10 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     """The trapezoid rule in u over the half-line of exp(-|z|**shape), cut
     where exp(-|z|**shape) = exp(-p_end), refined by step halving.
 
-    terms(jac, big_l) returns the terms of one pass from jac = cosh(u) *
-    exp(-s) and big_l = L = log1p(exp(-s)) at its nodes, each still to be
-    multiplied by pi * step, in a fresh array.  jac and big_l are read-only:
-    the rule of the shape may keep them and hand them to later calls.
+    terms(rule, key) returns the terms of the pass key = (start, step, count)
+    of the rule, each still to be multiplied by pi * step; _nodes(rule, key)
+    gives its nodes.  _half_line only reads the terms, so they may be arrays
+    the rule keeps.
     """
     if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
         raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
@@ -219,7 +231,7 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     level = max(min(min_level, max_level), 1)
     n = _BASE_INTERVALS << level
     h = (rule.u_right - u_left) / n
-    first = terms(*_nodes(rule, u_left, h, n + 1))
+    first = terms(rule, (u_left, h, n + 1))
     previous = 2.0 * math.pi * h * float(first[::2].sum())
     total = math.pi * h * float(first.sum())
     while True:
@@ -230,7 +242,7 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
             return QuadResult(value=total, error_estimate=err, intervals=2 * n)
         if level >= max_level:
             raise QuadratureError(f"no convergence after {level} refinements", total, err)
-        midpoints = terms(*_nodes(rule, u_left + 0.5 * h, h, n))
+        midpoints = terms(rule, (u_left + 0.5 * h, h, n))
         previous = total
         total = 0.5 * total + 0.5 * math.pi * h * float(midpoints.sum())
         n *= 2
@@ -267,8 +279,9 @@ def integrate_decaying(
     if log_b > _LOG_MAX:
         raise ValueError(f"scale * 700**(1/shape) overflows at shape {shape!r}, scale {scale!r}")
 
-    def fold_terms(jac, big_l):
+    def fold_terms(rule, key):
         # jac * b * exp(-2L) * (f(x) + f(-x)), x = b * exp(-L)
+        jac, big_l = _nodes(rule, key)
         x = np.exp(log_b - big_l)
         fx = f(np.concatenate((x, -x)))
         t = np.exp(log_b - 2.0 * big_l)
@@ -340,21 +353,35 @@ def expect_power(
     # every term that do not depend on the node
     log_const = math.log(2.0) + log_b + log_unit
 
-    def power_terms(jac, big_l):
-        # jac * exp(log_const - 2L + exponent*log p - p) * weight(p), p = p_end * exp(-beta L)
-        log_p = big_l * -beta
-        log_p += log_p_end
-        g = big_l * -2.0
-        g += log_const
-        if exponent:
-            g += exponent * log_p
-        p = np.exp(log_p, out=log_p)
-        g -= p
-        np.exp(g, out=g)
-        g *= jac
-        if weight is not None:
-            g *= weight(p)
-        return g
+    density_key = (log_const, exponent)
+
+    def power_terms(rule, key):
+        # weight(p) * w: the weight at p = p_end * exp(-beta L) times the
+        # density terms w = jac * exp(log_const - 2L + exponent*log p - p)
+        slot = rule.densities.get(key)
+        if slot is not None and slot[0] == density_key:
+            _, p, w = slot
+        else:
+            jac, big_l = _nodes(rule, key)
+            log_p = big_l * -beta
+            log_p += log_p_end
+            w = big_l * -2.0
+            w += log_const
+            if exponent:
+                w += exponent * log_p
+            p = np.exp(log_p, out=log_p)
+            w -= p
+            np.exp(w, out=w)
+            w *= jac
+            if key[2] > _KEEP_COUNT:  # a pass too large to keep: p and w are this call's own
+                if weight is not None:
+                    w *= weight(p)
+                return w
+            # a kept pass keeps one slot, for the last density_key it served
+            p.setflags(write=False)
+            w.setflags(write=False)
+            rule.densities[key] = (density_key, p, w)
+        return w if weight is None else w * weight(p.copy())
 
     try:
         with np.errstate(over="ignore"):  # an inf term is reported below

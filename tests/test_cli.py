@@ -107,6 +107,41 @@ class TestPdfCommand:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.filterwarnings("error")  # numpy's linspace warnings would raise here
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [(("--min=-inf", "--max", "0", "--count", "3"), "--min must be finite, got -inf"),
+         (("--min", "0", "--max", "inf", "--count", "3"), "--max must be finite, got inf"),
+         (("--min=-inf", "--max=-inf", "--count", "1"), "--min must be finite, got -inf"),
+         (("--min", "nan", "--max", "nan", "--count", "1"), "--min must be finite, got nan"),
+         (("--min=-1e308", "--max", "1e308", "--count", "3"),
+          "the span --max - --min overflows: --min -1e+308, --max 1e+308")],
+        ids=["min", "max", "single-point", "nan", "span"],
+    )
+    def test_non_finite_bounds_are_usage_errors(self, capsys, bounds, message):
+        code, out, err = run(capsys, "pdf", *bounds)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi", [("0", "1.7976931348623157e308"),
+                                        ("-1.7976931348623157e308", "0")])
+    def test_a_span_at_the_top_of_the_double_range_prints_its_bounds(self, capsys, lo, hi):
+        # linspace overflows on its last node before setting it to --max
+        code, out, _ = run(capsys, "pdf", f"--min={lo}", f"--max={hi}", "--count", "4")
+        assert code == 0
+        _, rows = parse_csv(out)
+        with np.errstate(over="ignore"):
+            grid = np.linspace(float(lo), float(hi), 4).tolist()
+        assert [float(r[0]) for r in rows] == grid
+        assert [r[1] for r in rows if r[0] != "0.0"] == ["0.0"] * 3
+
+    def test_a_shape_whose_reciprocal_overflows_is_named(self, capsys):
+        code, out, err = run(capsys, "pdf", "--min", "0", "--max", "0", "--count", "1",
+                             "--beta", "1e-310")
+        assert code == 2 and out == ""
+        assert err == "error: beta=1e-310 is too small: 1/beta overflows the double range\n"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "pdf", "--min", "0", "--max", "0", "--count", "1",
@@ -198,6 +233,11 @@ class TestMomentsCommand:
         code, out, err = run(capsys, "moments", *argv)
         assert code == 2 and out == ""
         assert err == f"error: {named} exceeds the double range\n"
+
+    def test_a_shape_whose_reciprocal_overflows_is_named(self, capsys):
+        code, out, err = run(capsys, "moments", "--k", "0", "--beta", "1e-310")
+        assert code == 2 and out == ""
+        assert err == "error: beta=1e-310 is too small: 1/beta overflows the double range\n"
 
     def test_bad_order_list(self, capsys):
         assert run(capsys, "moments", "--k", "2,x")[0] == 2

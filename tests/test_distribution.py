@@ -40,6 +40,14 @@ class TestParams:
         with pytest.raises(ValueError):
             GenNormParams(theta=theta, beta=beta)
 
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    def test_a_shape_whose_reciprocal_overflows_is_named(self, beta):
+        with pytest.raises(ValueError, match=f"beta={beta!r} is too small: 1/beta overflows"):
+            GenNormParams(theta=1.0, beta=beta)
+
+    def test_the_smallest_shapes_with_a_finite_reciprocal_are_accepted(self):
+        assert GenNormParams(theta=1.0, beta=1e-308).beta == 1e-308
+
     def test_fields_coerced_to_float(self):
         p = GenNormParams(theta=1, beta=2)
         assert isinstance(p.theta, float) and isinstance(p.beta, float)

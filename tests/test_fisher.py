@@ -18,6 +18,7 @@ from gennorm_fisher import (
     fisher_quad_score_variance,
     log_pdf,
     sample,
+    sample_abs,
     score,
 )
 from gennorm_fisher.fisher import METHODS, neg_d2_z, score_z
@@ -183,6 +184,17 @@ class TestMonteCarloRoute:
         expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
                                   float(sq.std(ddof=1)) / math.sqrt(n) * unit)
         assert fisher_mc_score_variance(params, n, 17) == expected
+
+    @pytest.mark.parametrize("theta", [0.7, 1.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
+    def test_equals_the_mean_and_std_of_the_squared_scores(self, beta, theta):
+        params, n = GenNormParams(theta, beta), 5000
+        sq = score_z(beta, sample_abs(params, n, 3) / theta)
+        sq *= sq
+        unit = 1.0 / theta / theta
+        expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
+                                  float(sq.std(ddof=1)) / math.sqrt(n) * unit)
+        assert fisher_mc_score_variance(params, n, 3) == expected
 
     @pytest.mark.parametrize("params", GRID, ids=str)
     def test_four_way_agreement(self, params):

@@ -424,6 +424,8 @@ def test_the_rule_cache_is_bounded(rules):
         pdf_normalization(GenNormParams(1.0, float(beta)))
     # a route at its floor: a first pass and the midpoint levels up to 6
     assert _most_kept(seen) <= 2049
+    # and at most one slot of density terms a pass
+    assert all(set(rule.densities) <= set(rule.passes) for rule in seen)
     # first passes of 4097 down to 33 nodes at one shape
     for level in range(8, 0, -1):
         integrate_decaying(lambda x: np.exp(-x * x), 1.0, 2.0, 0.0, 1e-12, min_level=level)
@@ -431,3 +433,67 @@ def test_the_rule_cache_is_bounded(rules):
     assert max(a.size for a in _kept(seen)) <= 1025
     # at most the first and midpoint passes of levels 1-6
     assert 2049 < _most_kept(seen) <= 4038
+
+
+def _densities(seen):
+    """The (p, w) arrays of every density slot the rules in seen keep."""
+    return [a for rule in seen for _, *pw in rule.densities.values() for a in pw]
+
+
+# The density routes, and an expect_power at a log_unit of its own, which
+# takes over the slots the routes at the same shape share
+INTERLEAVED = {
+    **PINNED_ROUTES,
+    "abs_moment_quad_order_0": lambda params: abs_moment_quad(params, 0.0),
+    "other_log_unit": lambda params: quadrature.expect_power(
+        lambda p: p, params.beta, log_unit=0.25, rel_tol=1e-12),
+}
+
+
+@pytest.mark.parametrize("beta", PINNED_SHAPES)
+def test_interleaved_routes_give_the_bits_of_uncached_calls(beta, rules):
+    cached, seen = rules
+    params = GenNormParams(1.3, beta)
+    fresh = {}
+    for name, route in INTERLEAVED.items():
+        cached.cache_clear()
+        fresh[name] = route(params)
+    cached.cache_clear()
+    names = list(INTERLEAVED)
+    orders = [names, names[::-1], names[1::2] + names[::2], names[3:] + names[:3]]
+    for order in orders:
+        assert {name: INTERLEAVED[name](params) for name in order} == fresh
+    assert _densities(seen) and not any(a.flags.writeable for a in _densities(seen))
+
+
+def test_a_weight_that_overwrites_its_argument_leaves_the_kept_terms_as_they_were(rules):
+    cached, seen = rules
+
+    def weight(p):
+        p *= 3.0
+        p -= 1.0
+        return p
+
+    def result():
+        return quadrature.expect_power(weight, 2.5, log_unit=-0.5, rel_tol=1e-12)
+
+    first, second = result(), result()
+    kept = _kept(seen) + _densities(seen)
+    cached.cache_clear()
+    assert first == second == result()
+    assert _densities(seen) and not any(a.flags.writeable for a in kept)
+
+
+def test_a_pass_keeps_one_density_slot(rules):
+    cached, seen = rules
+    params = [GenNormParams(float(theta), 2.5) for theta in np.geomspace(0.5, 2.0, 200)]
+    first = [abs_moment_quad(p, 1.0) for p in params]
+    rule = seen[0]
+    assert all(r is rule for r in seen)
+    # each theta has its own log_unit, so each call rewrote the slots of its passes
+    assert set(rule.densities) <= set(rule.passes)
+    assert sum(a.size for a in _densities([rule])) == 2 * sum(jac.size for jac, _ in
+                                                              rule.passes.values())
+    cached.cache_clear()
+    assert [abs_moment_quad(p, 1.0) for p in params[::-1]] == first[::-1]
+
