@@ -13,6 +13,7 @@ beta -> infinity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -136,19 +137,15 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     chunk draws its magnitudes first and its signs last, so sample_abs, which
     stops before the signs, returns |sample(...)| bit for bit.
     """
-    return _draw(params, count, seed, None, signed=True)
+    return _draw(params, count, seed, signed=True)
 
 
-def sample_abs(
-    params: GenNormParams, count: int, seed: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def sample_abs(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     """|sample(params, count, seed)|, bit for bit, without drawing the signs.
 
-    For callers that use only |x| (the MLE, the score).  With out, a
-    float64 array of shape (count,), the draws are written into it and out
-    is returned, so a loop of calls can reuse one buffer.
+    For callers that use only |x| (the MLE, the score).
     """
-    return _draw(params, count, seed, out, signed=False)
+    return _draw(params, count, seed, signed=False)
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -179,16 +176,34 @@ def sample_abs_trials(
     return _trial_draws(params, count, seed, trials)
 
 
-def _draw(params: GenNormParams, count: int, seed: int, out, signed: bool) -> np.ndarray:
+def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
     require_count("count", count, 1)
     require_count("seed", seed, 0)
-    if out is None:
-        out = np.empty(count)
-    elif not (isinstance(out, np.ndarray) and out.shape == (count,) and out.dtype == np.float64):
-        raise ValueError(f"out must be a float64 array of shape ({count},)")
+    streams = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in itertools.count())
+    return _fill(np.empty(count), params, streams, _uniform_scratch(params, count), signed)
+
+
+def _trial_draws(params: GenNormParams, count: int, seed: int, trials: int):
+    from . import seeding  # on first use: it imports numpy.random, which most callers never need
+
+    out = np.empty(count)
+    chunks = len(range(0, count, _SAMPLE_CHUNK))
     scratch = _uniform_scratch(params, count)
-    for i, lo in enumerate(range(0, count, _SAMPLE_CHUNK)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+    block = max(1, _SEED_ROWS // chunks)
+    for first in range(0, trials, block):
+        seeds = seeding.trial_seeds(seed, np.arange(first, min(first + block, trials)))
+        keys = np.tile(np.arange(chunks), seeds.size)
+        words = seeding.stream_words(np.repeat(seeds, chunks), keys)
+        for trial_words in words.reshape(seeds.size, chunks, 4):
+            yield _fill(out, params, map(seeding.SeedWords, trial_words), scratch)
+
+
+def _fill(out: np.ndarray, params: GenNormParams, streams, scratch, signed: bool = False):
+    """Fill out chunk by chunk and return it: chunk i is drawn from a PCG64
+    seeded by the i-th seed source of streams, its magnitudes first and then,
+    if signed, its signs."""
+    for lo, stream in zip(range(0, out.size, _SAMPLE_CHUNK), streams):  # streams may be endless
+        rng = np.random.Generator(np.random.PCG64(stream))
         x = out[lo:lo + _SAMPLE_CHUNK]
         _draw_magnitudes(x, rng, params, scratch)
         if signed:  # the last draw on the chunk's stream: skipping it changes no magnitude
@@ -197,24 +212,6 @@ def _draw(params: GenNormParams, count: int, seed: int, out, signed: bool) -> np
             signs -= 1
             x *= signs
     return out
-
-
-def _trial_draws(params: GenNormParams, count: int, seed: int, trials: int):
-    from . import seeding  # on first use: it imports numpy.random, which most callers never need
-
-    out = np.empty(count)
-    chunks = range(0, count, _SAMPLE_CHUNK)
-    scratch = _uniform_scratch(params, count)
-    block = max(1, _SEED_ROWS // len(chunks))
-    for first in range(0, trials, block):
-        seeds = seeding.trial_seeds(seed, np.arange(first, min(first + block, trials)))
-        keys = np.tile(np.arange(len(chunks)), seeds.size)
-        words = seeding.stream_words(np.repeat(seeds, len(chunks)), keys)
-        for trial_words in words.reshape(seeds.size, len(chunks), 4):
-            for lo, chunk_words in zip(chunks, trial_words):
-                rng = np.random.Generator(np.random.PCG64(seeding.SeedWords(chunk_words)))
-                _draw_magnitudes(out[lo:lo + _SAMPLE_CHUNK], rng, params, scratch)
-            yield out
 
 
 def _uniform_scratch(params: GenNormParams, count: int) -> np.ndarray | None:

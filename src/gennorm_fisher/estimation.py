@@ -28,6 +28,7 @@ from .distribution import (
     trial_seed,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
+from .exact import require_shape
 
 __all__ = [
     "DegenerateDataError",
@@ -96,7 +97,7 @@ def mle_theta(samples, beta) -> float:
     samples put the maximum at theta = 0, outside the parameter space, and
     raise DegenerateDataError, as does an estimate that underflows to 0.0.
     """
-    bf = require_real("beta", beta, positive=True)
+    bf = require_shape(beta)
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("samples must be nonempty")

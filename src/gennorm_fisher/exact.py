@@ -23,6 +23,7 @@ __all__ = [
     "QuadratureError",
     "exact_moment",
     "require_even_shape",
+    "require_shape",
 ]
 
 # The Fisher information routes, in report order (fisher.METHODS maps each to its callable).
@@ -38,10 +39,8 @@ class GenNormParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("theta", "beta"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name), positive=True))
-        if math.isinf(1.0 / self.beta):
-            raise ValueError(f"beta={self.beta!r} is too small: 1/beta overflows the double range")
+        object.__setattr__(self, "theta", require_real("theta", self.theta, positive=True))
+        object.__setattr__(self, "beta", require_shape(self.beta))
 
 
 @dataclass(frozen=True)
@@ -55,10 +54,20 @@ class MomentSpec:
         require_count("moment order k", self.k, 0)
 
 
+def require_shape(beta) -> float:
+    """Return beta as a float after checking it is a positive, finite real
+    number whose reciprocal is finite too."""
+    bf = require_real("beta", beta, positive=True)
+    if math.isinf(1.0 / bf):
+        raise ValueError(f"beta={bf!r} is too small: 1/beta overflows the double range")
+    return bf
+
+
 def require_even_shape(beta) -> int:
-    """Return beta as an int after checking it is a positive even integer."""
-    bf = float(beta)
-    if not math.isfinite(bf) or bf <= 0.0 or not bf.is_integer() or int(bf) % 2 != 0:
+    """Return beta as an int after checking it is a positive even integer (a
+    real number, not a bool or numeric text)."""
+    bf = require_real("shape beta", beta)
+    if bf <= 0.0 or not bf.is_integer() or int(bf) % 2 != 0:
         raise ValueError(f"shape beta must be a positive even integer, got {beta!r}")
     return int(bf)
 

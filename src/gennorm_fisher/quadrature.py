@@ -48,13 +48,13 @@ to space its nodes at most 0.25 apart in s at s = ln(shape): two grids that
 both step over the drop there would agree on a wrong value (0, for the
 information at beta = 1e300).
 
-The rule of a shape (its range, floor raise and the node arrays of its
-passes of up to 1025 nodes) is cached for the 128 most recent shapes, so a
-shape that recurs, across routes or calls, builds its nodes once.  Each kept
-pass also keeps expect_power's p and density terms, in one slot for the last
-(log_const, exponent) it served: the routes at one shape integrate different
-weights against the same density, so a repeated pass is its weight times the
-kept terms.
+The rule of a shape (its range and floor raise) is cached for the 128 most
+recent shapes.  Each of its passes of up to 1025 nodes keeps expect_power's
+p and density terms, in one slot for the last (log_const, exponent) it
+served: the routes at one shape integrate different weights against the
+same density, so a repeated pass is its weight times the kept terms.  A
+pass asked for another (log_const, exponent), and every pass of
+integrate_decaying, builds its nodes afresh.
 """
 
 from __future__ import annotations
@@ -77,12 +77,11 @@ _BASE_INTERVALS = 16  # per half-line at level 0
 _U_GRID = 2.0**20  # the u cutoffs are multiples of 1/_U_GRID
 _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal double
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
-# A cached rule keeps the node arrays of its passes of at most _KEEP_COUNT
-# nodes, 16 B a node, and one slot of density terms for each, 16 B more.
-# Those are the first and midpoint passes of levels 1-6, 4038 nodes, so 128
-# rules keep at most ~16.5 MB.  One caller at one floor keeps at most 2049
-# nodes a rule (a first pass and the midpoint levels up to 6), so the
-# package's routes keep at most ~8.4 MB.
+# A cached rule keeps one slot of density terms, 16 B a node, for each of its
+# passes of at most _KEEP_COUNT nodes: the first and midpoint passes of levels
+# 1-6, 4038 nodes, so 128 rules keep at most ~8.3 MB.  One caller at one floor
+# keeps at most 2049 nodes a rule (a first pass and the midpoint levels up to
+# 6), so the package's routes keep at most ~4.2 MB.
 _KEEP_COUNT = 1025
 
 # Floor of expect_power, the integrator of the package's own routes: their
@@ -125,8 +124,6 @@ class _Rule(NamedTuple):
     floor_raise: int  # levels added to the caller's min_level
     u_ref: float  # s is taken relative to s_ref = pi sinh(u_ref)
     exp_ref: float  # exp(-s_ref)
-    # (start, step, count) -> the read-only (jac, L) of that pass
-    passes: dict
     # (start, step, count) -> the slot of a kept pass's density terms:
     # ((log_const, exponent), p, w), for the last pair expect_power asked of it
     densities: dict
@@ -135,12 +132,11 @@ class _Rule(NamedTuple):
 @functools.lru_cache
 def _rule(shape: float, log_p_end: float) -> _Rule:
     """The u range, floor raise and reference node of the half-line rule of
-    exp(-|z|**shape) cut at p_end, with empty stores of node arrays and
-    density terms.
+    exp(-|z|**shape) cut at p_end, with an empty store of density terms.
 
     Cached: the same shape recurs across routes and calls, and each cached
-    rule keeps the node arrays of its small passes (see _nodes) and a slot
-    of density terms for each (see expect_power).
+    rule keeps a slot of density terms for each of its small passes (see
+    expect_power).
     """
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
     s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - log_p_end / shape
@@ -172,22 +168,13 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
         floor_raise=floor_raise,
         u_ref=u_ref,
         exp_ref=math.exp(-math.pi * math.sinh(u_ref)),
-        passes={},
         densities={},
     )
 
 
 def _nodes(rule: _Rule, key: tuple):
     """jac = cosh(u) * exp(-s) and L = log1p(exp(-s)) at u_k = start + k*step,
-    k < count, as read-only arrays; key is (start, step, count).
-
-    The rule keeps the arrays of passes of at most _KEEP_COUNT nodes and
-    hands them out again.  They depend only on the rule and on their key, so
-    a kept pass holds the bits a fresh one would build.
-    """
-    kept = rule.passes.get(key)
-    if kept is not None:
-        return kept
+    k < count, as new arrays; key is (start, step, count)."""
     start, step, count = key
     u = np.arange(count, dtype=np.float64)
     u *= step
@@ -203,12 +190,7 @@ def _nodes(rule: _Rule, key: tuple):
     np.exp(x, out=x)
     x *= rule.exp_ref  # exp(-s)
     jac *= x
-    big_l = np.log1p(x, out=x)
-    jac.setflags(write=False)
-    big_l.setflags(write=False)
-    if count <= _KEEP_COUNT:
-        rule.passes[key] = (jac, big_l)
-    return jac, big_l
+    return jac, np.log1p(x, out=x)
 
 
 def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) -> QuadResult:
@@ -365,7 +347,7 @@ def expect_power(
             jac, big_l = _nodes(rule, key)
             log_p = big_l * -beta
             log_p += log_p_end
-            w = big_l * -2.0
+            w = np.multiply(big_l, -2.0, out=big_l)
             w += log_const
             if exponent:
                 w += exponent * log_p

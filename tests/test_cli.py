@@ -281,6 +281,13 @@ class TestEstimateCommand:
         assert code == 2
         assert "zero" in err
 
+    def test_a_shape_whose_reciprocal_overflows_is_named(self, capsys, tmp_path):
+        f = tmp_path / "two.txt"
+        f.write_text("1\n2\n")
+        code, out, err = run(capsys, "estimate", "--beta", "1e-310", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err == "error: beta=1e-310 is too small: 1/beta overflows the double range\n"
+
     def test_underflowing_estimate_is_degenerate(self, capsys, tmp_path):
         f = tmp_path / "tiny.txt"
         f.write_text("0\n" * 39 + "1e-322\n")

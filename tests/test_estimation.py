@@ -44,6 +44,13 @@ class TestMleTheta:
     def test_two_point_sample(self):
         assert mle_theta([1.0, -1.0], beta=2.0) == math.sqrt(2.0)
 
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    def test_a_shape_whose_reciprocal_overflows_is_named(self, beta):
+        # the shape's fault, not the data's: no DegenerateDataError
+        with pytest.raises(ValueError, match=f"beta={beta!r} is too small: 1/beta overflows") as exc:
+            mle_theta([1.0, 2.0], beta)
+        assert type(exc.value) is ValueError
+
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     @pytest.mark.parametrize("theta", [0.5, 2.0])
     def test_against_numerical_maximizer(self, beta, theta):

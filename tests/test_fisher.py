@@ -234,6 +234,11 @@ class TestBetaSweep:
         with pytest.raises(ValueError):
             fisher_beta_sweep(1.0, [2, 3])
 
+    def test_numeric_text_is_not_a_sweep_of_shapes(self):
+        # a str is a sequence of digits, each of which float() would accept
+        with pytest.raises(ValueError, match="real number"):
+            fisher_beta_sweep(1.0, "24")
+
 
 class TestStandardizedUnits:
     """The routes integrate in z = x/theta and apply the exact scale law, so

@@ -391,10 +391,6 @@ def rules(monkeypatch):
     cached.cache_clear()
 
 
-def _kept(seen):
-    return [a for rule in seen for pair in rule.passes.values() for a in pair]
-
-
 @pytest.mark.parametrize("route", list(PINNED_ROUTES))
 def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
     cached, seen = rules
@@ -410,12 +406,20 @@ def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
     evicted = results()
     assert cached.cache_info().misses == misses + len(PINNED_SHAPES)
     assert cold == warm == evicted
-    kept = _kept(seen)
+    kept = _densities(seen)
     assert kept and not any(a.flags.writeable for a in kept)
 
 
-def _most_kept(seen):
-    return max(sum(jac.size for jac, _ in rule.passes.values()) for rule in seen)
+def _densities(seen):
+    """The (p, w) arrays of every density slot the rules in seen keep."""
+    return [a for rule in seen for _, *pw in rule.densities.values() for a in pw]
+
+
+def _slot_nodes(rule):
+    """The nodes a rule keeps density terms for, after checking that each
+    slot holds the p and w of its whole pass."""
+    assert all(p.size == w.size == count for (_, _, count), (_, p, w) in rule.densities.items())
+    return sum(count for _, _, count in rule.densities)
 
 
 def test_the_rule_cache_is_bounded(rules):
@@ -423,21 +427,25 @@ def test_the_rule_cache_is_bounded(rules):
     for beta in np.geomspace(0.5, 50.0, 200):
         pdf_normalization(GenNormParams(1.0, float(beta)))
     # a route at its floor: a first pass and the midpoint levels up to 6
-    assert _most_kept(seen) <= 2049
-    # and at most one slot of density terms a pass
-    assert all(set(rule.densities) <= set(rule.passes) for rule in seen)
-    # first passes of 4097 down to 33 nodes at one shape
+    assert max(_slot_nodes(rule) for rule in seen) <= 2049
+    # at a shape whose floor is level 6: first passes of 33 to 1025 nodes,
+    # then midpoint passes of 1024 and 2048 nodes, with a weight that is 0 on
+    # alternate nodes and grows with the pass, so that no level converges
     for level in range(8, 0, -1):
-        integrate_decaying(lambda x: np.exp(-x * x), 1.0, 2.0, 0.0, 1e-12, min_level=level)
+        with pytest.raises(QuadratureError):
+            quadrature.expect_power(lambda p: np.arange(p.size) % 2.0 * p.size, 1e12,
+                                    rel_tol=1e-12, max_level=level)
     assert cached.cache_info().currsize == cached.cache_info().maxsize == 128
-    assert max(a.size for a in _kept(seen)) <= 1025
+    assert max(a.size for a in _densities(seen)) <= 1025
     # at most the first and midpoint passes of levels 1-6
-    assert 2049 < _most_kept(seen) <= 4038
+    assert 2049 < max(_slot_nodes(rule) for rule in seen) <= 4038
 
 
-def _densities(seen):
-    """The (p, w) arrays of every density slot the rules in seen keep."""
-    return [a for rule in seen for _, *pw in rule.densities.values() for a in pw]
+def test_integrate_decaying_keeps_nothing(rules):
+    cached, seen = rules
+    for _ in range(2):
+        integrate_decaying(lambda x: np.exp(-x * x), 1.0, 2.0, 0.0, 1e-12)
+    assert len(seen) == 2 and seen[0] is seen[1] and not seen[0].densities
 
 
 # The density routes, and an expect_power at a log_unit of its own, which
@@ -478,10 +486,10 @@ def test_a_weight_that_overwrites_its_argument_leaves_the_kept_terms_as_they_wer
         return quadrature.expect_power(weight, 2.5, log_unit=-0.5, rel_tol=1e-12)
 
     first, second = result(), result()
-    kept = _kept(seen) + _densities(seen)
+    kept = _densities(seen)
     cached.cache_clear()
     assert first == second == result()
-    assert _densities(seen) and not any(a.flags.writeable for a in kept)
+    assert kept and not any(a.flags.writeable for a in kept)
 
 
 def test_a_pass_keeps_one_density_slot(rules):
@@ -490,10 +498,9 @@ def test_a_pass_keeps_one_density_slot(rules):
     first = [abs_moment_quad(p, 1.0) for p in params]
     rule = seen[0]
     assert all(r is rule for r in seen)
-    # each theta has its own log_unit, so each call rewrote the slots of its passes
-    assert set(rule.densities) <= set(rule.passes)
-    assert sum(a.size for a in _densities([rule])) == 2 * sum(jac.size for jac, _ in
-                                                              rule.passes.values())
+    # each theta has its own log_unit, so each call rewrote the slots of its
+    # passes: one slot a pass, a first pass and no midpoints at this floor
+    assert _slot_nodes(rule) == 257
     cached.cache_clear()
     assert [abs_moment_quad(p, 1.0) for p in params[::-1]] == first[::-1]
 
