@@ -30,7 +30,7 @@ __all__ = [
 METHOD_NAMES = ("closed_form", "quad_score_variance", "quad_neg_hessian", "mc_score_variance")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GenNormParams:
     """Scale theta and shape beta, both strictly positive and finite, and
     beta large enough that 1/beta is finite (the density needs Gamma(1/beta))."""
@@ -38,9 +38,12 @@ class GenNormParams:
     theta: float
     beta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", require_real("theta", self.theta, positive=True))
-        object.__setattr__(self, "beta", require_shape(self.beta))
+    def __init__(self, theta: float, beta: float) -> None:
+        # each field is checked and set once, straight into the instance dict
+        # (the frozen class's __setattr__ raises)
+        fields = self.__dict__
+        fields["theta"] = require_real("theta", theta, positive=True)
+        fields["beta"] = require_shape(beta)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,8 @@ from .distribution import (
     standardized_power,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
-from .exact import METHOD_NAMES
-from .quadrature import QuadResult, expect_power, scaled
+from .exact import METHOD_NAMES, QuadratureError
+from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 
 __all__ = [
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FisherEstimate:
     """One estimate of I(theta): value, producing method, and an error bound.
 
@@ -69,15 +69,19 @@ class FisherEstimate:
     method: str
     error_estimate: float
 
-    def __post_init__(self):
-        if self.method not in METHOD_NAMES:
-            raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {self.method!r}")
-        if not (self.value > 0.0 and math.isfinite(self.value)):
-            raise ValueError(f"value must be finite and > 0, got {self.value!r}")
-        if not (self.error_estimate >= 0.0 and math.isfinite(self.error_estimate)):
-            raise ValueError(
-                f"error_estimate must be finite and >= 0, got {self.error_estimate!r}"
-            )
+    def __init__(self, value: float, method: str, error_estimate: float) -> None:
+        if method not in METHOD_NAMES:
+            raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {method!r}")
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"value must be finite and > 0, got {value!r}")
+        if not (error_estimate >= 0.0 and math.isfinite(error_estimate)):
+            raise ValueError(f"error_estimate must be finite and >= 0, got {error_estimate!r}")
+        # each field is set once, straight into the instance dict (the frozen
+        # class's __setattr__ raises)
+        fields = self.__dict__
+        fields["value"] = value
+        fields["method"] = method
+        fields["error_estimate"] = error_estimate
 
 
 def _affine(p: np.ndarray, slope: float) -> np.ndarray:
@@ -128,16 +132,18 @@ def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
     """Integrate I(1)/beta = E[weight(p)] over z, then multiply by beta/theta^2.
 
     Taking I/beta keeps every weight below beta * 700^2, so beta^2 never
-    overflows.
+    overflows.  tol must be a real number in (0, 1e-2], not a bool or text.
     """
-    tf = float(tol)
+    tf = require_real("tol", tol)
     if not (0.0 < tf <= 1e-2):
         raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
     beta = params.beta
-    res = scaled(beta / params.theta / params.theta, lambda: expect_power(
-        weight, beta, log_unit=log_norm_z(beta), rel_tol=tf, max_level=max_level,
-    ))
-    return FisherEstimate(res.value, method, res.error_estimate)
+    unit = beta / params.theta / params.theta
+    try:
+        res = expect_power(weight, beta, log_unit=log_norm_z(beta), rel_tol=tf, max_level=max_level)
+    except QuadratureError as exc:  # its partial value and error, in the units of I(theta)
+        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
+    return FisherEstimate(res.value * unit, method, res.error_estimate * unit)
 
 
 def fisher_quad_score_variance(
@@ -150,10 +156,14 @@ def fisher_quad_score_variance(
     carrying the partial value (in the units of I(theta)).
     """
     b = params.beta
+    inv_b = 1.0 / b
 
     def score_sq_over_beta(p):  # (beta p - 1)^2 / beta = (beta p - 1) (p - 1/beta)
-        q = p - 1.0 / b
-        return np.multiply(_affine(p, b), q, out=p)
+        q = p - inv_b
+        p *= b
+        p -= 1.0
+        p *= q
+        return p
 
     return _fisher_quad(params, score_sq_over_beta, "quad_score_variance", tol, max_level)
 
@@ -201,9 +211,18 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     and the result's error bound is abs_tol / theta.
     """
     beta = params.beta
-    return scaled(1.0 / params.theta, lambda: expect_power(
-        lambda p: _affine(p, beta), beta, log_unit=log_norm_z(beta), abs_tol=abs_tol,
-    ))
+
+    def theta_score(p):  # beta p - 1
+        p *= beta
+        p -= 1.0
+        return p
+
+    unit = 1.0 / params.theta
+    try:
+        res = expect_power(theta_score, beta, log_unit=log_norm_z(beta), abs_tol=abs_tol)
+    except QuadratureError as exc:
+        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
+    return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
 
 
 _ROUTES = {

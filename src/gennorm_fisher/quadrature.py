@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -68,14 +69,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .exact import QuadratureError
+from .special_functions import require_real
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "expect_power", "scaled"]
+__all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "expect_power"]
 
 _LOG_EPS = math.log(sys.float_info.epsilon)
 _LOG_MAX = math.log(sys.float_info.max)
 _BASE_INTERVALS = 16  # per half-line at level 0
 _U_GRID = 2.0**20  # the u cutoffs are multiples of 1/_U_GRID
 _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal double
+_LOG_P_DROP = math.log(_P_DROP)
+_LOG_2 = math.log(2.0)
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
 # A cached rule keeps one slot of density terms, 16 B a node, for each of its
 # passes of at most _KEEP_COUNT nodes: the first and midpoint passes of levels
@@ -91,7 +95,7 @@ _KEEP_COUNT = 1025
 ROUTE_MIN_LEVEL = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadResult:
     """value, its error bound, and the trapezoid intervals of the final level.
 
@@ -104,16 +108,12 @@ class QuadResult:
     error_estimate: float
     intervals: int
 
-
-def scaled(unit: float, integrate: Callable[[], QuadResult]) -> QuadResult:
-    """integrate() with its value and error (or the partial value and error of
-    the QuadratureError it raises) multiplied by unit: an exact scale law that
-    maps an integral taken in z = x/theta to the caller's units."""
-    try:
-        res = integrate()
-    except QuadratureError as exc:
-        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
-    return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
+    def __init__(self, value: float, error_estimate: float, intervals: int) -> None:
+        # straight into the instance dict: the frozen class's __setattr__ raises
+        fields = self.__dict__
+        fields["value"] = value
+        fields["error_estimate"] = error_estimate
+        fields["intervals"] = intervals
 
 
 class _Rule(NamedTuple):
@@ -202,8 +202,11 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     gives its nodes.  _half_line only reads the terms, so they may be arrays
     the rule keeps.
     """
-    if abs_tol < 0.0 or rel_tol < 0.0 or (abs_tol == 0.0 and rel_tol == 0.0):
-        raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
+    if not (  # the common case, checked in one expression; _budget checks the rest
+        type(abs_tol) is float and type(rel_tol) is float and abs_tol >= 0.0 and rel_tol >= 0.0
+        and abs_tol + rel_tol > 0.0 and type(min_level) is int and type(max_level) is int
+    ):
+        abs_tol, rel_tol, min_level, max_level = _budget(abs_tol, rel_tol, min_level, max_level)
     rule = _rule(float(shape), log_p_end)
     min_level += rule.floor_raise
     u_left = rule.u_left
@@ -214,8 +217,9 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     n = _BASE_INTERVALS << level
     h = (rule.u_right - u_left) / n
     first = terms(rule, (u_left, h, n + 1))
-    previous = 2.0 * math.pi * h * float(first[::2].sum())
-    total = math.pi * h * float(first.sum())
+    # np.add.reduce is the reduction ndarray.sum runs, without its Python wrapper
+    previous = 2.0 * math.pi * h * float(np.add.reduce(first[::2]))
+    total = math.pi * h * float(np.add.reduce(first))
     while True:
         err = abs(total - previous)
         if not math.isfinite(total):
@@ -226,10 +230,27 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
             raise QuadratureError(f"no convergence after {level} refinements", total, err)
         midpoints = terms(rule, (u_left + 0.5 * h, h, n))
         previous = total
-        total = 0.5 * total + 0.5 * math.pi * h * float(midpoints.sum())
+        total = 0.5 * total + 0.5 * math.pi * h * float(np.add.reduce(midpoints))
         n *= 2
         h *= 0.5
         level += 1
+
+
+def _budget(abs_tol, rel_tol, min_level, max_level) -> tuple[float, float, int, int]:
+    """The tolerances as floats and the levels as ints, after checking that
+    each tolerance is a real number >= 0 or +inf (not a bool, text or nan),
+    that they are not both zero, and that each level is an integer (not a
+    bool); ValueError otherwise."""
+    tols = [
+        math.inf if tol == math.inf else require_real(name, tol)
+        for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol))
+    ]
+    if min(tols) < 0.0 or max(tols) == 0.0:
+        raise ValueError("need abs_tol >= 0, rel_tol >= 0, and not both zero")
+    for name, level in (("min_level", min_level), ("max_level", max_level)):
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {level!r}")
+    return (*tols, int(min_level), int(max_level))
 
 
 def integrate_decaying(
@@ -245,18 +266,20 @@ def integrate_decaying(
 
     f maps an ndarray of x values to integrand values and must decay at
     least like exp(-|x/scale|^shape).  Convergence requires the successive
-    refinement difference to drop below max(abs_tol, rel_tol*|value|); at
-    least one of the tolerances must be positive, and the integration range
-    scale * 700**(1/shape) must be finite (shape above 0.00923 at scale 1).
-    min_level guards against accidental agreement on grids too coarse to see
-    narrow features; f is called once on the whole min_level grid (raised
-    above shapes of about 5e4), then once per further level.
+    refinement difference to drop below max(abs_tol, rel_tol*|value|).  Each
+    tolerance is a real number >= 0 or +inf (not a bool, text or nan), at
+    least one of them positive; min_level and max_level are integers; and
+    the integration range scale * 700**(1/shape) must be finite (shape above
+    0.00923 at scale 1); ValueError otherwise, before any pass.  min_level
+    guards against accidental agreement on grids too coarse to see narrow
+    features; f is called once on the whole min_level grid (raised above
+    shapes of about 5e4), then once per further level.
     """
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if not (shape > 0.0 and math.isfinite(shape)):
         raise ValueError(f"shape must be positive and finite, got {shape!r}")
-    log_p_end = math.log(_P_DROP)
+    log_p_end = _LOG_P_DROP
     log_b = math.log(scale) + log_p_end / shape  # x = b * exp(-L)
     if log_b > _LOG_MAX:
         raise ValueError(f"scale * 700**(1/shape) overflows at shape {shape!r}, scale {scale!r}")
@@ -276,7 +299,7 @@ def integrate_decaying(
 
 def _p_end(exponent: float) -> float:
     """The p > exponent where p**exponent * exp(-p) is exp(-_P_DROP) below its
-    peak at p = exponent; _P_DROP itself for exponent 0.
+    peak at p = exponent, for exponent > 0 (_P_DROP itself at 0).
 
     d = p - exponent solves d - exponent * log1p(d / exponent) = _P_DROP.  It
     starts from the bound _P_DROP + sqrt(2 _P_DROP exponent), right of the
@@ -285,8 +308,6 @@ def _p_end(exponent: float) -> float:
     and the bound, so each step is kept there: beyond 1e20, where rounding
     swamps the function, p stays within 1e-8 relative of exponent.
     """
-    if exponent == 0.0:
-        return _P_DROP
     a = exponent
     bound = d = _P_DROP + math.sqrt(2.0 * _P_DROP * a)
     for _ in range(3):
@@ -327,13 +348,13 @@ def expect_power(
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
     if not (exponent >= 0.0 and math.isfinite(exponent)):
         raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
-    log_p_end = math.log(_p_end(exponent))
+    log_p_end = math.log(_p_end(exponent)) if exponent else _LOG_P_DROP
     log_b = log_p_end / beta  # z = b * exp(-L)
     if log_b > _LOG_MAX:
         raise ValueError(f"the integration range overflows at beta {beta!r}, exponent {exponent!r}")
     # log of 2 (both halves of the line) * b * exp(log_unit): the factors of
     # every term that do not depend on the node
-    log_const = math.log(2.0) + log_b + log_unit
+    log_const = _LOG_2 + log_b + log_unit
 
     density_key = (log_const, exponent)
 

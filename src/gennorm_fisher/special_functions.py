@@ -31,6 +31,7 @@ __all__ = [
 GAMMA_OVERFLOW_Z = 171.62437695630271
 
 _MAX_EXACT_FACTORIAL_ARG = 171  # gamma(171) = 170! is the last representable one
+_INF = math.inf
 
 
 def require_count(name: str, value, minimum: int) -> None:
@@ -42,6 +43,8 @@ def require_count(name: str, value, minimum: int) -> None:
 def require_real(name: str, value, positive: bool = False) -> float:
     """Return value as a float after checking it is a finite real number (not
     a bool or numeric text), and strictly positive when positive is set."""
+    if type(value) is float and (0.0 < value < _INF if positive else -_INF < value < _INF):
+        return value  # an exact float that passes: float(value) is value itself
     np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is imported
     try:
         if isinstance(value, (bool, str, bytes, bytearray)) or (

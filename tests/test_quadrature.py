@@ -1,6 +1,7 @@
 """Real-line quadrature core against scipy and closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -504,3 +505,77 @@ def test_a_pass_keeps_one_density_slot(rules):
     cached.cache_clear()
     assert [abs_moment_quad(p, 1.0) for p in params[::-1]] == first[::-1]
 
+
+
+# A tolerance must be a real number >= 0 or +inf: a nan, a bool or numeric
+# text once ran a route to its last level, or was taken as 1.0.
+BAD_TOLERANCES = [math.nan, True, np.bool_(True), "1e-9", None, -1e-9, -math.inf]
+TOLERANCE_ROUTES = {
+    "pdf_normalization": lambda tol: pdf_normalization(GenNormParams(1.0, 2.0), abs_tol=tol),
+    "expected_score_quad": lambda tol: expected_score_quad(GenNormParams(1.0, 2.0), abs_tol=tol),
+    "abs_moment_quad": lambda tol: abs_moment_quad(GenNormParams(1.0, 2.0), 2.0, rel_tol=tol),
+    "fisher_quad_score_variance":
+        lambda tol: fisher_quad_score_variance(GenNormParams(1.0, 2.0), tol=tol),
+    "fisher_quad_neg_hessian":
+        lambda tol: fisher_quad_neg_hessian(GenNormParams(1.0, 2.0), tol=tol),
+    "expect_power": lambda tol: quadrature.expect_power(None, 2.0, abs_tol=tol),
+    "integrate_decaying": lambda tol: integrate_decaying(
+        lambda x: np.exp(-x * x), scale=1.0, shape=2.0, abs_tol=0.0, rel_tol=tol),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TOLERANCE_ROUTES))
+@pytest.mark.parametrize("tol", BAD_TOLERANCES, ids=repr)
+def test_a_bad_tolerance_fails_at_once(route, tol):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="tol"):
+        TOLERANCE_ROUTES[route](tol)
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("route", ["pdf_normalization", "expected_score_quad", "abs_moment_quad",
+                                   "expect_power", "integrate_decaying"])
+def test_an_infinite_tolerance_stops_at_the_floor(route):
+    res = TOLERANCE_ROUTES[route](math.inf)
+    assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("tol", [1e-9, np.float64(1e-9), 1, np.int64(1)])
+def test_any_real_tolerance_is_taken_at_its_value(tol):
+    p = GenNormParams(1.3, 2.5)
+    assert pdf_normalization(p, abs_tol=tol) == pdf_normalization(p, abs_tol=float(tol))
+
+
+LEVEL_CALLS = {
+    "fisher_quad_score_variance": lambda level: fisher_quad_score_variance(
+        GenNormParams(1.0, 2.0), max_level=level),
+    "fisher_quad_neg_hessian": lambda level: fisher_quad_neg_hessian(
+        GenNormParams(1.0, 2.0), max_level=level),
+    "expect_power": lambda level: quadrature.expect_power(None, 2.0, rel_tol=1e-9,
+                                                          max_level=level),
+    "integrate_decaying": lambda level: integrate_decaying(
+        lambda x: np.exp(-x * x), scale=1.0, shape=2.0, abs_tol=1e-9, rel_tol=0.0,
+        max_level=level),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LEVEL_CALLS))
+@pytest.mark.parametrize("level", [2.5, 22.0, "22", True, np.bool_(True), None], ids=repr)
+def test_max_level_must_be_an_integer(call, level):
+    with pytest.raises(ValueError, match="max_level must be an integer"):
+        LEVEL_CALLS[call](level)
+
+
+@pytest.mark.parametrize("level", [2.5, "6", False])
+def test_min_level_must_be_an_integer(level):
+    with pytest.raises(ValueError, match="min_level must be an integer"):
+        integrate_decaying(lambda x: np.exp(-x * x), scale=1.0, shape=2.0, abs_tol=1e-9,
+                           rel_tol=0.0, min_level=level)
+
+
+def test_a_numpy_integer_level_is_an_integer():
+    p = GenNormParams(1.0, 2.0)
+    assert fisher_quad_score_variance(p, max_level=np.int64(22)) == fisher_quad_score_variance(p)
+    f = lambda x: np.exp(-x * x)  # noqa: E731
+    kwargs = {"scale": 1.0, "shape": 2.0, "abs_tol": 1e-9, "rel_tol": 0.0}
+    assert integrate_decaying(f, min_level=np.int32(6), **kwargs) == integrate_decaying(f, **kwargs)
