@@ -1,13 +1,14 @@
 """Command-line surface: pdf tables, Fisher estimates, moments, estimation,
 and the verification batteries.
 
-Tables default to CSV (header row, floats as their shortest round-trip
-text); single records default to JSON with the schema
+One writer, _write_result, emits every table and record: CSV (header row,
+floats as their shortest round-trip text) or JSON with the schema
 
     {command, inputs{}, outputs{}, metadata{seed, tolerances, version}}
 
-Exit codes: 0 success, 1 verification or numerical failure, 2 usage or
-input error.
+`fisher` and `verify theorem1` run the routes of fisher.METHODS.  Exit codes:
+0 success, 1 verification or numerical failure, 2 usage or input error (an
+--output that cannot be written included).
 
 The parser, the exact commands (moments, verify lemma2) and the error
 handling use only the numpy-free layer (exact, special_functions); every
@@ -20,10 +21,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .exact import METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError, exact_moment
+from .exact import require_even_shape
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
@@ -44,28 +45,19 @@ def __getattr__(name):
     return value
 
 
-@dataclass
-class OutputRecord:
-    """Machine-readable result wrapper; serializes losslessly (repr floats)."""
-
-    command: str
-    inputs: dict
-    outputs: dict
-    metadata: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-
 def emit(text: str, output: str | None) -> None:
-    """Write text to the file output, or to stdout when output is None."""
+    """Write text to the file output, or to stdout when output is None; a file
+    that cannot be written is a ValueError (exit 2)."""
     if output is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {output!r}: {exc}") from None
 
 
 def csv_table(columns, rows) -> str:
@@ -76,21 +68,19 @@ def csv_table(columns, rows) -> str:
     return "\n".join([",".join(columns), *map(line.__mod__, rows)]) + "\n"
 
 
-def _table(args, command: str, inputs: dict, columns: list[str], rows, metadata: dict) -> None:
+def _write_result(args, command: str, inputs: dict, outputs: dict, seed=None, tolerances=None):
+    """Emit a result in args.format to args.output: outputs is {columns, rows}
+    for a table (rows any iterable of tuples, which JSON writes as a list), or
+    named values that CSV writes as a one-row table."""
     if args.format == "csv":
-        emit(csv_table(columns, rows), args.output)
+        table = outputs if "rows" in outputs else {"columns": list(outputs),
+                                                   "rows": [tuple(outputs.values())]}
+        text = csv_table(table["columns"], table["rows"])
     else:
-        record = OutputRecord(
-            command=command,
-            inputs=inputs,
-            outputs={"columns": columns, "rows": [list(r) for r in rows]},
-            metadata=metadata,
-        )
-        emit(record.to_json(), args.output)
-
-
-def _metadata(seed=None, tolerances=None) -> dict:
-    return {"seed": seed, "tolerances": tolerances or {}, "version": __version__}
+        metadata = {"seed": seed, "tolerances": tolerances or {}, "version": __version__}
+        text = json.dumps({"command": command, "inputs": inputs, "outputs": outputs,
+                           "metadata": metadata}, indent=2, default=list)
+    emit(text, args.output)
 
 
 # ---------------------------------------------------------------- pdf
@@ -125,8 +115,8 @@ def _cmd_pdf(args) -> int:
         raise OverflowError(f"the density at x={x!r} exceeds the double range") from None
     inputs = {"theta": params.theta, "beta": params.beta,
               "min": args.min, "max": args.max, "count": args.count}
-    _table(args, "pdf", inputs, ["x", "pdf", "log_pdf"], zip(xs, density, log_density),
-           _metadata())
+    _write_result(args, "pdf", inputs, {"columns": ["x", "pdf", "log_pdf"],
+                                        "rows": zip(xs, density, log_density)})
     return 0
 
 
@@ -134,9 +124,11 @@ def _cmd_pdf(args) -> int:
 
 def _parse_methods(spec: str, beta: float) -> list[str]:
     if spec == "all":
-        even = float(beta).is_integer() and int(beta) % 2 == 0
-        # the closed form is only defined for even integer shapes
-        return [m for m in METHOD_NAMES if even or m != "closed_form"]
+        try:
+            require_even_shape(beta)
+        except ValueError:  # the closed form's own guard
+            return [m for m in METHOD_NAMES if m != "closed_form"]
+        return list(METHOD_NAMES)
     methods = {m.strip() for m in spec.split(",") if m.strip()}
     if not methods:
         raise ValueError("--methods must name at least one method")
@@ -156,8 +148,8 @@ def _cmd_fisher(args) -> int:
     rows = [(est.method, est.value, est.error_estimate) for est in estimates]
     inputs = {"theta": params.theta, "beta": params.beta, "methods": methods,
               "tol": args.tol, "n": args.n}
-    _table(args, "fisher", inputs, ["method", "value", "error_estimate"], rows,
-           _metadata(seed=args.seed, tolerances={"tol": args.tol}))
+    outputs = {"columns": ["method", "value", "error_estimate"], "rows": rows}
+    _write_result(args, "fisher", inputs, outputs, seed=args.seed, tolerances={"tol": args.tol})
     return 0
 
 
@@ -174,7 +166,7 @@ def _cmd_moments(args) -> int:
         raise ValueError(f"--k entries must be integers: {exc}") from None
     rows = [(k, exact_moment(MomentSpec(k=k, params=params))) for k in orders]
     inputs = {"theta": params.theta, "beta": params.beta, "k": orders}
-    _table(args, "moments", inputs, ["k", "value"], rows, _metadata())
+    _write_result(args, "moments", inputs, {"columns": ["k", "value"], "rows": rows})
     return 0
 
 
@@ -222,13 +214,8 @@ def _cmd_estimate(args) -> int:
     residual = float(score_z(args.beta, draws, out=draws).sum()) / theta_hat
     outputs = {"theta_hat": theta_hat, "score_residual": residual,
                "n_samples": int(draws.size)}
-    inputs = {"beta": args.beta, **source}
-    if args.format == "csv":
-        emit(csv_table(list(outputs), [tuple(outputs.values())]), args.output)
-    else:
-        record = OutputRecord("estimate", inputs, outputs,
-                              _metadata(seed=args.seed if args.simulate else None))
-        emit(record.to_json(), args.output)
+    _write_result(args, "estimate", {"beta": args.beta, **source}, outputs,
+                  seed=args.seed if args.simulate else None)
     return 0
 
 
@@ -261,49 +248,51 @@ def _verify_lemma2(printer: _CheckPrinter) -> None:
             printer.check(f"lemma2[n={n},p={p}]", rel <= 1e-12, via_identity, direct, "rel 1e-12")
 
 
-_GRID_BETAS = (2, 4, 6, 8)
-_GRID_THETAS = (0.5, 1.0, 2.0)
+def _grid():
+    """The cells theorem1 and equivalence walk: index, [beta,theta] tag, params."""
+    cells = [(beta, theta) for beta in (2, 4, 6, 8) for theta in (0.5, 1.0, 2.0)]
+    for cell, (beta, theta) in enumerate(cells):
+        yield cell, f"[beta={beta},theta={theta}]", GenNormParams(theta=theta, beta=float(beta))
+
+
+# (route, check name, tolerance) for each route theorem1 checks against the closed
+# form: "rel L" is |value - closed| / closed <= L, "K standard errors" is
+# |value - closed| <= K * error_estimate.
+_THEOREM1_CHECKS = (
+    ("quad_score_variance", "score-variance", "rel 1e-7"),
+    ("quad_neg_hessian", "neg-hessian", "rel 1e-7"),
+    ("mc_score_variance", "monte-carlo", "4 standard errors"),
+)
 
 
 def _verify_theorem1(printer: _CheckPrinter, tol: float, n: int, seed: int) -> None:
-    from .fisher import (
-        fisher_closed_form,
-        fisher_mc_score_variance,
-        fisher_quad_neg_hessian,
-        fisher_quad_score_variance,
-    )
+    from .fisher import METHODS
 
-    cell = 0
-    for beta in _GRID_BETAS:
-        for theta in _GRID_THETAS:
-            params = GenNormParams(theta=theta, beta=float(beta))
-            closed = fisher_closed_form(params).value
-            sv = fisher_quad_score_variance(params, tol=tol).value
-            nh = fisher_quad_neg_hessian(params, tol=tol).value
-            mc = fisher_mc_score_variance(params, n=n, seed=seed + cell)
-            tag = f"theorem1[beta={beta},theta={theta}]"
-            printer.check(f"{tag} score-variance", abs(sv - closed) / closed <= 1e-7,
-                          sv, closed, "rel 1e-7")
-            printer.check(f"{tag} neg-hessian", abs(nh - closed) / closed <= 1e-7,
-                          nh, closed, "rel 1e-7")
-            printer.check(f"{tag} monte-carlo", abs(mc.value - closed) <= 4 * mc.error_estimate,
-                          mc.value, closed, "4 standard errors")
-            cell += 1
+    for cell, tag, params in _grid():
+        estimates = {name: route(params, tol=tol, n=n, seed=seed + cell)
+                     for name, route in METHODS.items()}
+        closed = estimates["closed_form"].value
+        for route, check, tolerance in _THEOREM1_CHECKS:
+            est = estimates[route]
+            head, rest = tolerance.split(" ", 1)
+            if head == "rel":
+                ok = abs(est.value - closed) / closed <= float(rest)
+            else:  # "K standard errors"
+                ok = abs(est.value - closed) <= float(head) * est.error_estimate
+            printer.check(f"theorem1{tag} {check}", ok, est.value, closed, tolerance)
 
 
 def _verify_equivalence(printer: _CheckPrinter, tol: float) -> None:
     from .fisher import expected_score_quad, fisher_quad_neg_hessian, fisher_quad_score_variance
 
-    for beta in _GRID_BETAS:
-        for theta in _GRID_THETAS:
-            params = GenNormParams(theta=theta, beta=float(beta))
-            sv = fisher_quad_score_variance(params, tol=tol).value
-            nh = fisher_quad_neg_hessian(params, tol=tol).value
-            mean_score = expected_score_quad(params).value
-            tag = f"equivalence[beta={beta},theta={theta}]"
-            printer.check(f"{tag} routes", abs(nh - sv) <= 2e-8 * sv, nh, sv, "abs 2e-8*value")
-            printer.check(f"{tag} zero-mean-score", abs(mean_score) <= 1e-9,
-                          mean_score, 0.0, "abs 1e-9")
+    for _, tag, params in _grid():
+        sv = fisher_quad_score_variance(params, tol=tol).value
+        nh = fisher_quad_neg_hessian(params, tol=tol).value
+        mean_score = expected_score_quad(params).value
+        printer.check(f"equivalence{tag} routes", abs(nh - sv) <= 2e-8 * sv, nh, sv,
+                      "abs 2e-8*value")
+        printer.check(f"equivalence{tag} zero-mean-score", abs(mean_score) <= 1e-9,
+                      mean_score, 0.0, "abs 1e-9")
 
 
 def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,

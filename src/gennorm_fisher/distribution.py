@@ -30,7 +30,6 @@ __all__ = [
     "standardized_power",
     "log_norm_z",
     "log_pdf_z",
-    "pdf_z",
     "log_pdf",
     "pdf",
     "exact_moment",
@@ -84,13 +83,6 @@ def log_pdf_z(beta: float, z) -> np.ndarray:
     """log f_Z(z) = log(beta/2) - log Gamma(1/beta) - |z|^beta (-inf where the power overflows)."""
     p = standardized_power(beta, z)
     return np.subtract(log_norm_z(float(beta)), p, out=p)
-
-
-def pdf_z(beta: float, z) -> np.ndarray:
-    """Standardized density f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|^beta)."""
-    p = standardized_power(beta, z)
-    np.subtract(log_norm_z(float(beta)), p, out=p)
-    return np.exp(p, out=p)
 
 
 def log_pdf(params: GenNormParams, x) -> float:
@@ -253,13 +245,15 @@ def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11)
     Integrates theta^order * |z|^order against f_Z, with both factors taken
     through their logarithms, so the result is finite wherever E|X|^order is
     (E|Z|^order alone can overflow: 4e550 at beta 4, order 1100); a
-    QuadratureError carries its partial value in x units too.  Raises
-    OverflowError where E|X|^order itself exceeds the double range.
+    QuadratureError carries its partial value in x units too.  order is a
+    finite real number >= 0 (not a bool or text); ValueError otherwise.
+    Raises OverflowError where E|X|^order itself exceeds the double range.
     """
-    if not (order >= 0.0 and math.isfinite(order)):
+    of = require_real("order", order)
+    if of < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     beta = params.beta
     return expect_power(
-        None, beta, exponent=order / beta,
-        log_unit=log_norm_z(beta) + order * math.log(params.theta), rel_tol=rel_tol,
+        None, beta, exponent=of / beta,
+        log_unit=log_norm_z(beta) + of * math.log(params.theta), rel_tol=rel_tol,
     )

@@ -266,7 +266,8 @@ def integrate_decaying(
 
     f maps an ndarray of x values to integrand values and must decay at
     least like exp(-|x/scale|^shape).  Convergence requires the successive
-    refinement difference to drop below max(abs_tol, rel_tol*|value|).  Each
+    refinement difference to drop below max(abs_tol, rel_tol*|value|).  scale
+    and shape are positive, finite real numbers (not bools or text); each
     tolerance is a real number >= 0 or +inf (not a bool, text or nan), at
     least one of them positive; min_level and max_level are integers; and
     the integration range scale * 700**(1/shape) must be finite (shape above
@@ -275,10 +276,8 @@ def integrate_decaying(
     features; f is called once on the whole min_level grid (raised above
     shapes of about 5e4), then once per further level.
     """
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    if not (shape > 0.0 and math.isfinite(shape)):
-        raise ValueError(f"shape must be positive and finite, got {shape!r}")
+    scale = require_real("scale", scale, positive=True)
+    shape = require_real("shape", shape, positive=True)
     log_p_end = _LOG_P_DROP
     log_b = math.log(scale) + log_p_end / shape  # x = b * exp(-L)
     if log_b > _LOG_MAX:

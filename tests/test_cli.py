@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gennorm_fisher import GenNormParams, log_pdf, mle_theta, pdf, sample
+from gennorm_fisher import GenNormParams, __version__, log_pdf, mle_theta, pdf, sample
 from gennorm_fisher.cli import csv_table, main
 from gennorm_fisher.fisher import score_z
 
@@ -339,7 +339,17 @@ class TestVerifyCommand:
     def test_closed_form_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--n", "200000")
         assert code == 0
-        assert "36/36 checks passed" in out
+        lines = out.splitlines()
+        assert lines[-1] == "theorem1: 36/36 checks passed"
+        # each check's name and tolerance text, in order
+        checks = [(line.split(" observed=")[0], line.split(" tol=")[1]) for line in lines[:-1]]
+        assert checks == [
+            (f"PASS theorem1[beta={beta},theta={theta}] {name}", tol)
+            for beta in (2, 4, 6, 8)
+            for theta in (0.5, 1.0, 2.0)
+            for name, tol in (("score-variance", "rel 1e-7"), ("neg-hessian", "rel 1e-7"),
+                              ("monte-carlo", "4 standard errors"))
+        ]
 
     def test_crlb_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "crlb", "--beta", "2", "--theta", "1")
@@ -430,6 +440,59 @@ class TestUnreadOptions:
         assert run(capsys, "verify", "equivalence", "--tol", "1e-9") == default
         argv = ("verify", "crlb", "--n", "300", "--trials", "30")
         assert run(capsys, *argv) == run(capsys, *argv, "--seed", "20260819")
+
+
+class TestRecords:
+    """Every table and record command writes one schema."""
+
+    @pytest.fixture
+    def samples(self, tmp_path):
+        path = tmp_path / "samples.txt"
+        path.write_text("1.5\n-0.25\n2\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, seed, tolerances",
+        [
+            (("pdf", "--min", "-1", "--max", "1", "--count", "3"), None, {}),
+            (("fisher", "--beta", "3", "--n", "1000", "--seed", "5", "--tol", "1e-8"), 5,
+             {"tol": 1e-8}),
+            (("moments", "--k", "0,1,2"), None, {}),
+            (("estimate", "--simulate", "--n", "500", "--seed", "9"), 9, {}),
+            (("estimate", "--input", "SAMPLES"), None, {}),
+        ],
+        ids=["pdf", "fisher", "moments", "estimate-simulate", "estimate-input"],
+    )
+    def test_json_schema_and_metadata(self, capsys, samples, argv, seed, tolerances):
+        argv = [samples if arg == "SAMPLES" else arg for arg in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        record = json.loads(out)
+        assert list(record) == ["command", "inputs", "outputs", "metadata"]
+        assert record["command"] == argv[0]
+        assert record["metadata"] == {"seed": seed, "tolerances": tolerances,
+                                      "version": __version__}
+        if argv[0] == "estimate":
+            # the same outputs as the one row of the CSV under its header
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            outputs = record["outputs"]
+            assert out == ("theta_hat,score_residual,n_samples\n"
+                           f"{outputs['theta_hat']!r},{outputs['score_residual']!r},"
+                           f"{outputs['n_samples']}\n")
+        else:
+            assert list(record["outputs"]) == ["columns", "rows"]
+
+    @pytest.mark.parametrize("argv", [("pdf", "--min", "0", "--max", "1", "--count", "2"),
+                                      ("estimate", "--simulate", "--n", "100")],
+                             ids=["pdf", "estimate"])
+    @pytest.mark.parametrize("target", ["directory", "missing-directory"])
+    def test_an_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv, target):
+        path = str(tmp_path if target == "directory" else tmp_path / "no" / "such" / "x.csv")
+        code, out, err = run(capsys, *argv, "--output", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path!r}: ") and err.count("\n") == 1
 
 
 class TestCsvTable:

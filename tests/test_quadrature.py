@@ -546,6 +546,22 @@ def test_any_real_tolerance_is_taken_at_its_value(tol):
     assert pdf_normalization(p, abs_tol=tol) == pdf_normalization(p, abs_tol=float(tol))
 
 
+REAL_ARGUMENTS = {
+    "order": lambda v: abs_moment_quad(GenNormParams(1.0, 2.0), v),
+    "scale": lambda v: integrate_decaying(lambda x: np.exp(-x * x), scale=v, shape=2.0,
+                                          abs_tol=1e-9, rel_tol=0.0),
+    "shape": lambda v: integrate_decaying(lambda x: np.exp(-x * x), scale=1.0, shape=v,
+                                          abs_tol=1e-9, rel_tol=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+@pytest.mark.parametrize("value", [True, np.True_, "2", b"2", None], ids=repr)
+def test_a_bool_or_text_is_not_a_real_argument(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        REAL_ARGUMENTS[name](value)
+
+
 LEVEL_CALLS = {
     "fisher_quad_score_variance": lambda level: fisher_quad_score_variance(
         GenNormParams(1.0, 2.0), max_level=level),
