@@ -10,8 +10,9 @@ Example:
 
 import argparse
 import sys
+from itertools import product
 
-from gennorm_fisher.cli import csv_table, emit
+from gennorm_fisher.cli import DEFAULT_SEED, csv_table, emit
 from gennorm_fisher.estimation import ExperimentConfig, run_crlb_experiment
 
 COLUMNS = ("beta", "theta", "n", "trials", "mle_mean", "mle_variance",
@@ -28,7 +29,7 @@ def parse_args(argv=None):
                         help="comma-separated per-trial sample sizes")
     parser.add_argument("--trials", type=int, default=1000,
                         help="trials per cell")
-    parser.add_argument("--seed", type=int, default=20260819)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--output", default=None,
                         help="write CSV here instead of stdout")
     return parser.parse_args(argv)
@@ -36,24 +37,24 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    betas = [int(b) for b in args.betas.split(",")]
-    thetas = [float(t) for t in args.thetas.split(",")]
-    sizes = [int(n) for n in args.sizes.split(",")]
-
-    rows = []
-    for beta in betas:
-        for theta in thetas:
-            for n in sizes:
-                config = ExperimentConfig(beta=beta, theta_true=theta, n=n,
-                                          trials=args.trials, seed=args.seed)
-                rep = run_crlb_experiment(config)
-                rows.append((beta, theta, n, args.trials, rep.mle_mean, rep.mle_variance,
-                             rep.crlb, rep.efficiency, rep.variance_stderr,
-                             rep.failed_trials))
-                print(f"beta={beta} theta={theta} n={n}: "
-                      f"efficiency={rep.efficiency:.4f}", file=sys.stderr)
-
-    emit(csv_table(COLUMNS, rows), args.output)
+    # as in the CLI: a bad input is an `error:` line and exit 2, found before any cell runs
+    try:
+        grid = product([int(b) for b in args.betas.split(",")],
+                       [float(t) for t in args.thetas.split(",")],
+                       [int(n) for n in args.sizes.split(",")])
+        configs = [ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=args.trials,
+                                    seed=args.seed) for beta, theta, n in grid]
+        rows = []
+        for c in configs:
+            rep = run_crlb_experiment(c)
+            rows.append((c.beta, c.theta_true, c.n, c.trials, rep.mle_mean, rep.mle_variance,
+                         rep.crlb, rep.efficiency, rep.variance_stderr, rep.failed_trials))
+            print(f"beta={c.beta} theta={c.theta_true} n={c.n}: "
+                  f"efficiency={rep.efficiency:.4f}", file=sys.stderr)
+        emit(csv_table(COLUMNS, rows), args.output)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

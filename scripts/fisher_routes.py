@@ -13,7 +13,8 @@ import argparse
 import sys
 
 from gennorm_fisher import METHODS, GenNormParams
-from gennorm_fisher.cli import csv_table, emit
+from gennorm_fisher.cli import DEFAULT_SEED, csv_table, emit
+from gennorm_fisher.exact import require_even_shape
 
 COLUMNS = ("beta", *METHODS, "mc_stderr", "rel_gap_quad", "rel_gap_mc")
 
@@ -27,7 +28,7 @@ def parse_args(argv=None):
                         help="relative tolerance for the quadrature routes")
     parser.add_argument("--n", type=int, default=10**6,
                         help="Monte Carlo sample size")
-    parser.add_argument("--seed", type=int, default=20260819)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--output", default=None,
                         help="write CSV here instead of stdout")
     return parser.parse_args(argv)
@@ -35,23 +36,27 @@ def parse_args(argv=None):
 
 def main(argv=None):
     args = parse_args(argv)
-    betas = [int(b) for b in args.betas.split(",")]
-
-    rows = []
-    for beta in betas:
-        params = GenNormParams(args.theta, beta)
-        est = {name: route(params, tol=args.tol, n=args.n, seed=args.seed)
-               for name, route in METHODS.items()}
-        closed = est["closed_form"].value
-        rel_quad = max(abs(est[m].value - closed)
-                       for m in ("quad_score_variance", "quad_neg_hessian")) / closed
-        rel_mc = abs(est["mc_score_variance"].value - closed) / closed
-        rows.append((float(beta), *(e.value for e in est.values()),
-                     est["mc_score_variance"].error_estimate, rel_quad, rel_mc))
-        print(f"beta={beta}: closed={closed:.6g} quad gap={rel_quad:.2e} "
-              f"mc gap={rel_mc:.2e}", file=sys.stderr)
-
-    emit(csv_table(COLUMNS, rows), args.output)
+    # as in the CLI: a bad input is an `error:` line and exit 2, found before any shape
+    # runs; the closed form, and so both gap columns, needs an even shape
+    try:
+        cells = [GenNormParams(args.theta, require_even_shape(int(b)))
+                 for b in args.betas.split(",")]
+        rows = []
+        for params in cells:
+            est = {name: route(params, tol=args.tol, n=args.n, seed=args.seed)
+                   for name, route in METHODS.items()}
+            closed = est["closed_form"].value
+            rel_quad = max(abs(est[m].value - closed)
+                           for m in ("quad_score_variance", "quad_neg_hessian")) / closed
+            rel_mc = abs(est["mc_score_variance"].value - closed) / closed
+            rows.append((params.beta, *(e.value for e in est.values()),
+                         est["mc_score_variance"].error_estimate, rel_quad, rel_mc))
+            print(f"beta={int(params.beta)}: closed={closed:.6g} quad gap={rel_quad:.2e} "
+                  f"mc gap={rel_mc:.2e}", file=sys.stderr)
+        emit(csv_table(COLUMNS, rows), args.output)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -6,9 +6,11 @@ floats as their shortest round-trip text) or JSON with the schema
 
     {command, inputs{}, outputs{}, metadata{seed, tolerances, version}}
 
-`fisher` and `verify theorem1` run the routes of fisher.METHODS.  Exit codes:
-0 success, 1 verification or numerical failure, 2 usage or input error (an
---output that cannot be written included).
+`fisher` and `verify theorem1` run the routes of fisher.METHODS.  A verify
+suite yields one (name, ok, observed, expected, tol) record per check, and
+_cmd_verify prints each as it comes, then the summary.  Exit codes: 0 success,
+1 a failed check or a numerical failure, 2 usage or input error (an option the
+command's mode does not read, or an --output that cannot be written, included).
 
 The parser, the exact commands (moments, verify lemma2) and the error
 handling use only the numpy-free layer (exact, special_functions); every
@@ -81,6 +83,19 @@ def _write_result(args, command: str, inputs: dict, outputs: dict, seed=None, to
         text = json.dumps({"command": command, "inputs": inputs, "outputs": outputs,
                            "metadata": metadata}, indent=2, default=list)
     emit(text, args.output)
+
+
+def _mode_options(args, mode: str, modes: dict, names) -> dict:
+    """The options that mode of args.command reads (modes maps each mode to its
+    defaults), with the values given.  The parser defaults each of names to
+    None ("not given"), so one given to a mode that does not read it is an error."""
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    unread = [name for name in given if name not in modes[mode]]
+    if unread:
+        readers = ("/".join(m for m in modes if name in modes[m]) for name in unread)
+        raise ValueError(f"{args.command} {mode} does not read " + ", ".join(
+            f"--{name} ({args.command} {r} only)" for name, r in zip(unread, readers)))
+    return {**modes[mode], **given}
 
 
 # ---------------------------------------------------------------- pdf
@@ -194,6 +209,9 @@ def _read_samples(path: str):
     return np.asarray(values, dtype=np.float64)
 
 
+_ESTIMATE_MODES = {"--input": {}, "--simulate": {"theta": 1.0, "n": 1_000_000, "seed": 0}}
+
+
 def _cmd_estimate(args) -> int:
     from .distribution import sample_abs
     from .estimation import mle_theta
@@ -201,6 +219,8 @@ def _cmd_estimate(args) -> int:
 
     if (args.input is None) == (not args.simulate):
         raise ValueError("provide exactly one of --input FILE or --simulate")
+    mode = "--simulate" if args.simulate else "--input"
+    vars(args).update(_mode_options(args, mode, _ESTIMATE_MODES, ("theta", "n", "seed")))
     if args.simulate:
         params = GenNormParams(theta=args.theta, beta=args.beta)
         draws = sample_abs(params, args.n, args.seed)  # theta_hat and the score use |x| only
@@ -214,38 +234,19 @@ def _cmd_estimate(args) -> int:
     residual = float(score_z(args.beta, draws, out=draws).sum()) / theta_hat
     outputs = {"theta_hat": theta_hat, "score_residual": residual,
                "n_samples": int(draws.size)}
-    _write_result(args, "estimate", {"beta": args.beta, **source}, outputs,
-                  seed=args.seed if args.simulate else None)
+    _write_result(args, "estimate", {"beta": args.beta, **source}, outputs, seed=args.seed)
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
-class _CheckPrinter:
-    def __init__(self):
-        self.failures = 0
-        self.count = 0
-
-    def check(self, name: str, ok: bool, observed, expected, tol: str) -> None:
-        self.count += 1
-        if not ok:
-            self.failures += 1
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name} observed={observed} expected={expected} tol={tol}")
-
-    def finish(self, suite: str) -> int:
-        passed = self.count - self.failures
-        print(f"{suite}: {passed}/{self.count} checks passed")
-        return 0 if self.failures == 0 else 1
-
-
-def _verify_lemma2(printer: _CheckPrinter) -> None:
+def _verify_lemma2():
     for n in range(1, 7):
         for p in range(1, 7):
             direct = gamma(n + 1.0 / p)
             via_identity = gamma_rational(RationalArg(n=n, p=p))
-            rel = abs(via_identity - direct) / direct
-            printer.check(f"lemma2[n={n},p={p}]", rel <= 1e-12, via_identity, direct, "rel 1e-12")
+            ok = abs(via_identity - direct) / direct <= 1e-12
+            yield f"lemma2[n={n},p={p}]", ok, via_identity, direct, "rel 1e-12"
 
 
 def _grid():
@@ -265,7 +266,7 @@ _THEOREM1_CHECKS = (
 )
 
 
-def _verify_theorem1(printer: _CheckPrinter, tol: float, n: int, seed: int) -> None:
+def _verify_theorem1(*, tol: float = 1e-9, n: int = 1_000_000, seed: int = DEFAULT_SEED):
     from .fisher import METHODS
 
     for cell, tag, params in _grid():
@@ -279,61 +280,49 @@ def _verify_theorem1(printer: _CheckPrinter, tol: float, n: int, seed: int) -> N
                 ok = abs(est.value - closed) / closed <= float(rest)
             else:  # "K standard errors"
                 ok = abs(est.value - closed) <= float(head) * est.error_estimate
-            printer.check(f"theorem1{tag} {check}", ok, est.value, closed, tolerance)
+            yield f"theorem1{tag} {check}", ok, est.value, closed, tolerance
 
 
-def _verify_equivalence(printer: _CheckPrinter, tol: float) -> None:
+def _verify_equivalence(*, tol: float = 1e-9):
     from .fisher import expected_score_quad, fisher_quad_neg_hessian, fisher_quad_score_variance
 
     for _, tag, params in _grid():
         sv = fisher_quad_score_variance(params, tol=tol).value
         nh = fisher_quad_neg_hessian(params, tol=tol).value
         mean_score = expected_score_quad(params).value
-        printer.check(f"equivalence{tag} routes", abs(nh - sv) <= 2e-8 * sv, nh, sv,
-                      "abs 2e-8*value")
-        printer.check(f"equivalence{tag} zero-mean-score", abs(mean_score) <= 1e-9,
-                      mean_score, 0.0, "abs 1e-9")
+        yield f"equivalence{tag} routes", abs(nh - sv) <= 2e-8 * sv, nh, sv, "abs 2e-8*value"
+        yield (f"equivalence{tag} zero-mean-score", abs(mean_score) <= 1e-9, mean_score, 0.0,
+               "abs 1e-9")
 
 
-def _verify_crlb(printer: _CheckPrinter, beta: float, theta: float, n: int,
-                 trials: int, seed: int) -> None:
+def _verify_crlb(*, beta: float = 2.0, theta: float = 1.0, n: int = 10_000, trials: int = 1000,
+                 seed: int = DEFAULT_SEED):
     from .estimation import ExperimentConfig, run_crlb_experiment
 
     config = ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=trials, seed=seed)
     report = run_crlb_experiment(config)
     tag = f"crlb[beta={config.beta},theta={config.theta_true}]"
-    printer.check(f"{tag} efficiency", 0.9 <= report.efficiency <= 1.1,
-                  report.efficiency, 1.0, "band [0.9, 1.1]")
-    printer.check(f"{tag} failed-trials", report.failed_trials == 0,
-                  report.failed_trials, 0, "exact")
+    yield (f"{tag} efficiency", 0.9 <= report.efficiency <= 1.1, report.efficiency, 1.0,
+           "band [0.9, 1.1]")
+    yield f"{tag} failed-trials", report.failed_trials == 0, report.failed_trials, 0, "exact"
 
 
-# Each suite with the options it reads and their defaults.  On the parser
-# every verify option defaults to None ("not given"), so a suite can reject
-# an option it does not read.
-_VERIFY_SUITES = {
-    "lemma2": (_verify_lemma2, {}),
-    "theorem1": (_verify_theorem1, {"tol": 1e-9, "n": 1_000_000, "seed": DEFAULT_SEED}),
-    "equivalence": (_verify_equivalence, {"tol": 1e-9}),
-    "crlb": (_verify_crlb, {"beta": 2.0, "theta": 1.0, "n": 10_000, "trials": 1000,
-                            "seed": DEFAULT_SEED}),
-}
+# Each suite's keyword arguments are the options it reads, with their defaults.
+_VERIFY_SUITES = {"lemma2": _verify_lemma2, "theorem1": _verify_theorem1,
+                  "equivalence": _verify_equivalence, "crlb": _verify_crlb}
 _VERIFY_OPTIONS = ("theta", "beta", "seed", "tol", "n", "trials")
 
 
 def _cmd_verify(args) -> int:
-    run_suite, defaults = _VERIFY_SUITES[args.suite]
-    given = {name: getattr(args, name) for name in _VERIFY_OPTIONS
-             if getattr(args, name) is not None}
-    unread = [name for name in given if name not in defaults]
-    if unread:
-        readers = {name: "/".join(suite for suite, (_, reads) in _VERIFY_SUITES.items()
-                                  if name in reads) for name in unread}
-        raise ValueError(f"verify {args.suite} does not read "
-                         + ", ".join(f"--{name} (verify {r} only)" for name, r in readers.items()))
-    printer = _CheckPrinter()
-    run_suite(printer, **{**defaults, **given})
-    return printer.finish(args.suite)
+    modes = {suite: run.__kwdefaults__ or {} for suite, run in _VERIFY_SUITES.items()}
+    options = _mode_options(args, args.suite, modes, _VERIFY_OPTIONS)
+    checks = _VERIFY_SUITES[args.suite](**options)
+    passed = count = 0
+    for count, (name, ok, observed, expected, tol) in enumerate(checks, 1):
+        passed += bool(ok)
+        print("PASS" if ok else "FAIL", f"{name} observed={observed} expected={expected} tol={tol}")
+    print(f"{args.suite}: {passed}/{count} checks passed")
+    return 0 if passed == count else 1
 
 
 # ---------------------------------------------------------------- parser
@@ -390,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample file: one number per line, blank lines ignored")
     p_est.add_argument("--simulate", action="store_true",
                        help="draw samples from (theta, beta) instead of reading a file")
-    p_est.add_argument("--n", type=int, default=1_000_000,
-                       help="sample count for --simulate (default 1e6)")
-    p_est.set_defaults(func=_cmd_estimate)
+    p_est.add_argument("--n", type=int, help="sample count for --simulate (default 1e6)")
+    # --theta, --seed, --n: --simulate applies its own defaults (_ESTIMATE_MODES)
+    p_est.set_defaults(func=_cmd_estimate, theta=None, seed=None)
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
     p_verify.add_argument("suite", choices=tuple(_VERIFY_SUITES))
-    # no defaults here: each suite applies its own (_VERIFY_SUITES)
+    # no defaults here: each suite applies its own (its keyword defaults)
     p_verify.add_argument("--theta", type=float, help="crlb scale parameter (default 1)")
     p_verify.add_argument("--beta", type=float, help="crlb shape parameter (default 2)")
     p_verify.add_argument("--seed", type=int,

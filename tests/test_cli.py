@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process, asserting exit codes and output)."""
 
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from gennorm_fisher import GenNormParams, __version__, log_pdf, mle_theta, pdf, sample
+from gennorm_fisher import QuadratureError
 from gennorm_fisher.cli import csv_table, main
 from gennorm_fisher.fisher import score_z
 
@@ -313,6 +315,33 @@ class TestEstimateCommand:
         assert run(capsys, "estimate", "--beta", "2", "--input", str(f),
                    "--simulate")[0] == 2
 
+    @pytest.mark.parametrize("option, value", [("--theta", "5"), ("--n", "3"), ("--seed", "9")])
+    def test_input_rejects_the_options_only_simulate_reads(self, capsys, tmp_path, option, value):
+        f = tmp_path / "s.txt"
+        f.write_text("1\n-1\n")
+        code, out, err = run(capsys, "estimate", "--input", str(f), "--beta", "2", option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: estimate --input does not read {option} (estimate --simulate only)\n"
+
+    def test_input_names_every_unread_option(self, capsys, tmp_path):
+        f = tmp_path / "s.txt"
+        f.write_text("1\n-1\n")
+        code, out, err = run(capsys, "estimate", "--input", str(f), "--beta", "2",
+                             "--theta", "5", "--n", "3", "--seed", "9")
+        assert code == 2 and out == ""
+        assert err == ("error: estimate --input does not read --theta (estimate --simulate only), "
+                       "--n (estimate --simulate only), --seed (estimate --simulate only)\n")
+
+    def test_simulate_defaults_are_theta_1_n_1e6_seed_0(self, capsys):
+        code, out, _ = run(capsys, "estimate", "--simulate")
+        assert code == 0
+        record = json.loads(out)
+        assert record["inputs"]["generator"] == {"theta": 1.0, "beta": 2.0, "n": 1_000_000,
+                                                 "seed": 0}
+        assert record["metadata"]["seed"] == 0
+        argv = ("estimate", "--simulate", "--n", "100")
+        assert run(capsys, *argv) == run(capsys, *argv, "--theta", "1", "--seed", "0")
+
     def test_csv_format(self, capsys, tmp_path):
         f = tmp_path / "s.txt"
         f.write_text("1\n-1\n")
@@ -394,6 +423,68 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "lemma2", "--output", str(target))
         assert code == 2 and out == "" and "--output" in err
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "suite, checks",
+        [
+            ("lemma2", [(f"lemma2[n={n},p={p}]", "rel 1e-12")
+                        for n in range(1, 7) for p in range(1, 7)]),
+            ("equivalence", [(f"equivalence[beta={beta},theta={theta}] {name}", tol)
+                             for beta in (2, 4, 6, 8) for theta in (0.5, 1.0, 2.0)
+                             for name, tol in (("routes", "abs 2e-8*value"),
+                                               ("zero-mean-score", "abs 1e-9"))]),
+            ("crlb", [("crlb[beta=2,theta=1.0] efficiency", "band [0.9, 1.1]"),
+                      ("crlb[beta=2,theta=1.0] failed-trials", "exact")]),
+        ],
+    )
+    def test_each_suite_prints_its_checks_in_order(self, capsys, suite, checks):
+        code, out, err = run(capsys, "verify", suite)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == f"{suite}: {len(checks)}/{len(checks)} checks passed"
+        assert [(line.split(" observed=")[0], line.split(" tol=")[1]) for line in lines[:-1]] == [
+            (f"PASS {name}", tol) for name, tol in checks
+        ]
+
+    @pytest.fixture
+    def neg_hessian(self, monkeypatch):
+        """Replace the route that verify equivalence checks against the score
+        variance; returns a setter taking the replacement's body."""
+        from gennorm_fisher import fisher
+
+        true_route = fisher.fisher_quad_neg_hessian
+        calls = []
+
+        def install(body):
+            def route(params, **kwargs):
+                calls.append(params)
+                return body(len(calls), true_route(params, **kwargs))
+            monkeypatch.setattr(fisher, "fisher_quad_neg_hessian", route)
+        return install
+
+    def test_a_failing_check_prints_fail_and_exits_1(self, capsys, neg_hessian):
+        neg_hessian(lambda call, est: dataclasses.replace(est, value=2 * est.value))
+        code, out, err = run(capsys, "verify", "equivalence")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "equivalence: 12/24 checks passed"
+        assert [line.split(" ")[0] for line in lines[:-1]] == ["FAIL", "PASS"] * 12
+        assert all(line.split(" observed=")[0].endswith(" routes") for line in lines[:-1:2])
+
+    def test_checks_print_as_they_run(self, capsys, neg_hessian):
+        # a route that fails mid-suite leaves the checks before it on stdout
+        expected = run(capsys, "verify", "equivalence")[1].splitlines(keepends=True)[:2]
+
+        def fail_second(call, est):
+            if call == 2:
+                raise QuadratureError("no convergence", partial=1.0, error_estimate=0.5)
+            return est
+        neg_hessian(fail_second)
+        code, out, err = run(capsys, "verify", "equivalence")
+        assert code == 1 and out == "".join(expected)
+        assert [line.split(" ")[0] for line in expected] == ["PASS", "PASS"]
+        assert err == ("numerical failure: no convergence (last difference 5.000e-01, "
+                       "partial value 1.0)\n")
 
 
 class TestUnreadOptions:

@@ -54,6 +54,37 @@ def test_fisher_routes_script(tmp_path):
         assert float(row[6]) <= 1e-7
 
 
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("crlb_grid", ["--betas", "3", "--trials", "3"],
+         "error: shape beta must be a positive even integer, got 3\n"),
+        ("crlb_grid", ["--betas", "2,4", "--sizes", "10,0", "--trials", "3"],
+         "error: n must be an integer >= 1, got 0\n"),
+        ("fisher_routes", ["--betas", "2,3", "--n", "200"],
+         "error: shape beta must be a positive even integer, got 3\n"),
+        ("fisher_routes", ["--betas", "2,x", "--n", "200"],
+         "error: invalid literal for int() with base 10: 'x'\n"),
+    ],
+)
+def test_a_script_checks_every_cell_before_the_sweep(capsys, name, argv, message):
+    # the CLI's rule: a usage error is one line on stderr and exit 2, and no cell has run
+    assert _load_script(name).main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("crlb_grid", ["--betas", "2", "--sizes", "10", "--trials", "3"]),
+    ("fisher_routes", ["--betas", "2", "--n", "200"]),
+])
+def test_a_script_with_an_unwritable_output_exits_2(capsys, tmp_path, name, argv):
+    assert _load_script(name).main([*argv, "--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
+
 def _private_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
