@@ -1,5 +1,5 @@
 """Command-line surface: pdf tables, Fisher estimates, moments, estimation,
-and the verification batteries.
+the verification batteries and the paper's two sweeps.
 
 One writer, _write_result, emits every table and record: CSV (header row,
 floats as their shortest round-trip text) or JSON with the schema
@@ -8,7 +8,8 @@ floats as their shortest round-trip text) or JSON with the schema
 
 `fisher` and `verify theorem1` run the routes of fisher.METHODS.  A verify
 suite yields one (name, ok, observed, expected, tol) record per check, and
-_cmd_verify prints each as it comes, then the summary.  Exit codes: 0 success,
+_cmd_verify prints each as it comes, then the summary.  A sweep table yields
+its CSV rows, each after a progress line on stderr.  Exit codes: 0 success,
 1 a failed check or a numerical failure, 2 usage or input error (an option the
 command's mode does not read, or an --output that cannot be written, included).
 
@@ -25,8 +26,8 @@ import math
 import sys
 
 from . import __version__
-from .exact import METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError, exact_moment
-from .exact import require_even_shape
+from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
+from .exact import exact_moment, require_even_shape, require_tol
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
@@ -98,6 +99,19 @@ def _mode_options(args, mode: str, modes: dict, names) -> dict:
     return {**modes[mode], **given}
 
 
+def _comma_list(option: str, text: str, convert) -> list:
+    """The entries of a comma list, blanks skipped, each through convert (int
+    or float); an empty list or a bad entry is an error that names option."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ValueError(f"{option} must list at least one value")
+    try:
+        return [convert(part) for part in parts]
+    except ValueError as exc:
+        kind = "integers" if convert is int else "real numbers"
+        raise ValueError(f"{option} entries must be {kind}: {exc}") from None
+
+
 # ---------------------------------------------------------------- pdf
 
 def _cmd_pdf(args) -> int:
@@ -156,6 +170,9 @@ def _parse_methods(spec: str, beta: float) -> list[str]:
 def _cmd_fisher(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     methods = _parse_methods(args.methods, params.beta)
+    # the routes' own checks of --tol and --n, before any runs, whatever --methods selects
+    require_tol(args.tol)
+    require_count("n", args.n, MC_MIN_DRAWS)
     from .fisher import METHODS
 
     # ValueError (closed form at a non-even shape, an underflowed value) -> exit 2
@@ -172,13 +189,7 @@ def _cmd_fisher(args) -> int:
 
 def _cmd_moments(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
-    parts = [part.strip() for part in args.k.split(",") if part.strip()]
-    if not parts:
-        raise ValueError("--k must list at least one moment order")
-    try:
-        orders = [int(part) for part in parts]
-    except ValueError as exc:
-        raise ValueError(f"--k entries must be integers: {exc}") from None
+    orders = _comma_list("--k", args.k, int)
     rows = [(k, exact_moment(MomentSpec(k=k, params=params))) for k in orders]
     inputs = {"theta": params.theta, "beta": params.beta, "k": orders}
     _write_result(args, "moments", inputs, {"columns": ["k", "value"], "rows": rows})
@@ -325,13 +336,70 @@ def _cmd_verify(args) -> int:
     return 0 if passed == count else 1
 
 
+# ---------------------------------------------------------------- sweep
+
+def _sweep_crlb(*, betas: str = "2,4,6,8", thetas: str = "1.0", sizes: str = "100,1000,10000",
+                trials: int = 1000, seed: int = DEFAULT_SEED):
+    """The efficiency experiment over the (beta, theta, n) grid, one row per cell."""
+    from itertools import product
+
+    from .estimation import ExperimentConfig, run_crlb_experiment
+
+    grid = product(_comma_list("--betas", betas, int), _comma_list("--thetas", thetas, float),
+                   _comma_list("--sizes", sizes, int))
+    configs = [ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=trials, seed=seed)
+               for beta, theta, n in grid]  # every cell is checked before the first runs
+    for c in configs:
+        rep = run_crlb_experiment(c)
+        print(f"beta={c.beta} theta={c.theta_true} n={c.n}: efficiency={rep.efficiency:.4f}",
+              file=sys.stderr)
+        yield (c.beta, c.theta_true, c.n, c.trials, rep.mle_mean, rep.mle_variance, rep.crlb,
+               rep.efficiency, rep.variance_stderr, rep.failed_trials)
+
+
+def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1.0,
+                  tol: float = 1e-9, n: int = 1_000_000, seed: int = DEFAULT_SEED):
+    """The four information routes along a sweep of even shapes (the closed
+    form, and so both gap columns, needs one), one row per shape."""
+    from .fisher import METHODS
+
+    cells = [GenNormParams(theta, require_even_shape(b)) for b in _comma_list("--betas", betas, int)]
+    for params in cells:
+        est = {name: route(params, tol=tol, n=n, seed=seed) for name, route in METHODS.items()}
+        closed = est["closed_form"].value
+        rel_quad = max(abs(est[m].value - closed)
+                       for m in ("quad_score_variance", "quad_neg_hessian")) / closed
+        rel_mc = abs(est["mc_score_variance"].value - closed) / closed
+        print(f"beta={int(params.beta)}: closed={closed:.6g} quad gap={rel_quad:.2e} "
+              f"mc gap={rel_mc:.2e}", file=sys.stderr)
+        yield (params.beta, *(e.value for e in est.values()),
+               est["mc_score_variance"].error_estimate, rel_quad, rel_mc)
+
+
+# Each table's columns and row generator, whose keyword arguments are the options it reads.
+_SWEEPS = {
+    "crlb": (("beta", "theta", "n", "trials", "mle_mean", "mle_variance", "crlb", "efficiency",
+              "variance_stderr", "failed_trials"), _sweep_crlb),
+    "routes": (("beta", *METHOD_NAMES, "mc_stderr", "rel_gap_quad", "rel_gap_mc"), _sweep_routes),
+}
+_SWEEP_OPTIONS = ("betas", "thetas", "sizes", "trials", "theta", "tol", "n", "seed")
+
+
+def _cmd_sweep(args) -> int:
+    modes = {table: run.__kwdefaults__ for table, (_, run) in _SWEEPS.items()}
+    options = _mode_options(args, args.table, modes, _SWEEP_OPTIONS)
+    columns, run = _SWEEPS[args.table]
+    _write_result(args, "sweep", options, {"columns": columns, "rows": run(**options)})
+    return 0
+
+
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gennorm-fisher",
         description="Generalized normal distribution tools: density tables, "
-                    "Fisher information, moments, estimation, verification.",
+                    "Fisher information, moments, estimation, verification, sweeps.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,6 +466,24 @@ def build_parser() -> argparse.ArgumentParser:
                                "samples (crlb, default 1e4)")
     p_verify.add_argument("--trials", type=int, help="crlb trials (default 1000)")
     p_verify.set_defaults(func=_cmd_verify)
+
+    p_sweep = sub.add_parser("sweep", help="CSV table of the crlb experiment or the routes "
+                                           "along a grid")
+    p_sweep.add_argument("table", choices=tuple(_SWEEPS))
+    # no defaults here either: each table applies its own (its keyword defaults)
+    p_sweep.add_argument("--betas", help="comma list of even shapes (crlb default 2,4,6,8; "
+                                         "routes 2,4,6,8,10,12,16,20,50,100)")
+    p_sweep.add_argument("--thetas", help="crlb comma list of scales (default 1.0)")
+    p_sweep.add_argument("--sizes", help="crlb comma list of per-trial sample sizes "
+                                         "(default 100,1000,10000)")
+    p_sweep.add_argument("--trials", type=int, help="crlb trials per cell (default 1000)")
+    p_sweep.add_argument("--theta", type=float, help="routes scale parameter (default 1)")
+    p_sweep.add_argument("--tol", type=float,
+                         help="routes relative quadrature tolerance (default 1e-9)")
+    p_sweep.add_argument("--n", type=int, help="routes Monte Carlo draws (default 1e6)")
+    p_sweep.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    p_sweep.add_argument("--output", help="write to file instead of stdout")
+    p_sweep.set_defaults(func=_cmd_sweep, format="csv")
 
     return parser
 

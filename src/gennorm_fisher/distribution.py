@@ -146,6 +146,8 @@ def trial_seed(seed: int, trial: int) -> int:
     sample_abs_trials derives the same seeds for a block of trials at once;
     this is the one-trial view, to reproduce a trial in isolation.
     """
+    require_count("seed", seed, 0)
+    require_count("trial", trial, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
     return int(ss.generate_state(1, np.uint64)[0])
 

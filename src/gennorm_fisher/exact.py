@@ -1,6 +1,6 @@
 """The layer of the package that needs no numpy: the family's parameters, its
-exact moments, the names of the Fisher information routes, and the error the
-quadrature raises.
+exact moments, the names of the Fisher information routes and the checks of
+their options, and the error the quadrature raises.
 
 The CLI's exact commands (`verify lemma2`, `moments`), its parser and its
 error handling need only these, so they start without importing numpy.  The
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .special_functions import log_gamma, require_count, require_real
 
 __all__ = [
+    "MC_MIN_DRAWS",
     "METHOD_NAMES",
     "GenNormParams",
     "MomentSpec",
@@ -24,10 +25,12 @@ __all__ = [
     "exact_moment",
     "require_even_shape",
     "require_shape",
+    "require_tol",
 ]
 
 # The Fisher information routes, in report order (fisher.METHODS maps each to its callable).
 METHOD_NAMES = ("closed_form", "quad_score_variance", "quad_neg_hessian", "mc_score_variance")
+MC_MIN_DRAWS = 100  # the fewest draws n the Monte Carlo route takes
 
 
 @dataclass(frozen=True, init=False)
@@ -73,6 +76,15 @@ def require_even_shape(beta) -> int:
     if bf <= 0.0 or not bf.is_integer() or int(bf) % 2 != 0:
         raise ValueError(f"shape beta must be a positive even integer, got {beta!r}")
     return int(bf)
+
+
+def require_tol(tol) -> float:
+    """Return tol as a float after checking it is a real number in (0, 1e-2],
+    the relative tolerance the quadrature routes take."""
+    tf = require_real("tol", tol)
+    if not 0.0 < tf <= 1e-2:
+        raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
+    return tf
 
 
 def exact_moment(spec: MomentSpec) -> float:

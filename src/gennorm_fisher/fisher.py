@@ -35,7 +35,7 @@ from .distribution import (
     standardized_power,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
-from .exact import METHOD_NAMES, QuadratureError
+from .exact import MC_MIN_DRAWS, METHOD_NAMES, QuadratureError, require_tol
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 
@@ -132,11 +132,9 @@ def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
     """Integrate I(1)/beta = E[weight(p)] over z, then multiply by beta/theta^2.
 
     Taking I/beta keeps every weight below beta * 700^2, so beta^2 never
-    overflows.  tol must be a real number in (0, 1e-2], not a bool or text.
+    overflows.  tol must pass require_tol.
     """
-    tf = require_real("tol", tol)
-    if not (0.0 < tf <= 1e-2):
-        raise ValueError(f"tol must be in (0, 1e-2], got {tol!r}")
+    tf = require_tol(tol)
     beta = params.beta
     unit = beta / params.theta / params.theta
     try:
@@ -188,7 +186,7 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
     error_estimate is the standard error of that mean (unbiased sample
     standard deviation over sqrt(n)).  Deterministic given seed.
     """
-    require_count("n", n, 100)
+    require_count("n", n, MC_MIN_DRAWS)
     z = sample_abs(params, n, seed)
     z /= params.theta  # the score depends on |z| only
     sq = score_z(params.beta, z, out=z)

@@ -32,8 +32,15 @@ def seed_words(entropy, keys: np.ndarray, n_words: int) -> np.ndarray:
     entropy is one non-negative int shared by all rows (any size) or a
     uint64 array with one value per row; keys is an integer array, each
     below 2**32 (one word, as numpy encodes it).  Returns uint32 words of
-    shape (rows, n_words).
+    shape (rows, n_words).  A negative or non-integer entropy is a ValueError,
+    where numpy's SeedSequence raises too.
     """
+    if isinstance(entropy, np.ndarray):
+        ok = entropy.dtype.kind == "u" or entropy.dtype.kind == "i" and not (entropy < 0).any()
+    else:
+        ok = isinstance(entropy, (int, np.integer)) and entropy >= 0
+    if not ok:  # a negative int would never shift down to 0 in _hash_columns
+        raise ValueError(f"entropy must be non-negative integers, got {entropy!r}")
     if np.count_nonzero(keys >> 32):  # also a negative key, whose shift is -1
         raise ValueError("spawn keys must be in [0, 2**32)")
     return np.stack(_hash_columns(entropy, keys.astype(np.uint32), n_words), axis=-1)

@@ -208,6 +208,22 @@ class TestFisherCommand:
         assert code == 2
         assert "sorcery" in err
 
+    @pytest.mark.parametrize("methods", ["closed_form", "quad_neg_hessian", "mc_score_variance",
+                                         "all"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--tol", "5", "--n", "3"), "tol must be in (0, 1e-2], got 5.0"),
+        (("--tol", "0"), "tol must be in (0, 1e-2], got 0.0"),
+        (("--tol", "nan"), "tol must be finite, got nan"),
+        (("--n", "99"), "n must be an integer >= 100, got 99"),
+    ])
+    def test_tol_and_n_are_checked_before_any_route_runs(self, capsys, monkeypatch, methods,
+                                                         argv, message):
+        from gennorm_fisher import fisher
+
+        monkeypatch.setattr(fisher, "METHODS", {})  # a route that ran would be a KeyError
+        code, out, err = run(capsys, "fisher", "--methods", methods, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestMomentsCommand:
     def test_odd_orders_vanish(self, capsys):
@@ -242,9 +258,15 @@ class TestMomentsCommand:
         assert err == "error: beta=1e-310 is too small: 1/beta overflows the double range\n"
 
     def test_bad_order_list(self, capsys):
-        assert run(capsys, "moments", "--k", "2,x")[0] == 2
-        assert run(capsys, "moments", "--k", "")[0] == 2
+        assert run(capsys, "moments", "--k", "2,x") == (
+            2, "", "error: --k entries must be integers: invalid literal for int() with "
+                   "base 10: 'x'\n")
+        assert run(capsys, "moments", "--k", " , ") == (
+            2, "", "error: --k must list at least one value\n")
         assert run(capsys, "moments", "--k", "-2")[0] == 2
+
+    def test_blank_order_entries_are_skipped(self, capsys):
+        assert run(capsys, "moments", "--k", " 0,, 2,") == run(capsys, "moments", "--k", "0,2")
 
 
 class TestEstimateCommand:

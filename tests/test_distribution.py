@@ -356,6 +356,19 @@ class TestSeedWords:
         with pytest.raises(ValueError, match="spawn keys"):
             seeding.seed_words(7, keys, 2)
 
+    @pytest.mark.parametrize("entropy", [-1, -2**70, 1.5, "3", None, np.float64(2.0),
+                                         np.array([-1, 2]), np.array([1.5]), np.array([True])])
+    def test_negative_or_non_integer_entropy_is_rejected(self, entropy):
+        # a negative int used to loop forever, and a float array hashed truncated
+        with pytest.raises(ValueError, match="entropy must be non-negative integers"):
+            seeding.seed_words(entropy, np.arange(3), 2)
+
+    def test_signed_and_numpy_int_entropy_hash_as_their_value(self):
+        expected = seeding.seed_words(5, np.arange(3), 2)
+        assert np.array_equal(seeding.seed_words(np.int64(5), np.arange(3), 2), expected)
+        same = seeding.seed_words(np.full(3, 5, dtype=np.int64), np.arange(3), 2)
+        assert np.array_equal(same, expected)
+
     def test_words_seed_numpy_pcg64(self):
         words = seeding.stream_words(2**70, np.arange(3))
         for key, row in enumerate(words):

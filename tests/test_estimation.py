@@ -242,6 +242,14 @@ class TestCrlbExperiment:
         assert trial_seed(123, 4) == expected
         assert trial_seed(123, 5) != expected
 
+    @pytest.mark.parametrize("seed, trial, name", [
+        (True, 0, "seed"), (1.5, 0, "seed"), ("3", 0, "seed"), (-1, 0, "seed"), (None, 0, "seed"),
+        (3, 1.0, "trial"), (3, False, "trial"), (3, "1", "trial"), (3, -1, "trial"),
+    ])
+    def test_trial_seed_rejects_what_the_samplers_reject(self, seed, trial, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+            trial_seed(seed, trial)
+
     @pytest.mark.parametrize("seed", [0, 123, 2**32 + 1, 2**70])
     def test_batched_trial_seeds_equal_trial_seed(self, seed):
         # the derivation sample_abs_trials runs for a block of 1000 trials

@@ -1,6 +1,7 @@
-"""The sweep scripts run end to end, modules use only each other's public
-names, the exact commands start without numpy, the package loads its names
-on first access, and every name the benchmark's tracer patches exists."""
+"""The sweep tables run end to end through the CLI, modules use only each
+other's public names, the exact commands start without numpy, the package
+loads its names on first access, and every name the benchmark's tracer
+patches exists."""
 
 import ast
 import importlib
@@ -12,14 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from gennorm_fisher.cli import main
+from gennorm_fisher.exact import QuadratureError
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(f"script_{name}", ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _read_csv(path):
@@ -27,24 +24,23 @@ def _read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def test_crlb_grid_script(tmp_path):
-    script = _load_script("crlb_grid")
+def test_sweep_crlb(tmp_path):
     out = tmp_path / "grid.csv"
-    argv = ["--betas", "2,4", "--thetas", "1.5", "--sizes", "10,20", "--trials", "5",
-            "--output", str(out)]
-    assert script.main(argv) == 0
+    argv = ["sweep", "crlb", "--betas", "2,4", "--thetas", "1.5", "--sizes", "10,20",
+            "--trials", "5", "--output", str(out)]
+    assert main(argv) == 0
     header, rows = _read_csv(out)
-    assert header == list(script.COLUMNS)
+    assert header == ["beta", "theta", "n", "trials", "mle_mean", "mle_variance", "crlb",
+                      "efficiency", "variance_stderr", "failed_trials"]
     assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
     assert [row[:3] for row in rows] == [["2", "1.5", "10"], ["2", "1.5", "20"],
                                          ["4", "1.5", "10"], ["4", "1.5", "20"]]
 
 
-def test_fisher_routes_script(tmp_path):
-    script = _load_script("fisher_routes")
+def test_sweep_routes(tmp_path):
     out = tmp_path / "routes.csv"
-    assert script.main(["--betas", "2,4", "--theta", "1.3", "--n", "200",
-                        "--output", str(out)]) == 0
+    assert main(["sweep", "routes", "--betas", "2,4", "--theta", "1.3", "--n", "200",
+                 "--output", str(out)]) == 0
     header, rows = _read_csv(out)
     assert header == ["beta", "closed_form", "quad_score_variance", "quad_neg_hessian",
                       "mc_score_variance", "mc_stderr", "rel_gap_quad", "rel_gap_mc"]
@@ -54,35 +50,64 @@ def test_fisher_routes_script(tmp_path):
         assert float(row[6]) <= 1e-7
 
 
+def test_a_sweep_writes_a_progress_line_per_cell_and_the_table_to_stdout(capsys):
+    assert main(["sweep", "routes", "--betas", "2, 4,", "--n", "200"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["beta=2", "beta=4"]
+    assert captured.out.startswith("beta,closed_form,") and captured.out.count("\n") == 3
+
+
 @pytest.mark.parametrize(
-    "name, argv, message",
+    "argv, message",
     [
-        ("crlb_grid", ["--betas", "3", "--trials", "3"],
+        (["crlb", "--betas", "3", "--trials", "3"],
          "error: shape beta must be a positive even integer, got 3\n"),
-        ("crlb_grid", ["--betas", "2,4", "--sizes", "10,0", "--trials", "3"],
+        (["crlb", "--betas", "2,4", "--sizes", "10,0", "--trials", "3"],
          "error: n must be an integer >= 1, got 0\n"),
-        ("fisher_routes", ["--betas", "2,3", "--n", "200"],
+        (["crlb", "--sizes", "10,x", "--trials", "3"],
+         "error: --sizes entries must be integers: invalid literal for int() with base 10: 'x'\n"),
+        (["crlb", "--thetas", "1,y", "--trials", "3"],
+         "error: --thetas entries must be real numbers: could not convert string to float: 'y'\n"),
+        (["crlb", "--thetas", " , "], "error: --thetas must list at least one value\n"),
+        (["routes", "--betas", "2,3", "--n", "200"],
          "error: shape beta must be a positive even integer, got 3\n"),
-        ("fisher_routes", ["--betas", "2,x", "--n", "200"],
-         "error: invalid literal for int() with base 10: 'x'\n"),
+        (["routes", "--betas", "2,x", "--n", "200"],
+         "error: --betas entries must be integers: invalid literal for int() with base 10: 'x'\n"),
+        (["crlb", "--theta", "2"], "error: sweep crlb does not read --theta (sweep routes only)\n"),
+        (["routes", "--trials", "3", "--sizes", "10"], "error: sweep routes does not read "
+         "--sizes (sweep crlb only), --trials (sweep crlb only)\n"),
     ],
 )
-def test_a_script_checks_every_cell_before_the_sweep(capsys, name, argv, message):
+def test_a_sweep_checks_every_cell_before_the_sweep(capsys, argv, message):
     # the CLI's rule: a usage error is one line on stderr and exit 2, and no cell has run
-    assert _load_script(name).main(argv) == 2
+    assert main(["sweep", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("crlb_grid", ["--betas", "2", "--sizes", "10", "--trials", "3"]),
-    ("fisher_routes", ["--betas", "2", "--n", "200"]),
+@pytest.mark.parametrize("argv", [
+    ["crlb", "--betas", "2", "--sizes", "10", "--trials", "3"],
+    ["routes", "--betas", "2", "--n", "200"],
 ])
-def test_a_script_with_an_unwritable_output_exits_2(capsys, tmp_path, name, argv):
-    assert _load_script(name).main([*argv, "--output", str(tmp_path)]) == 2
+def test_a_sweep_with_an_unwritable_output_exits_2(capsys, tmp_path, argv):
+    assert main(["sweep", *argv, "--output", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
+
+def test_a_route_that_fails_in_a_sweep_is_a_numerical_failure(capsys, monkeypatch):
+    from gennorm_fisher import fisher
+
+    def unconverged(params, *, tol, n, seed):
+        raise QuadratureError("no convergence", 1.5, 0.25)
+
+    monkeypatch.setattr(fisher, "METHODS", {**fisher.METHODS, "quad_neg_hessian": unconverged})
+    assert main(["sweep", "routes", "--betas", "2", "--n", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical failure: no convergence "
+                            "(last difference 2.500e-01, partial value 1.5)\n")
 
 
 def _private_imports(path):
@@ -99,7 +124,6 @@ def _private_imports(path):
 
 def test_no_module_imports_a_private_name():
     files = sorted((ROOT / "src" / "gennorm_fisher").glob("*.py"))
-    files += sorted((ROOT / "scripts").glob("*.py"))
     assert files
     assert [hit for path in files for hit in _private_imports(path)] == []
 
@@ -127,6 +151,7 @@ def test_tracer_patch_targets_resolve(monkeypatch):
         (None, 0),  # the package import alone
         (["verify", "lemma2"], 0),
         (["moments", "--k", "0,2"], 0),
+        (["sweep", "crlb", "--theta", "2"], 2),
         (["--help"], 0),
         (["--version"], 0),
         (["pdf", "--min", "0"], 2),
