@@ -9,7 +9,8 @@ floats as their shortest round-trip text) or JSON with the schema
 `fisher` and `verify theorem1` run the routes of fisher.METHODS.  A verify
 suite yields one (name, ok, observed, expected, tol) record per check, and
 _cmd_verify prints each as it comes, then the summary.  A sweep table yields
-its CSV rows, each after a progress line on stderr.  Exit codes: 0 success,
+its CSV rows, each after a progress line on stderr, into an --output file
+opened before the first.  Exit codes: 0 success,
 1 a failed check or a numerical failure, 2 usage or input error (an option the
 command's mode does not read, or an --output that cannot be written, included).
 
@@ -21,6 +22,7 @@ other command imports numpy and the numeric modules it calls when it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -48,19 +50,19 @@ def __getattr__(name):
     return value
 
 
-def emit(text: str, output: str | None) -> None:
-    """Write text to the file output, or to stdout when output is None; a file
-    that cannot be written is a ValueError (exit 2)."""
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write {output!r}: {exc}") from None
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The stream a result is written to: stdout when path is None, else the
+    file path, opened (and truncated) on entry; a file that cannot be opened
+    or written is a ValueError (exit 2)."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}") from None
 
 
 def csv_table(columns, rows) -> str:
@@ -74,16 +76,19 @@ def csv_table(columns, rows) -> str:
 def _write_result(args, command: str, inputs: dict, outputs: dict, seed=None, tolerances=None):
     """Emit a result in args.format to args.output: outputs is {columns, rows}
     for a table (rows any iterable of tuples, which JSON writes as a list), or
-    named values that CSV writes as a one-row table."""
-    if args.format == "csv":
-        table = outputs if "rows" in outputs else {"columns": list(outputs),
-                                                   "rows": [tuple(outputs.values())]}
-        text = csv_table(table["columns"], table["rows"])
-    else:
-        metadata = {"seed": seed, "tolerances": tolerances or {}, "version": __version__}
-        text = json.dumps({"command": command, "inputs": inputs, "outputs": outputs,
-                           "metadata": metadata}, indent=2, default=list)
-    emit(text, args.output)
+    named values that CSV writes as a one-row table.  The target is opened
+    before the rows are made, so a sweep whose --output cannot be written
+    fails before its first cell."""
+    with _output(args.output) as out:
+        if args.format == "csv":
+            table = outputs if "rows" in outputs else {"columns": list(outputs),
+                                                       "rows": [tuple(outputs.values())]}
+            text = csv_table(table["columns"], table["rows"])
+        else:
+            metadata = {"seed": seed, "tolerances": tolerances or {}, "version": __version__}
+            text = json.dumps({"command": command, "inputs": inputs, "outputs": outputs,
+                               "metadata": metadata}, indent=2, default=list)
+        out.write(text if text.endswith("\n") else text + "\n")
 
 
 def _mode_options(args, mode: str, modes: dict, names) -> dict:
@@ -151,6 +156,18 @@ def _cmd_pdf(args) -> int:
 
 # ---------------------------------------------------------------- fisher
 
+def _require_information(params: GenNormParams) -> GenNormParams:
+    """Return params after checking that I(theta) = beta/theta**2, the scale
+    every route reports on, is a finite, normal double."""
+    information = params.beta / params.theta / params.theta
+    if not sys.float_info.min <= information < math.inf:
+        raise ValueError(
+            f"theta={params.theta!r} puts the information beta/theta**2 = {information!r} "
+            f"outside the finite, normal doubles at beta={params.beta!r}"
+        )
+    return params
+
+
 def _parse_methods(spec: str, beta: float) -> list[str]:
     if spec == "all":
         try:
@@ -170,12 +187,14 @@ def _parse_methods(spec: str, beta: float) -> list[str]:
 def _cmd_fisher(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     methods = _parse_methods(args.methods, params.beta)
-    # the routes' own checks of --tol and --n, before any runs, whatever --methods selects
+    # the routes' own checks of --tol and --n, and the scale of their values,
+    # before any runs, whatever --methods selects
     require_tol(args.tol)
     require_count("n", args.n, MC_MIN_DRAWS)
+    _require_information(params)
     from .fisher import METHODS
 
-    # ValueError (closed form at a non-even shape, an underflowed value) -> exit 2
+    # ValueError (the closed form at a non-even shape) -> exit 2
     estimates = [METHODS[m](params, tol=args.tol, n=args.n, seed=args.seed) for m in methods]
     rows = [(est.method, est.value, est.error_estimate) for est in estimates]
     inputs = {"theta": params.theta, "beta": params.beta, "methods": methods,
@@ -363,7 +382,8 @@ def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1
     form, and so both gap columns, needs one), one row per shape."""
     from .fisher import METHODS
 
-    cells = [GenNormParams(theta, require_even_shape(b)) for b in _comma_list("--betas", betas, int)]
+    cells = [_require_information(GenNormParams(theta, require_even_shape(b)))
+             for b in _comma_list("--betas", betas, int)]
     for params in cells:
         est = {name: route(params, tol=tol, n=n, seed=seed) for name, route in METHODS.items()}
         closed = est["closed_form"].value

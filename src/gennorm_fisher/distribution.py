@@ -37,6 +37,7 @@ __all__ = [
     "sample",
     "sample_abs",
     "sample_abs_trials",
+    "sample_power_trials",
     "trial_seed",
     "pdf_normalization",
     "abs_moment_quad",
@@ -127,7 +128,9 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     SeedSequence(seed, spawn_key=(i,)) (the i-th child of SeedSequence(seed)),
     so any parallel execution of chunks reproduces this exact output.  Each
     chunk draws its magnitudes first and its signs last, so sample_abs, which
-    stops before the signs, returns |sample(...)| bit for bit.
+    stops before the signs, returns |sample(...)| bit for bit.  A draw past
+    the double range (G**(1/beta) at beta = 0.005, or theta near the largest
+    double) raises OverflowError naming theta and beta.
     """
     return _draw(params, count, seed, signed=True)
 
@@ -162,12 +165,40 @@ def sample_abs_trials(
     trial seeds and every trial's chunk seed words are derived a block of
     trials at a time in vectorized passes (the seeding module), so the
     per-trial work is the draws alone.  Arguments are checked once, at the
-    call.
+    call; OverflowError, naming theta and beta, where a trial's draw
+    overflows the double range.
     """
     require_count("count", count, 1)
     require_count("seed", seed, 0)
     require_count("trials", trials, 0)
-    return _trial_draws(params, count, seed, trials)
+    out = np.empty(count)
+    scratch = _uniform_scratch(params, count)
+    return (_fill(out, params, streams, scratch) for streams in _trial_streams(seed, count, trials))
+
+
+def sample_power_trials(
+    params: GenNormParams, count: int, seed: int, trials: int
+) -> Iterator[tuple[float, np.ndarray]]:
+    """For t in range(trials), yield (m, p), the draws of trial t of
+    sample_abs_trials as standardized powers: sum |x_i/theta|**beta equals
+    m**beta * sum p_i up to rounding, with 0 < m <= 1.
+
+    The draws are those of sample_abs_trials, from the same streams in the
+    same order; only their finish differs.  The construction gives
+    |X/theta|**beta = G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta), for
+    beta > 1), so the terms are p_i = G_i * ((1 - U_i)/m)**beta with
+    m = max(1 - U_i): one power per draw, no root taken and raised back, and
+    no theta.  Each p_i is at most its G_i, and the one at m equals its G_i,
+    so no term overflows and the sum does not underflow at any beta.  For
+    beta <= 1, m = 1 and p = G ~ Gamma(1/beta).  p is one buffer that every
+    yield refills.  Arguments are checked once, at the call.
+    """
+    require_count("count", count, 1)
+    require_count("seed", seed, 0)
+    require_count("trials", trials, 0)
+    g = np.empty(count)
+    w = np.empty(count) if params.beta > 1.0 else None  # all of 1 - U: m is their max
+    return (_powers(g, w, params.beta, streams) for streams in _trial_streams(seed, count, trials))
 
 
 def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
@@ -177,30 +208,46 @@ def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndar
     return _fill(np.empty(count), params, streams, _uniform_scratch(params, count), signed)
 
 
-def _trial_draws(params: GenNormParams, count: int, seed: int, trials: int):
+def _trial_streams(seed: int, count: int, trials: int):
+    """For each trial, the seed sources of its chunks, derived a block of trials at a time."""
     from . import seeding  # on first use: it imports numpy.random, which most callers never need
 
-    out = np.empty(count)
     chunks = len(range(0, count, _SAMPLE_CHUNK))
-    scratch = _uniform_scratch(params, count)
     block = max(1, _SEED_ROWS // chunks)
     for first in range(0, trials, block):
         seeds = seeding.trial_seeds(seed, np.arange(first, min(first + block, trials)))
         keys = np.tile(np.arange(chunks), seeds.size)
         words = seeding.stream_words(np.repeat(seeds, chunks), keys)
         for trial_words in words.reshape(seeds.size, chunks, 4):
-            yield _fill(out, params, map(seeding.SeedWords, trial_words), scratch)
+            yield map(seeding.SeedWords, trial_words)
+
+
+def _chunks(size: int, streams):
+    """(slice, rng) for each 2**18 chunk of range(size), rng a PCG64 seeded by
+    the chunk's seed source from streams (which may be endless)."""
+    for lo, stream in zip(range(0, size, _SAMPLE_CHUNK), streams):
+        yield slice(lo, lo + _SAMPLE_CHUNK), np.random.Generator(np.random.PCG64(stream))
 
 
 def _fill(out: np.ndarray, params: GenNormParams, streams, scratch, signed: bool = False):
-    """Fill out chunk by chunk and return it: chunk i is drawn from a PCG64
-    seeded by the i-th seed source of streams, its magnitudes first and then,
-    if signed, its signs."""
-    for lo, stream in zip(range(0, out.size, _SAMPLE_CHUNK), streams):  # streams may be endless
-        rng = np.random.Generator(np.random.PCG64(stream))
-        x = out[lo:lo + _SAMPLE_CHUNK]
-        _draw_magnitudes(x, rng, params, scratch)
-        if signed:  # the last draw on the chunk's stream: skipping it changes no magnitude
+    """Fill out with magnitudes chunk by chunk and return it; if signed, each
+    chunk then draws its signs, the last draw on its stream."""
+    beta = params.beta
+    for chunk, rng in _chunks(out.size, streams):
+        x = out[chunk]
+        w = None if scratch is None else scratch[:x.size]
+        _draw_chunk(x, w, rng, beta)
+        with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
+            x **= 1.0 / beta
+            if w is not None:
+                x *= w
+            # theta enters in exactly one multiply and signs are exact, so
+            # samples scale bit-for-bit with theta
+            x *= params.theta
+        if not math.isfinite(x.max()):  # the one finite check, before any sign
+            raise OverflowError(
+                f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
+        if signed:  # skipping this draw changes no magnitude
             signs = rng.integers(0, 2, size=x.size)
             signs *= 2
             signs -= 1
@@ -208,28 +255,36 @@ def _fill(out: np.ndarray, params: GenNormParams, streams, scratch, signed: bool
     return out
 
 
+def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[float, np.ndarray]:
+    """One trial of sample_power_trials: its draws into g and w, then the terms into g."""
+    for chunk, rng in _chunks(g.size, streams):
+        _draw_chunk(g[chunk], None if w is None else w[chunk], rng, beta)
+    if w is None:
+        return 1.0, g
+    m = float(w.max())
+    w /= m
+    w **= beta
+    g *= w
+    return m, g
+
+
 def _uniform_scratch(params: GenNormParams, count: int) -> np.ndarray | None:
     """The buffer the boost's uniforms are drawn into (beta > 1 only), one per call."""
     return np.empty(min(count, _SAMPLE_CHUNK)) if params.beta > 1.0 else None
 
 
-def _draw_magnitudes(x, rng, params: GenNormParams, scratch) -> None:
-    """Fill x with the chunk magnitudes drawn from rng.
+def _draw_chunk(x, w, rng, beta: float) -> None:
+    """Draw a chunk's gamma variates into x and then, for beta > 1 (w not
+    None), the boost's 1 - U into w: every draw but the signs, in stream order.
 
-    Built in place in x, with the uniforms in scratch: a fresh array per step
-    let a loop of calls (the CRLB experiment) return heap pages to the system
-    and fault them back in.
+    Built in place in x and w: a fresh array per step let a loop of calls
+    (the CRLB experiment) return heap pages to the system and fault them
+    back in.
     """
-    beta = params.beta
-    inv_beta = 1.0 / beta
-    rng.standard_gamma(1.0 + inv_beta if beta > 1.0 else inv_beta, out=x)
-    x **= inv_beta
-    if beta > 1.0:
-        u = rng.random(out=scratch[:x.size])
-        x *= np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
-    # theta enters in exactly one multiply and signs are exact, so
-    # samples scale bit-for-bit with theta
-    x *= params.theta
+    rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, out=x)
+    if w is not None:
+        u = rng.random(out=w)
+        np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
 
 
 def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:

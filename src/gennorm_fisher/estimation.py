@@ -24,7 +24,7 @@ from .distribution import (
     require_count,
     require_even_shape,
     require_real,
-    sample_abs_trials,
+    sample_power_trials,
     trial_seed,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
@@ -101,15 +101,9 @@ def mle_theta(samples, beta) -> float:
     arr = np.asarray(samples, dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValueError("samples must be nonempty")
-    return _mle_of_magnitudes(np.abs(arr), bf)
-
-
-def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
-    """mle_theta of nonnegative float64 magnitudes, overwriting them.
-
-    A max that is not finite (inf, or nan, which max propagates) is the
-    one finite check: it is non-finite exactly when some magnitude is.
-    """
+    magnitudes = np.abs(arr)
+    # a max that is not finite (inf, or nan, which max propagates) is the
+    # one finite check: it is non-finite exactly when some magnitude is
     m = float(magnitudes.max())
     if not math.isfinite(m):
         raise ValueError("samples must all be finite")
@@ -118,9 +112,9 @@ def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
             "all samples are zero; the likelihood maximum theta=0 is outside the parameter space"
         )
     magnitudes /= m
-    magnitudes **= beta
+    magnitudes **= bf
     # the sum and the division np.mean makes, without its dispatch
-    theta_hat = m * (beta * (float(magnitudes.sum()) / magnitudes.size)) ** (1.0 / beta)
+    theta_hat = m * (bf * (float(magnitudes.sum()) / magnitudes.size)) ** (1.0 / bf)
     if not math.isfinite(theta_hat):
         raise OverflowError(f"theta_hat overflows double precision (max |x| = {m!r})")
     if theta_hat == 0.0:
@@ -130,18 +124,40 @@ def _mle_of_magnitudes(magnitudes: np.ndarray, beta: float) -> float:
     return theta_hat
 
 
+def _trial_ratios(params: GenNormParams, n: int, seed: int, trials: int) -> np.ndarray:
+    """theta_hat/theta of each trial, from its standardized powers
+    (sample_power_trials): m * (beta * mean(p))**(1/beta).
+
+    0.0 marks a degenerate trial (all terms zero, or an estimate that
+    underflows).  Every term is at most its gamma draw, so a sum that is not
+    finite is the one finite check: ValueError, as mle_theta raises.
+    """
+    beta = params.beta
+    ratios = np.empty(trials)
+    for t, (m, p) in enumerate(sample_power_trials(params, n, seed, trials)):
+        total = float(p.sum())
+        if not math.isfinite(total):
+            raise ValueError("samples must all be finite")
+        ratios[t] = m * (beta * (total / n)) ** (1.0 / beta)
+    return ratios
+
+
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """Estimate theta over config.trials independent repetitions.
 
-    Trial t draws config.n magnitudes seeded by trial_seed(config.seed, t)
-    into one buffer reused across trials (sample_abs_trials), so trials may
-    run in any order or in parallel without changing the report; the
-    statistics below are reduced with numpy pairwise summation over the
-    trial-indexed array, which is order-independent.  They are taken from theta_hat/theta_true
-    and scaled back, so they neither overflow nor underflow at extreme
-    scales.  Degenerate trials are skipped and counted (never seen for
-    n >= 10).  Raises ValueError, before any trial, where the bound
-    theta_true**2/(n*beta) is not a finite, normal double.
+    Trial t takes the draws of sample_abs(params, config.n,
+    trial_seed(config.seed, t)) as their standardized powers
+    (sample_power_trials), so trials may run in any order or in parallel
+    without changing the report, and its theta_hat/theta_true is
+    m * (beta * mean(p))**(1/beta), within a few ulp of mle_theta of those
+    draws over theta_true (not bit for bit).  The statistics below are
+    reduced with numpy pairwise summation over the trial-indexed array,
+    which is order-independent; they are taken from theta_hat/theta_true and
+    scaled back, so they neither overflow nor underflow at extreme scales.
+    Degenerate trials are skipped and counted (never seen for n >= 10).
+    Raises ValueError, before any trial, where the bound
+    theta_true**2/(n*beta) is not a finite, normal double, and where a draw
+    is not finite.
     """
     theta = config.theta_true
     try:
@@ -154,20 +170,12 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
             f"outside the finite, normal doubles at n={config.n}, beta={config.beta}"
         )
     params = GenNormParams(theta=theta, beta=float(config.beta))
-    estimates = np.full(config.trials, np.nan)
-    failed = 0
-    draws = sample_abs_trials(params, config.n, config.seed, config.trials)
-    for t, magnitudes in enumerate(draws):
-        try:
-            estimates[t] = _mle_of_magnitudes(magnitudes, params.beta)
-        except DegenerateDataError:
-            failed += 1
-    kept = estimates[np.isfinite(estimates)]
-    if kept.size < 3:
+    ratios = _trial_ratios(params, config.n, config.seed, config.trials)
+    ratios = ratios[ratios > 0.0]
+    if ratios.size < 3:
         raise DegenerateDataError(
-            f"only {kept.size} of {config.trials} trials produced an estimate"
+            f"only {ratios.size} of {config.trials} trials produced an estimate"
         )
-    ratios = kept / theta
     t_count = int(ratios.size)
     mean = float(ratios.mean())
     centered = ratios - mean
@@ -188,5 +196,5 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
         crlb=crlb,
         efficiency=crlb / variance,
         variance_stderr=variance_stderr * theta * theta,
-        failed_trials=failed,
+        failed_trials=config.trials - t_count,
     )

@@ -197,11 +197,27 @@ class TestFisherCommand:
         _, rows = parse_csv(out)
         assert "closed_form" not in [r[0] for r in rows]
 
-    def test_underflowed_information_is_usage_error(self, capsys):
-        for method in ("closed_form", "quad_score_variance"):
-            code, out, err = run(capsys, "fisher", "--theta", "1e200", "--methods", method)
-            assert code == 2 and out == ""
-            assert "> 0" in err
+    @pytest.mark.parametrize("theta, information", [("1e200", "0.0"), ("1e-200", "inf")])
+    @pytest.mark.parametrize("method", ["closed_form", "quad_score_variance", "mc_score_variance"])
+    def test_underflowed_information_is_usage_error(self, capsys, monkeypatch, method, theta,
+                                                    information):
+        # beta/theta**2 past the double range either way names theta, before any route runs
+        from gennorm_fisher import fisher
+
+        monkeypatch.setattr(fisher, "METHODS", {})  # a route that ran would be a KeyError
+        code, out, err = run(capsys, "fisher", "--theta", theta, "--methods", method)
+        assert (code, out) == (2, "")
+        assert err == (f"error: theta={float(theta)!r} puts the information beta/theta**2 = "
+                       f"{information} outside the finite, normal doubles at beta=2.0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("fisher", "--methods", "mc_score_variance", "--n", "100"),
+        ("estimate", "--simulate", "--n", "100"),
+    ])
+    def test_draws_that_overflow_name_theta_and_beta(self, capsys, argv):
+        # G**(1/beta) with G near 200 is past the double range at beta = 0.005
+        assert run(capsys, *argv, "--beta", "0.005") == (
+            2, "", "error: a draw overflows the double range at theta=1.0, beta=0.005\n")
 
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "fisher", "--methods", "sorcery")

@@ -272,6 +272,20 @@ class TestSample:
         assert np.all(draws != 0.0)  # the boost construction never collapses to 0
         assert np.abs(draws).max() < 1.2  # essentially uniform on [-1, 1]
 
+    @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
+    @pytest.mark.parametrize("draw", [
+        lambda p: sample(p, 5, 1),
+        lambda p: sample_abs(p, 5, 1),
+        lambda p: list(distribution.sample_abs_trials(p, 5, 1, 2)),
+    ], ids=["sample", "sample_abs", "sample_abs_trials"])
+    def test_a_draw_that_overflows_raises(self, draw, theta, beta):
+        # G**(1/beta) at beta = 0.005 (G near 200), or theta * |z| with |z|
+        # near 1e200, is past the double range: an error naming both, not inf
+        message = f"a draw overflows the double range at theta={theta!r}, beta={beta!r}"
+        with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
+            draw(GenNormParams(theta, beta))
+        assert str(exc.value) == message
+
 
 def _reference_sample(params, count, seed):
     # the sampler as first written: children from SeedSequence(seed).spawn,
@@ -417,9 +431,55 @@ class TestSampleAbsTrials:
         [(0, 1, 3), (10, -1, 3), (10, 1, -1), (10, 1, 2.5)],
         ids=["count", "seed", "trials", "trials-float"],
     )
-    def test_arguments_are_checked_at_the_call(self, count, seed, trials):
+    @pytest.mark.parametrize("trial_draws", ["sample_abs_trials", "sample_power_trials"])
+    def test_arguments_are_checked_at_the_call(self, trial_draws, count, seed, trials):
         with pytest.raises(ValueError):
-            distribution.sample_abs_trials(_P, count, seed, trials)
+            getattr(distribution, trial_draws)(_P, count, seed, trials)
+
+
+def _reference_powers(params, count, seed):
+    # one trial's standardized powers from numpy's Generator calls, chunk i on
+    # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays
+    beta, chunk = params.beta, 1 << 18
+    g, w = [], []
+    for i, lo in enumerate(range(0, count, chunk)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+        m = min(chunk, count - lo)
+        g.append(rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, size=m))
+        if beta > 1.0:
+            w.append(1.0 - rng.random(m))
+    g = np.concatenate(g)
+    if beta <= 1.0:
+        return 1.0, g
+    w = np.concatenate(w)
+    m = float(w.max())
+    return m, g * (w / m) ** beta
+
+
+class TestSamplePowerTrials:
+    @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0, 1e6])
+    def test_equals_the_power_construction_of_each_trial(self, beta, count, trials):
+        p = GenNormParams(0.7, beta)
+        for t, (m, terms) in enumerate(distribution.sample_power_trials(p, count, 4, trials)):
+            want_m, want_terms = _reference_powers(p, count, distribution.trial_seed(4, t))
+            assert m == want_m and 0.0 < m <= 1.0
+            assert terms.tobytes() == want_terms.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_the_terms_are_the_gammas_at_beta_le_1(self, beta):
+        # |x| = theta * G**(1/beta): the same draws as sample_abs, bit for bit
+        p = GenNormParams(0.7, beta)
+        magnitudes = distribution.sample_abs_trials(p, 300, 2, 3)
+        for (m, terms), x in zip(distribution.sample_power_trials(p, 300, 2, 3), magnitudes):
+            assert m == 1.0
+            assert (terms ** (1.0 / beta) * 0.7).tobytes() == x.tobytes()
+
+    def test_yields_one_buffer_once_per_trial(self):
+        draws = [terms for _, terms in distribution.sample_power_trials(_P, 10, 3, 4)]
+        assert len(draws) == 4 and all(p is draws[0] for p in draws)
+        assert draws[0].dtype == np.float64 and draws[0].shape == (10,)
+        assert list(distribution.sample_power_trials(_P, 10, 3, 0)) == []
 
 
 _P = GenNormParams(1.0, 2.0)

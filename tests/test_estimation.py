@@ -20,6 +20,7 @@ from gennorm_fisher import (
     mle_theta,
     run_crlb_experiment,
     sample,
+    sample_abs,
     score,
     seeding,
     trial_seed,
@@ -38,6 +39,17 @@ def _numerical_mle(samples, beta):
         negll, bounds=(1e-3, 100.0), method="bounded", options={"xatol": 1e-12}
     )
     return float(res.x)
+
+
+def _reference_ratio(beta, n, seed):
+    # theta_hat/theta of one trial as |X/theta|**beta = G * (1 - U)**beta
+    # builds it: G ~ Gamma(1 + 1/beta), then U, on chunk 0's stream
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    g = rng.standard_gamma(1.0 + 1.0 / beta, size=n)
+    w = 1.0 - rng.random(n)
+    m = float(w.max())
+    p = g * (w / m) ** float(beta)
+    return m * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
 
 
 class TestMleTheta:
@@ -186,11 +198,12 @@ class TestCrlbExperiment:
 
     @pytest.mark.parametrize("beta", [2, 4, 8])
     def test_equals_reference_loop_bitwise(self, beta):
-        # the experiment as first written: signed draws, mle_theta, and the
-        # statistics taken on theta_hat itself (theta_true = 1, so no scaling)
+        # the experiment from numpy's Generator calls: each trial's gammas and
+        # uniforms on the stream of sample_abs(params, n, trial_seed(seed, t))
+        # (n <= 2**18: one chunk), taken as standardized powers, and the
+        # statistics on theta_hat itself (theta_true = 1, so no scaling)
         cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=700, trials=40, seed=beta)
-        params = GenNormParams(1.0, float(beta))
-        estimates = np.array([mle_theta(sample(params, cfg.n, trial_seed(cfg.seed, t)), beta)
+        estimates = np.array([_reference_ratio(beta, cfg.n, trial_seed(cfg.seed, t))
                               for t in range(cfg.trials)])
         mean = float(estimates.mean())
         centered = estimates - mean
@@ -204,15 +217,27 @@ class TestCrlbExperiment:
             cfg, mean, variance, crlb, crlb / variance, stderr, 0
         )
 
+    @pytest.mark.parametrize("n", [1, 10, 100, 10**4, (1 << 18) + 3])
+    @pytest.mark.parametrize("beta", [2, 4, 8, 64, 1024, 10**6])
+    def test_each_trial_is_mle_theta_of_its_draws(self, beta, n):
+        # theta_hat from the powers, against mle_theta of the same draws: a
+        # few roundings apart, never bit for bit
+        params = GenNormParams(1.0, float(beta))
+        trials = 3 if n > 10**4 else 20
+        ratios = estimation._trial_ratios(params, n, 11, trials)
+        for t, ratio in enumerate(ratios):
+            want = mle_theta(sample_abs(params, n, trial_seed(11, t)), beta)
+            assert abs(ratio - want) <= 4 * math.ulp(want), (t, ratio, want)
+
     def test_degenerate_trials_are_counted(self, monkeypatch):
         def zero_in_odd_trials(params, count, seed, trials):
             out = np.empty(count)
             for t in range(trials):
                 ts = trial_seed(seed, t)
                 out[:] = 0.0 if ts % 2 else 1.0 + (ts % 7)
-                yield out
+                yield 1.0, out
 
-        monkeypatch.setattr(estimation, "sample_abs_trials", zero_in_odd_trials)
+        monkeypatch.setattr(estimation, "sample_power_trials", zero_in_odd_trials)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=10, trials=60, seed=5)
         odd = sum(trial_seed(cfg.seed, t) % 2 for t in range(cfg.trials))
         assert 3 <= cfg.trials - odd and odd > 0
@@ -225,9 +250,9 @@ class TestCrlbExperiment:
             for _ in range(trials):
                 out[:] = 1.0
                 out[count // 2] = bad
-                yield out
+                yield 1.0, out
 
-        monkeypatch.setattr(estimation, "sample_abs_trials", one_bad_draw)
+        monkeypatch.setattr(estimation, "sample_power_trials", one_bad_draw)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=5, seed=1)
         with pytest.raises(ValueError, match="samples must all be finite"):
             run_crlb_experiment(cfg)
@@ -292,6 +317,6 @@ class TestCrlbExtremeScales:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(estimation, "sample_abs_trials", no_trials)
+        monkeypatch.setattr(estimation, "sample_power_trials", no_trials)
         with pytest.raises(ValueError, match="theta_true"):
             run_crlb_experiment(ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1))

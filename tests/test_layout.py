@@ -73,6 +73,9 @@ def test_a_sweep_writes_a_progress_line_per_cell_and_the_table_to_stdout(capsys)
          "error: shape beta must be a positive even integer, got 3\n"),
         (["routes", "--betas", "2,x", "--n", "200"],
          "error: --betas entries must be integers: invalid literal for int() with base 10: 'x'\n"),
+        (["routes", "--betas", "4,2", "--n", "200", "--theta", "1e154"],
+         "error: theta=1e+154 puts the information beta/theta**2 = 2e-308 outside the finite, "
+         "normal doubles at beta=2.0\n"),
         (["crlb", "--theta", "2"], "error: sweep crlb does not read --theta (sweep routes only)\n"),
         (["routes", "--trials", "3", "--sizes", "10"], "error: sweep routes does not read "
          "--sizes (sweep crlb only), --trials (sweep crlb only)\n"),
@@ -93,7 +96,9 @@ def test_a_sweep_with_an_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert main(["sweep", *argv, "--output", str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith(f"error: cannot write {str(tmp_path)!r}: ")
+    # the error line alone: no cell ran, so no progress line came before it
+    assert captured.err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_a_route_that_fails_in_a_sweep_is_a_numerical_failure(capsys, monkeypatch):
