@@ -22,7 +22,7 @@ _HOME = {
         "quadrature": ("QuadResult", "integrate_decaying"),
         "distribution": (
             "abs_moment_quad", "expected_abs_moment", "log_pdf", "pdf", "pdf_normalization",
-            "sample", "sample_abs", "sample_abs_trials", "trial_seed",
+            "sample", "sample_abs", "trial_seed",
         ),
         "fisher": (
             "METHODS", "FisherEstimate", "d2_log_pdf", "expected_score_quad", "fisher_beta_sweep",

@@ -36,7 +36,6 @@ __all__ = [
     "expected_abs_moment",
     "sample",
     "sample_abs",
-    "sample_abs_trials",
     "sample_power_trials",
     "trial_seed",
     "pdf_normalization",
@@ -47,7 +46,7 @@ __all__ = [
 ]
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
-_SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_abs_trials
+_SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_power_trials
 
 
 # Standardized-unit kernels: every quantity depends on x only through z = x/theta,
@@ -146,7 +145,7 @@ def sample_abs(params: GenNormParams, count: int, seed: int) -> np.ndarray:
 def trial_seed(seed: int, trial: int) -> int:
     """The documented per-trial seed split: SeedSequence(seed, spawn_key=(trial,)).
 
-    sample_abs_trials derives the same seeds for a block of trials at once;
+    sample_power_trials derives the same seeds for a block of trials at once;
     this is the one-trial view, to reproduce a trial in isolation.
     """
     require_count("seed", seed, 0)
@@ -155,43 +154,25 @@ def trial_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_abs_trials(
-    params: GenNormParams, count: int, seed: int, trials: int
-) -> Iterator[np.ndarray]:
-    """For t in range(trials), yield sample_abs(params, count, trial_seed(seed, t)),
-    bit for bit, in one buffer that every yield refills.
-
-    The streams are those of sample_abs; only their seeding is batched: the
-    trial seeds and every trial's chunk seed words are derived a block of
-    trials at a time in vectorized passes (the seeding module), so the
-    per-trial work is the draws alone.  Arguments are checked once, at the
-    call; OverflowError, naming theta and beta, where a trial's draw
-    overflows the double range.
-    """
-    require_count("count", count, 1)
-    require_count("seed", seed, 0)
-    require_count("trials", trials, 0)
-    out = np.empty(count)
-    scratch = _uniform_scratch(params, count)
-    return (_fill(out, params, streams, scratch) for streams in _trial_streams(seed, count, trials))
-
-
 def sample_power_trials(
     params: GenNormParams, count: int, seed: int, trials: int
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """For t in range(trials), yield (m, p), the draws of trial t of
-    sample_abs_trials as standardized powers: sum |x_i/theta|**beta equals
-    m**beta * sum p_i up to rounding, with 0 < m <= 1.
+    """For t in range(trials), yield (m, p), the draws of trial t as
+    standardized powers: sum |x_i/theta|**beta equals m**beta * sum p_i up to
+    rounding, with 0 < m <= 1.
 
-    The draws are those of sample_abs_trials, from the same streams in the
-    same order; only their finish differs.  The construction gives
-    |X/theta|**beta = G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta), for
-    beta > 1), so the terms are p_i = G_i * ((1 - U_i)/m)**beta with
-    m = max(1 - U_i): one power per draw, no root taken and raised back, and
-    no theta.  Each p_i is at most its G_i, and the one at m equals its G_i,
-    so no term overflows and the sum does not underflow at any beta.  For
-    beta <= 1, m = 1 and p = G ~ Gamma(1/beta).  p is one buffer that every
-    yield refills.  Arguments are checked once, at the call.
+    Trial t draws from the streams of sample_abs(params, count,
+    trial_seed(seed, t)), in the same order; only the finish differs, and
+    only the seeding is batched: the trial seeds and every trial's chunk seed
+    words are derived a block of trials at a time in vectorized passes (the
+    seeding module).  The construction gives |X/theta|**beta =
+    G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta), for beta > 1), so the
+    terms are p_i = G_i * ((1 - U_i)/m)**beta with m = max(1 - U_i): one
+    power per draw, no root taken and raised back, and no theta.  Each p_i
+    is at most its G_i, and the one at m equals its G_i, so no term
+    overflows and the sum does not underflow at any beta.  For beta <= 1,
+    m = 1 and p = G ~ Gamma(1/beta).  p is one buffer that every yield
+    refills.  Arguments are checked once, at the call.
     """
     require_count("count", count, 1)
     require_count("seed", seed, 0)
@@ -199,13 +180,6 @@ def sample_power_trials(
     g = np.empty(count)
     w = np.empty(count) if params.beta > 1.0 else None  # all of 1 - U: m is their max
     return (_powers(g, w, params.beta, streams) for streams in _trial_streams(seed, count, trials))
-
-
-def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
-    require_count("count", count, 1)
-    require_count("seed", seed, 0)
-    streams = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in itertools.count())
-    return _fill(np.empty(count), params, streams, _uniform_scratch(params, count), signed)
 
 
 def _trial_streams(seed: int, count: int, trials: int):
@@ -229,11 +203,16 @@ def _chunks(size: int, streams):
         yield slice(lo, lo + _SAMPLE_CHUNK), np.random.Generator(np.random.PCG64(stream))
 
 
-def _fill(out: np.ndarray, params: GenNormParams, streams, scratch, signed: bool = False):
-    """Fill out with magnitudes chunk by chunk and return it; if signed, each
-    chunk then draws its signs, the last draw on its stream."""
+def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
+    """sample (signed) or sample_abs: magnitudes chunk by chunk; if signed,
+    each chunk then draws its signs, the last draw on its stream."""
+    require_count("count", count, 1)
+    require_count("seed", seed, 0)
     beta = params.beta
-    for chunk, rng in _chunks(out.size, streams):
+    out = np.empty(count)
+    scratch = np.empty(min(count, _SAMPLE_CHUNK)) if beta > 1.0 else None  # the boost's 1 - U
+    streams = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in itertools.count())
+    for chunk, rng in _chunks(count, streams):
         x = out[chunk]
         w = None if scratch is None else scratch[:x.size]
         _draw_chunk(x, w, rng, beta)
@@ -266,11 +245,6 @@ def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[float, np.ndarray]:
     w **= beta
     g *= w
     return m, g
-
-
-def _uniform_scratch(params: GenNormParams, count: int) -> np.ndarray | None:
-    """The buffer the boost's uniforms are drawn into (beta > 1 only), one per call."""
-    return np.empty(min(count, _SAMPLE_CHUNK)) if params.beta > 1.0 else None
 
 
 def _draw_chunk(x, w, rng, beta: float) -> None:

@@ -50,7 +50,9 @@ class ExperimentConfig:
     """One cell of the CRLB experiment grid.
 
     trials must be at least 3 so the jackknife delete-one variances
-    (divisor trials - 2) are defined.
+    (divisor trials - 2) are defined.  The bound theta_true**2/(n*beta) must
+    be a finite, normal double; ValueError otherwise, when the config is
+    built, so a grid of configs is checked before any cell runs.
     """
 
     beta: int
@@ -66,6 +68,15 @@ class ExperimentConfig:
         require_count("n", self.n, 1)
         require_count("trials", self.trials, 3)
         require_count("seed", self.seed, 0)
+        try:
+            crlb = theta**2 / (self.n * self.beta)
+        except OverflowError:
+            crlb = math.inf
+        if not sys.float_info.min <= crlb < math.inf:
+            raise ValueError(
+                f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {crlb!r} "
+                f"outside the finite, normal doubles at n={self.n}, beta={self.beta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,20 +166,11 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     which is order-independent; they are taken from theta_hat/theta_true and
     scaled back, so they neither overflow nor underflow at extreme scales.
     Degenerate trials are skipped and counted (never seen for n >= 10).
-    Raises ValueError, before any trial, where the bound
-    theta_true**2/(n*beta) is not a finite, normal double, and where a draw
-    is not finite.
+    The bound theta_true**2/(n*beta) was checked when config was built;
+    raises ValueError where a draw is not finite.
     """
     theta = config.theta_true
-    try:
-        crlb = theta**2 / (config.n * config.beta)
-    except OverflowError:
-        crlb = math.inf
-    if not sys.float_info.min <= crlb < math.inf:
-        raise ValueError(
-            f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {crlb!r} "
-            f"outside the finite, normal doubles at n={config.n}, beta={config.beta}"
-        )
+    crlb = theta**2 / (config.n * config.beta)
     params = GenNormParams(theta=theta, beta=float(config.beta))
     ratios = _trial_ratios(params, config.n, config.seed, config.trials)
     ratios = ratios[ratios > 0.0]

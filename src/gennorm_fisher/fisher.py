@@ -128,6 +128,16 @@ def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
     return FisherEstimate(b / params.theta / params.theta, "closed_form", error_estimate=0.0)
 
 
+def _scaled_quad(weight, beta: float, unit: float, **tol) -> QuadResult:
+    """expect_power of weight against f_Z, times unit; a QuadratureError's
+    partial value and error are rescaled by unit too."""
+    try:
+        res = expect_power(weight, beta, log_unit=log_norm_z(beta), **tol)
+    except QuadratureError as exc:
+        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
+    return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
+
+
 def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
     """Integrate I(1)/beta = E[weight(p)] over z, then multiply by beta/theta^2.
 
@@ -137,11 +147,8 @@ def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
     tf = require_tol(tol)
     beta = params.beta
     unit = beta / params.theta / params.theta
-    try:
-        res = expect_power(weight, beta, log_unit=log_norm_z(beta), rel_tol=tf, max_level=max_level)
-    except QuadratureError as exc:  # its partial value and error, in the units of I(theta)
-        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
-    return FisherEstimate(res.value * unit, method, res.error_estimate * unit)
+    res = _scaled_quad(weight, beta, unit, rel_tol=tf, max_level=max_level)
+    return FisherEstimate(res.value, method, res.error_estimate)
 
 
 def fisher_quad_score_variance(
@@ -158,8 +165,7 @@ def fisher_quad_score_variance(
 
     def score_sq_over_beta(p):  # (beta p - 1)^2 / beta = (beta p - 1) (p - 1/beta)
         q = p - inv_b
-        p *= b
-        p -= 1.0
+        _affine(p, b)
         p *= q
         return p
 
@@ -209,18 +215,7 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     and the result's error bound is abs_tol / theta.
     """
     beta = params.beta
-
-    def theta_score(p):  # beta p - 1
-        p *= beta
-        p -= 1.0
-        return p
-
-    unit = 1.0 / params.theta
-    try:
-        res = expect_power(theta_score, beta, log_unit=log_norm_z(beta), abs_tol=abs_tol)
-    except QuadratureError as exc:
-        raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
-    return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)
+    return _scaled_quad(lambda p: _affine(p, beta), beta, 1.0 / params.theta, abs_tol=abs_tol)
 
 
 _ROUTES = {

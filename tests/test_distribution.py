@@ -276,8 +276,7 @@ class TestSample:
     @pytest.mark.parametrize("draw", [
         lambda p: sample(p, 5, 1),
         lambda p: sample_abs(p, 5, 1),
-        lambda p: list(distribution.sample_abs_trials(p, 5, 1, 2)),
-    ], ids=["sample", "sample_abs", "sample_abs_trials"])
+    ], ids=["sample", "sample_abs"])
     def test_a_draw_that_overflows_raises(self, draw, theta, beta):
         # G**(1/beta) at beta = 0.005 (G near 200), or theta * |z| with |z|
         # near 1e200, is past the double range: an error naming both, not inf
@@ -398,45 +397,6 @@ class TestSeedWords:
             seed_seq.generate_state(n_words, dtype)
 
 
-class TestSampleAbsTrials:
-    @pytest.mark.parametrize("seed", [0, 2**40, 2**70])
-    # 2 trials of two chunks each at 2**18 + 3
-    @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
-    def test_equals_a_loop_of_sample_abs(self, beta, count, trials, seed):
-        p = GenNormParams(0.7, beta)
-        draws = distribution.sample_abs_trials(p, count, seed, trials)
-        got = [x.tobytes() for x in draws]
-        expected = [sample_abs(p, count, distribution.trial_seed(seed, t)).tobytes()
-                    for t in range(trials)]
-        assert got == expected
-
-    @pytest.mark.parametrize("rows", [1, 3, 5])
-    @pytest.mark.parametrize("count", [7, (1 << 18) + 1])
-    def test_blocks_of_trials_join_seamlessly(self, count, rows, monkeypatch):
-        # seeding blocks of 1 or 2 trials at two chunks, of 1 to 5 at one
-        monkeypatch.setattr(distribution, "_SEED_ROWS", rows)
-        got = [x.tobytes() for x in distribution.sample_abs_trials(_P, count, 9, 5)]
-        assert got == [sample_abs(_P, count, distribution.trial_seed(9, t)).tobytes()
-                       for t in range(5)]
-
-    def test_yields_one_buffer_once_per_trial(self):
-        draws = list(distribution.sample_abs_trials(_P, 10, 3, 4))
-        assert len(draws) == 4 and all(x is draws[0] for x in draws)
-        assert draws[0].dtype == np.float64 and draws[0].shape == (10,)
-        assert list(distribution.sample_abs_trials(_P, 10, 3, 0)) == []
-
-    @pytest.mark.parametrize(
-        "count, seed, trials",
-        [(0, 1, 3), (10, -1, 3), (10, 1, -1), (10, 1, 2.5)],
-        ids=["count", "seed", "trials", "trials-float"],
-    )
-    @pytest.mark.parametrize("trial_draws", ["sample_abs_trials", "sample_power_trials"])
-    def test_arguments_are_checked_at_the_call(self, trial_draws, count, seed, trials):
-        with pytest.raises(ValueError):
-            getattr(distribution, trial_draws)(_P, count, seed, trials)
-
-
 def _reference_powers(params, count, seed):
     # one trial's standardized powers from numpy's Generator calls, chunk i on
     # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays
@@ -456,6 +416,12 @@ def _reference_powers(params, count, seed):
     return m, g * (w / m) ** beta
 
 
+def _reference_power_trials(params, count, seed, trials):
+    return [(m, terms.tobytes()) for m, terms in
+            (_reference_powers(params, count, distribution.trial_seed(seed, t))
+             for t in range(trials))]
+
+
 class TestSamplePowerTrials:
     @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0, 1e6])
@@ -466,11 +432,33 @@ class TestSamplePowerTrials:
             assert m == want_m and 0.0 < m <= 1.0
             assert terms.tobytes() == want_terms.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**40, 2**70])
+    # 2 trials of two chunks each at 2**18 + 3
+    @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
+    def test_seeds_of_every_width_equal_the_power_construction(self, beta, count, trials, seed):
+        p = GenNormParams(0.7, beta)
+        got = [(m, terms.tobytes())
+               for m, terms in distribution.sample_power_trials(p, count, seed, trials)]
+        assert got == _reference_power_trials(p, count, seed, trials)
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    @pytest.mark.parametrize("count", [7, (1 << 18) + 1])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_blocks_of_trials_join_seamlessly(self, beta, count, rows, monkeypatch):
+        # seeding blocks of 1 or 2 trials at two chunks, of 1 to 5 at one;
+        # the gammas alone (beta <= 1) and the gammas with their 1 - U
+        monkeypatch.setattr(distribution, "_SEED_ROWS", rows)
+        p = GenNormParams(1.0, beta)
+        got = [(m, terms.tobytes())
+               for m, terms in distribution.sample_power_trials(p, count, 9, 5)]
+        assert got == _reference_power_trials(p, count, 9, 5)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_the_terms_are_the_gammas_at_beta_le_1(self, beta):
         # |x| = theta * G**(1/beta): the same draws as sample_abs, bit for bit
         p = GenNormParams(0.7, beta)
-        magnitudes = distribution.sample_abs_trials(p, 300, 2, 3)
+        magnitudes = (sample_abs(p, 300, distribution.trial_seed(2, t)) for t in range(3))
         for (m, terms), x in zip(distribution.sample_power_trials(p, 300, 2, 3), magnitudes):
             assert m == 1.0
             assert (terms ** (1.0 / beta) * 0.7).tobytes() == x.tobytes()
@@ -480,6 +468,26 @@ class TestSamplePowerTrials:
         assert len(draws) == 4 and all(p is draws[0] for p in draws)
         assert draws[0].dtype == np.float64 and draws[0].shape == (10,)
         assert list(distribution.sample_power_trials(_P, 10, 3, 0)) == []
+
+    @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
+    def test_a_draw_that_overflows_as_a_magnitude_stays_finite_as_powers(self, theta, beta):
+        # the shapes where sample and sample_abs raise OverflowError: the
+        # terms are the gammas themselves, with no root taken and no theta
+        p = GenNormParams(theta, beta)
+        with np.errstate(over="raise"):
+            got = [(m, terms.tobytes())
+                   for m, terms in distribution.sample_power_trials(p, 5, 1, 2)]
+        assert got == _reference_power_trials(p, 5, 1, 2)
+        assert all(np.isfinite(np.frombuffer(terms)).all() for _, terms in got)
+
+    @pytest.mark.parametrize(
+        "count, seed, trials",
+        [(0, 1, 3), (10, -1, 3), (10, 1, -1), (10, 1, 2.5)],
+        ids=["count", "seed", "trials", "trials-float"],
+    )
+    def test_arguments_are_checked_at_the_call(self, count, seed, trials):
+        with pytest.raises(ValueError):
+            distribution.sample_power_trials(_P, count, seed, trials)
 
 
 _P = GenNormParams(1.0, 2.0)

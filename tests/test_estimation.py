@@ -277,7 +277,7 @@ class TestCrlbExperiment:
 
     @pytest.mark.parametrize("seed", [0, 123, 2**32 + 1, 2**70])
     def test_batched_trial_seeds_equal_trial_seed(self, seed):
-        # the derivation sample_abs_trials runs for a block of 1000 trials
+        # the derivation sample_power_trials runs for a block of 1000 trials
         batched = seeding.trial_seeds(seed, np.arange(1000))
         assert batched.dtype == np.uint64
         assert batched.tolist() == [trial_seed(seed, t) for t in range(1000)]
@@ -320,3 +320,16 @@ class TestCrlbExtremeScales:
         monkeypatch.setattr(estimation, "sample_power_trials", no_trials)
         with pytest.raises(ValueError, match="theta_true"):
             run_crlb_experiment(ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1))
+
+    @pytest.mark.parametrize(
+        "theta, n",
+        [(1e-170, 100), (1e-153, 10**4), (5e-324, 3), (1e160, 100), (1e155, 10**4), (1e308, 1)],
+    )
+    def test_unrepresentable_bound_is_rejected_when_the_config_is_built(self, theta, n):
+        # a sweep builds every config before its first cell, so each is checked up front
+        bound = theta * theta / (n * 2)  # inf, not OverflowError, past the range
+        message = (f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {bound!r} "
+                   f"outside the finite, normal doubles at n={n}, beta=2")
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1)
+        assert str(exc.value) == message

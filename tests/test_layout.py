@@ -79,6 +79,9 @@ def test_a_sweep_writes_a_progress_line_per_cell_and_the_table_to_stdout(capsys)
         (["crlb", "--theta", "2"], "error: sweep crlb does not read --theta (sweep routes only)\n"),
         (["routes", "--trials", "3", "--sizes", "10"], "error: sweep routes does not read "
          "--sizes (sweep crlb only), --trials (sweep crlb only)\n"),
+        (["crlb", "--betas", "2", "--thetas", "1,1e160", "--sizes", "10", "--trials", "3"],
+         "error: theta_true=1e+160 puts the bound theta_true**2/(n*beta) = inf outside the "
+         "finite, normal doubles at n=10, beta=2\n"),
     ],
 )
 def test_a_sweep_checks_every_cell_before_the_sweep(capsys, argv, message):
