@@ -18,7 +18,10 @@ _HOME = {
             "GAMMA_OVERFLOW_Z", "RationalArg", "gamma", "gamma_rational", "log_gamma",
             "multifactorial",
         ),
-        "exact": ("GenNormParams", "MomentSpec", "QuadratureError", "exact_moment"),
+        "exact": (
+            "GenNormParams", "MleMoments", "MomentSpec", "QuadratureError", "exact_moment",
+            "mle_moments_exact",
+        ),
         "quadrature": ("QuadResult", "integrate_decaying"),
         "distribution": (
             "abs_moment_quad", "expected_abs_moment", "log_pdf", "pdf", "pdf_normalization",

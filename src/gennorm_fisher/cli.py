@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -509,6 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # The package makes no BLAS call, so numpy's BLAS need not start a thread
+    # per CPU when a command imports numpy.  A value the user set is kept.
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

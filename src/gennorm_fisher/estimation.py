@@ -25,6 +25,7 @@ from .distribution import (
     require_even_shape,
     require_real,
     sample_power_trials,
+    standardized_power,
     trial_seed,
 )
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
@@ -123,7 +124,7 @@ def mle_theta(samples, beta) -> float:
             "all samples are zero; the likelihood maximum theta=0 is outside the parameter space"
         )
     magnitudes /= m
-    magnitudes **= bf
+    standardized_power(bf, magnitudes, out=magnitudes)
     # the sum and the division np.mean makes, without its dispatch
     theta_hat = m * (bf * (float(magnitudes.sum()) / magnitudes.size)) ** (1.0 / bf)
     if not math.isfinite(theta_hat):

@@ -397,6 +397,18 @@ class TestSeedWords:
             seed_seq.generate_state(n_words, dtype)
 
 
+def _power_rule(x, beta):
+    # standardized_power's rule for x >= 0, spelled recursively: at an
+    # integer beta up to 8, x**k = (x**(k//2))**2, times x when k is odd;
+    # np.power at every other beta
+    if not (float(beta).is_integer() and 1 <= beta <= 8):
+        return np.power(x, beta)
+    if beta == 1:
+        return x
+    half = _power_rule(x, int(beta) // 2)
+    return half * half * x if beta % 2 else half * half
+
+
 def _reference_powers(params, count, seed):
     # one trial's standardized powers from numpy's Generator calls, chunk i on
     # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays
@@ -413,7 +425,7 @@ def _reference_powers(params, count, seed):
         return 1.0, g
     w = np.concatenate(w)
     m = float(w.max())
-    return m, g * (w / m) ** beta
+    return m, g * _power_rule(w / m, beta)
 
 
 def _reference_power_trials(params, count, seed, trials):
@@ -527,10 +539,60 @@ class TestStandardizedKernels:
         assert log_pdf_z(2.0, 0.5).shape == ()
         assert math.exp(log_pdf_z(2.0, 0.0)) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-15)
 
-    def test_power_overflow_is_inf_without_warning(self):
+    @pytest.mark.parametrize("beta", [2.0, 3.0, 8.0, 2.5])
+    def test_power_overflow_is_inf_without_warning(self, beta):
         with np.errstate(over="raise"):
-            assert float(standardized_power(2.0, 1e300)) == math.inf
-            assert float(log_pdf_z(2.0, 1e300)) == -math.inf
+            assert float(standardized_power(beta, 1e300)) == math.inf
+            assert float(log_pdf_z(beta, 1e300)) == -math.inf
+
+    @staticmethod
+    def _binades(beta):
+        # log-uniform over every binade where |z|**beta is finite and past
+        # both ends, z ulp by ulp across the overflow and underflow
+        # thresholds, and the special values; each with both signs
+        rng = np.random.default_rng(int(beta * 1000))
+        with np.errstate(over="ignore"):
+            edges = np.power([np.finfo(float).max, 5e-324], 1.0 / beta)
+            x = np.concatenate([
+                10.0 ** rng.uniform(max(-340.0 / beta, -323.0), min(320.0 / beta, 308.0), 200_000),
+                rng.random(10_000),
+                *(edge * (1.0 + np.linspace(-1e-12, 1e-12, 20_001))
+                  for edge in edges if 0.0 < edge < math.inf),
+                [0.0, 5e-324, 1.0, np.finfo(float).max, math.inf, math.nan],
+            ])
+        return np.concatenate([x, -x])
+
+    @staticmethod
+    def _np_power(x, beta):
+        with np.errstate(over="ignore"):
+            return np.power(np.abs(x), beta)
+
+    @pytest.mark.parametrize("beta", range(3, 9))
+    def test_integer_shapes_are_within_beta_ulp_of_np_power(self, beta):
+        # binary powering rounds once per square or product; carried through
+        # the later squares, the roundings add up to at most (beta - 1) * 2**-53
+        # relative, which is up to beta - 1 ulp, and np.power's own error is
+        # under one ulp
+        x = self._binades(beta)
+        want = self._np_power(x, float(beta))
+        got = standardized_power(beta, x)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got == math.inf, want == math.inf)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        finite = np.isfinite(want)
+        ulps = np.abs(got[finite].view(np.int64) - want[finite].view(np.int64))
+        assert 0 < ulps.max() <= beta
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 0.5, 2.5, 7.999999999999999,
+                                      8.000000000000002, 9.0, 16.0, 64.0, 1e6])
+    def test_other_shapes_are_np_power_bit_for_bit(self, beta):
+        # at 1 the rule is |z| itself and at 2 one correctly rounded square,
+        # as np.power gives; every other shape calls np.power
+        x = self._binades(beta)
+        want = self._np_power(x, beta)
+        assert standardized_power(beta, x).tobytes() == want.tobytes()
+        z = x.copy()
+        assert standardized_power(beta, z, out=z) is z and z.tobytes() == want.tobytes()
 
     def test_log_normalizer_taken_once_per_shape(self, monkeypatch):
         calls = []

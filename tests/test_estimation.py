@@ -1,6 +1,9 @@
 """Closed-form MLE and the Cramer-Rao experiment harness."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from gennorm_fisher import (
     distribution,
     estimation,
     log_pdf,
+    mle_moments_exact,
     mle_theta,
     run_crlb_experiment,
     sample,
@@ -43,12 +47,16 @@ def _numerical_mle(samples, beta):
 
 def _reference_ratio(beta, n, seed):
     # theta_hat/theta of one trial as |X/theta|**beta = G * (1 - U)**beta
-    # builds it: G ~ Gamma(1 + 1/beta), then U, on chunk 0's stream
+    # builds it: G ~ Gamma(1 + 1/beta), then U, on chunk 0's stream; at beta
+    # in {2, 4, 8} the power is (w/m) squared log2(beta) times
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     g = rng.standard_gamma(1.0 + 1.0 / beta, size=n)
     w = 1.0 - rng.random(n)
     m = float(w.max())
-    p = g * (w / m) ** float(beta)
+    power = w / m
+    for _ in range(int(beta).bit_length() - 1):
+        power = power * power
+    p = g * power
     return m * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
 
 
@@ -333,3 +341,70 @@ class TestCrlbExtremeScales:
         with pytest.raises(ValueError) as exc:
             ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1)
         assert str(exc.value) == message
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    # the benchmark's own oracle, loaded from its file as the benchmark runs it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestExactMleLaw:
+    @pytest.mark.parametrize("beta, n, efficiency, unbiased", [
+        (2, 10, 1.0269, 0.9769), (8, 10, 0.8282, 0.7533), (64, 100, 0.7400, 0.7321)])
+    def test_efficiencies(self, beta, n, efficiency, unbiased):
+        law = mle_moments_exact(beta, 1.7, n)
+        assert round(law.efficiency, 4) == efficiency
+        assert round(law.unbiased_efficiency, 4) == unbiased
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 100, 10**4])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 8.0, 64.0, 1e6])
+    def test_agrees_with_the_benchmarks_oracle(self, perfbench_workloads, beta, n):
+        oracle = perfbench_workloads.mle_moments_exact
+        for theta in (0.3, 2.5):
+            law = mle_moments_exact(beta, theta, n)
+            mean, variance = oracle(beta, theta, n)
+            assert law.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert law.variance == pytest.approx(variance, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta, n", [(2.0, 10), (0.5, 1), (8.0, 100), (64.0, 10**4)])
+    def test_its_fields_are_one_law(self, beta, n):
+        theta = 3.0
+        law = mle_moments_exact(beta, theta, n)
+        ew = law.mean / theta
+        assert law.bias == pytest.approx(law.mean - theta, rel=1e-9, abs=1e-15)
+        assert law.crlb == theta**2 / (n * beta)
+        assert law.efficiency == pytest.approx(law.crlb / law.variance, rel=1e-14)
+        assert law.unbiased_variance == pytest.approx(law.variance / ew**2, rel=1e-14)
+        assert law.unbiased_efficiency == pytest.approx(
+            law.crlb / law.unbiased_variance, rel=1e-14)
+        unit = mle_moments_exact(beta, 1.0, n)
+        assert law.mean == pytest.approx(theta * unit.mean, rel=1e-15)
+        assert law.variance == pytest.approx(theta**2 * unit.variance, rel=1e-15)
+        assert law.efficiency == unit.efficiency
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 10), (True, 1.0, 10), (1e-310, 1.0, 10), (2.0, -1.0, 10), (2.0, "1", 10),
+        (2.0, 1.0, 0), (2.0, 1.0, 2.5), (2.0, 1e160, 10), (2.0, 1e-170, 10)])
+    def test_rejects_bad_arguments_and_unrepresentable_moments(self, args):
+        with pytest.raises(ValueError):
+            mle_moments_exact(*args)
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    def test_the_experiment_draws_from_the_exact_law(self, beta):
+        # integer shapes raise their powers by squaring; the simulated
+        # variance lies within 5 jackknife standard errors of the exact one
+        cfg = ExperimentConfig(beta=beta, theta_true=1.3, n=100, trials=4000, seed=2026)
+        report = run_crlb_experiment(cfg)
+        law = mle_moments_exact(beta, cfg.theta_true, cfg.n)
+        assert report.crlb == law.crlb
+        assert abs(report.mle_variance - law.variance) <= 5 * report.variance_stderr
+        assert abs(report.mle_mean - law.mean) <= 5 * math.sqrt(law.variance / cfg.trials)

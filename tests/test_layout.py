@@ -1,7 +1,8 @@
 """The sweep tables run end to end through the CLI, modules use only each
-other's public names, the exact commands start without numpy, the package
-loads its names on first access, and every name the benchmark's tracer
-patches exists."""
+other's public names, only distribution raises a value to the shape, the
+exact commands start without numpy and the others with one BLAS thread, the
+package loads its names on first access, and every name the benchmark's
+tracer patches exists."""
 
 import ast
 import importlib
@@ -136,6 +137,33 @@ def test_no_module_imports_a_private_name():
     assert [hit for path in files for hit in _private_imports(path)] == []
 
 
+def _powers_of_the_shape(path):
+    # a ** or **= whose exponent, or an np.power whose second argument, is
+    # named beta, bf or b (a bare name or an attribute)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exponent = node.right if isinstance(node, ast.BinOp) else node.value
+        elif isinstance(node, ast.Call) and len(node.args) > 1 and (
+                getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "power":
+            exponent = node.args[1]
+        else:
+            continue
+        name = getattr(exponent, "id", None) or getattr(exponent, "attr", None)
+        if name in ("beta", "bf", "b"):
+            yield f"{path.relative_to(ROOT)}:{node.lineno}"
+
+
+def test_only_distribution_raises_to_the_shape():
+    # distribution.standardized_power is the one power kernel
+    files = sorted((ROOT / "src" / "gennorm_fisher").glob("*.py"))
+    assert files
+    hits = [hit for path in files if path.stem != "distribution"
+            for hit in _powers_of_the_shape(path)]
+    assert hits == []
+    assert list(_powers_of_the_shape(ROOT / "src" / "gennorm_fisher" / "distribution.py"))
+
+
 def test_tracer_patch_targets_resolve(monkeypatch):
     # perfbench/tracing.py replaces these names while it runs; a missing one
     # makes `perfbench/run.py --trace 1` fail when it installs the tracer
@@ -152,11 +180,22 @@ def test_tracer_patch_targets_resolve(monkeypatch):
     assert missing == []
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _run_fresh(probe, **variables):
+    # a fresh interpreter with the BLAS thread variables unset, then set to variables
+    env = {name: value for name, value in os.environ.items() if name not in _BLAS_THREADS}
+    env.update(variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=60)
+
 
 @pytest.mark.parametrize(
     "argv, exit_code",
     [
-        (None, 0),  # the package import alone
+        (None, 0),  # the package import, and the exact law of the MLE
         (["verify", "lemma2"], 0),
         (["moments", "--k", "0,2"], 0),
         (["sweep", "crlb", "--theta", "2"], 2),
@@ -169,15 +208,42 @@ def test_tracer_patch_targets_resolve(monkeypatch):
 )
 def test_exact_commands_start_without_numpy(argv, exit_code):
     # in a fresh interpreter, since this one has imported numpy
-    run = ("import gennorm_fisher; code = 0" if argv is None
+    run = ("import gennorm_fisher; gennorm_fisher.mle_moments_exact(2, 1.0, 10); code = 0"
+           if argv is None
            else f"from gennorm_fisher.cli import main; code = main({argv!r})")
     probe = f"import sys\n{run}\nprint('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                          timeout=60)
+    proc = _run_fresh(probe)
     assert proc.returncode == exit_code, proc.stderr
     assert proc.stderr.endswith("False\n"), proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_command_starts_numpy_with_one_blas_thread():
+    probe = (
+        "import os, sys\n"
+        "import gennorm_fisher.cli\n"
+        f"unset = not any(name in os.environ for name in {_BLAS_THREADS!r})\n"
+        "code = gennorm_fisher.cli.main(['fisher', '--methods', 'closed_form'])\n"
+        "print(unset, 'numpy' in sys.modules, len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+        "sys.exit(code)"
+    )
+    proc = _run_fresh(probe)
+    assert proc.returncode == 0, proc.stderr
+    # the import alone sets nothing; the command imports numpy, on one thread
+    assert proc.stderr == "True True 1\n"
+
+
+def test_a_blas_thread_count_the_user_set_is_kept():
+    probe = (
+        "import os, sys\n"
+        "from gennorm_fisher.cli import main\n"
+        "code = main(['fisher', '--methods', 'closed_form'])\n"
+        f"print(*[os.environ[name] for name in {_BLAS_THREADS!r}], file=sys.stderr)\n"
+        "sys.exit(code)"
+    )
+    proc = _run_fresh(probe, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "2 3\n"
 
 
 def _public_names_by_module():
