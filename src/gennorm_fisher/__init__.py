@@ -3,7 +3,8 @@ numerical cross-checks and a Cramer-Rao estimation experiment.
 
 The public names are loaded on first access (PEP 562), each from the module
 that defines it, so `import gennorm_fisher` imports no submodule and a caller
-of the exact layer (gamma, exact_moment, GenNormParams) never loads numpy.
+of the exact layer (gamma, exact_moment, GenNormParams, fisher_closed_form,
+mle_moments_exact) never loads numpy.
 """
 
 from importlib import import_module
@@ -19,18 +20,18 @@ _HOME = {
             "multifactorial",
         ),
         "exact": (
-            "GenNormParams", "MleMoments", "MomentSpec", "QuadratureError", "exact_moment",
-            "mle_moments_exact",
+            "FisherEstimate", "GenNormParams", "MleMoments", "MomentSpec", "QuadratureError",
+            "exact_moment", "expected_abs_moment", "fisher_closed_form", "mle_moments_exact",
         ),
         "quadrature": ("QuadResult", "integrate_decaying"),
         "distribution": (
-            "abs_moment_quad", "expected_abs_moment", "log_pdf", "pdf", "pdf_normalization",
-            "sample", "sample_abs", "trial_seed",
+            "abs_moment_quad", "log_pdf", "pdf", "pdf_normalization", "sample", "sample_abs",
+            "trial_seed",
         ),
         "fisher": (
-            "METHODS", "FisherEstimate", "d2_log_pdf", "expected_score_quad", "fisher_beta_sweep",
-            "fisher_closed_form", "fisher_mc_score_variance", "fisher_quad_neg_hessian",
-            "fisher_quad_score_variance", "score",
+            "METHODS", "d2_log_pdf", "expected_score_quad", "fisher_beta_sweep",
+            "fisher_mc_score_variance", "fisher_quad_neg_hessian", "fisher_quad_score_variance",
+            "score",
         ),
         "estimation": (
             "DegenerateDataError", "EstimationReport", "ExperimentConfig", "mle_theta",

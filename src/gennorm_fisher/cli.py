@@ -30,7 +30,7 @@ import sys
 
 from . import __version__
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
-from .exact import exact_moment, require_even_shape, require_tol
+from .exact import exact_moment, fisher_information, require_even_shape, require_tol
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
@@ -157,18 +157,6 @@ def _cmd_pdf(args) -> int:
 
 # ---------------------------------------------------------------- fisher
 
-def _require_information(params: GenNormParams) -> GenNormParams:
-    """Return params after checking that I(theta) = beta/theta**2, the scale
-    every route reports on, is a finite, normal double."""
-    information = params.beta / params.theta / params.theta
-    if not sys.float_info.min <= information < math.inf:
-        raise ValueError(
-            f"theta={params.theta!r} puts the information beta/theta**2 = {information!r} "
-            f"outside the finite, normal doubles at beta={params.beta!r}"
-        )
-    return params
-
-
 def _parse_methods(spec: str, beta: float) -> list[str]:
     if spec == "all":
         try:
@@ -192,7 +180,7 @@ def _cmd_fisher(args) -> int:
     # before any runs, whatever --methods selects
     require_tol(args.tol)
     require_count("n", args.n, MC_MIN_DRAWS)
-    _require_information(params)
+    fisher_information(params.beta, params.theta)
     from .fisher import METHODS
 
     # ValueError (the closed form at a non-even shape) -> exit 2
@@ -383,8 +371,10 @@ def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1
     form, and so both gap columns, needs one), one row per shape."""
     from .fisher import METHODS
 
-    cells = [_require_information(GenNormParams(theta, require_even_shape(b)))
+    cells = [GenNormParams(theta, require_even_shape(b))
              for b in _comma_list("--betas", betas, int)]
+    for params in cells:  # every cell's information is checked before the first runs
+        fisher_information(params.beta, params.theta)
     for params in cells:
         est = {name: route(params, tol=tol, n=n, seed=seed) for name, route in METHODS.items()}
         closed = est["closed_form"].value

@@ -1,5 +1,5 @@
 """Zero-mean generalized normal family: density, sampling, and the quadrature
-routes beside the exact moments (defined in exact, re-exported here).
+routes beside the exact moments (in exact).
 
 The family is parameterized by a scale theta > 0 and a shape beta > 0:
 
@@ -19,30 +19,23 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .exact import GenNormParams, MomentSpec, exact_moment, require_even_shape
+from .exact import GenNormParams
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 from .special_functions import log_gamma, require_count, require_real
 
 __all__ = [
-    "GenNormParams",
-    "MomentSpec",
     "standardized_power",
     "log_norm_z",
     "log_pdf_z",
     "log_pdf",
     "pdf",
-    "exact_moment",
-    "expected_abs_moment",
     "sample",
     "sample_abs",
     "sample_power_trials",
     "trial_seed",
     "pdf_normalization",
     "abs_moment_quad",
-    "require_count",
-    "require_even_shape",
-    "require_real",
 ]
 
 _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
@@ -117,17 +110,6 @@ def log_pdf(params: GenNormParams, x) -> float:
 def pdf(params: GenNormParams, x) -> float:
     """Density exp(log_pdf); symmetric in x bit-for-bit since |x| enters first."""
     return math.exp(log_pdf(params, x))
-
-
-def expected_abs_moment(params: GenNormParams) -> float:
-    """E[|X|^beta] = theta^beta / beta, for positive even integer beta.
-
-    Kept separate from exact_moment on purpose: this is the short route that
-    needs even beta, while exact_moment(k=beta) is the general gamma-ratio
-    route.  Their equality is asserted in tests, not assumed here.
-    """
-    b = require_even_shape(params.beta)
-    return params.theta**b / b
 
 
 def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:

@@ -14,22 +14,14 @@ n grows; at n = 10^4 and 1000 trials it sits well inside [0.9, 1.1].
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import (
-    GenNormParams,
-    require_count,
-    require_even_shape,
-    require_real,
-    sample_power_trials,
-    standardized_power,
-    trial_seed,
-)
-from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
-from .exact import require_shape
+from .distribution import sample_power_trials, standardized_power
+from .distribution import sample, trial_seed  # noqa: F401  perfbench's tracer patches these names
+from .exact import GenNormParams, cramer_rao_bound, require_even_shape, require_shape
+from .special_functions import require_count, require_real
 
 __all__ = [
     "DegenerateDataError",
@@ -37,7 +29,6 @@ __all__ = [
     "EstimationReport",
     "mle_theta",
     "run_crlb_experiment",
-    "trial_seed",
 ]
 
 
@@ -52,8 +43,8 @@ class ExperimentConfig:
 
     trials must be at least 3 so the jackknife delete-one variances
     (divisor trials - 2) are defined.  The bound theta_true**2/(n*beta) must
-    be a finite, normal double; ValueError otherwise, when the config is
-    built, so a grid of configs is checked before any cell runs.
+    be a finite, normal double (cramer_rao_bound); ValueError otherwise, when
+    the config is built, so a grid of configs is checked before any cell runs.
     """
 
     beta: int
@@ -69,15 +60,7 @@ class ExperimentConfig:
         require_count("n", self.n, 1)
         require_count("trials", self.trials, 3)
         require_count("seed", self.seed, 0)
-        try:
-            crlb = theta**2 / (self.n * self.beta)
-        except OverflowError:
-            crlb = math.inf
-        if not sys.float_info.min <= crlb < math.inf:
-            raise ValueError(
-                f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {crlb!r} "
-                f"outside the finite, normal doubles at n={self.n}, beta={self.beta}"
-            )
+        cramer_rao_bound(self.beta, theta, self.n)
 
 
 @dataclass(frozen=True)
@@ -85,8 +68,8 @@ class EstimationReport:
     """Empirical estimator statistics for one config, next to the bound.
 
     mle_variance is the unbiased (ddof=1) variance across trials;
-    variance_stderr is its jackknife standard error; crlb is exactly
-    theta_true**2 / (n * beta); efficiency = crlb / mle_variance.
+    variance_stderr is its jackknife standard error; crlb is
+    cramer_rao_bound(beta, theta_true, n); efficiency = crlb / mle_variance.
     failed_trials counts degenerate-data aborts (0 in any real run).
     """
 
@@ -171,7 +154,7 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     raises ValueError where a draw is not finite.
     """
     theta = config.theta_true
-    crlb = theta**2 / (config.n * config.beta)
+    crlb = cramer_rao_bound(config.beta, theta, config.n)
     params = GenNormParams(theta=theta, beta=float(config.beta))
     ratios = _trial_ratios(params, config.n, config.seed, config.trials)
     ratios = ratios[ratios > 0.0]

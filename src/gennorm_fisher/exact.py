@@ -1,18 +1,19 @@
 """The layer of the package that needs no numpy: the family's parameters, its
-exact moments, the exact finite-n law of the scale MLE, the names of the
-Fisher information routes and the checks of their options, and the error the
-quadrature raises.
+exact moments, its closed-form information beta/theta**2 with the Cramer-Rao
+bound theta**2/(n*beta), the exact finite-n law of the scale MLE, the names
+of the Fisher information routes and the checks of their options, and the
+error the quadrature raises.
 
 The CLI's exact commands (`verify lemma2`, `moments`), its parser and its
-error handling need only these, so they start without importing numpy.  The
-numeric modules re-export the names they share with this one: distribution
-the parameters and moments, quadrature its error, fisher builds METHODS from
-METHOD_NAMES.
+error handling need only these, so they start without importing numpy.  This
+module is the one home of every closed form: the numeric modules import them
+from here, and fisher builds METHODS from METHOD_NAMES and fisher_closed_form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .special_functions import log_gamma, require_count, require_real
@@ -20,11 +21,16 @@ from .special_functions import log_gamma, require_count, require_real
 __all__ = [
     "MC_MIN_DRAWS",
     "METHOD_NAMES",
+    "FisherEstimate",
     "GenNormParams",
     "MleMoments",
     "MomentSpec",
     "QuadratureError",
+    "cramer_rao_bound",
     "exact_moment",
+    "expected_abs_moment",
+    "fisher_closed_form",
+    "fisher_information",
     "mle_moments_exact",
     "require_even_shape",
     "require_shape",
@@ -110,10 +116,91 @@ def exact_moment(spec: MomentSpec) -> float:
         ) from None
 
 
+def expected_abs_moment(params: GenNormParams) -> float:
+    """E[|X|^beta] = theta^beta / beta, for positive even integer beta.
+
+    Kept separate from exact_moment on purpose: this is the short route that
+    needs even beta, while exact_moment(k=beta) is the general gamma-ratio
+    route.  Their equality is asserted in tests, not assumed here.
+    """
+    b = require_even_shape(params.beta)
+    return params.theta**b / b
+
+
+def fisher_information(beta, theta) -> float:
+    """I(theta) = beta/theta**2, the information about the scale theta.
+
+    ValueError, naming theta, where it is not a finite, normal double.
+    """
+    information = beta / theta / theta
+    if not sys.float_info.min <= information < math.inf:
+        raise ValueError(
+            f"theta={theta!r} puts the information beta/theta**2 = {information!r} "
+            f"outside the finite, normal doubles at beta={beta!r}"
+        )
+    return information
+
+
+def cramer_rao_bound(beta, theta, n) -> float:
+    """theta**2/(n*beta) = 1/(n I(theta)), the Cramer-Rao bound on the variance
+    of an unbiased estimate of theta from n draws.
+
+    ValueError, naming theta as the experiment's theta_true, where it is not
+    a finite, normal double.
+    """
+    bound = theta * theta / (n * beta)
+    if not sys.float_info.min <= bound < math.inf:
+        raise ValueError(
+            f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {bound!r} "
+            f"outside the finite, normal doubles at n={n}, beta={beta!r}"
+        )
+    return bound
+
+
+@dataclass(frozen=True, init=False)
+class FisherEstimate:
+    """One estimate of I(theta): value, producing method, and an error bound.
+
+    value is strictly positive, as I(theta) is; a value that underflowed to
+    0.0 is rejected rather than reported.  error_estimate is the quadrature
+    error bound or the Monte Carlo standard error; exactly 0.0 for the
+    closed form.
+    """
+
+    value: float
+    method: str
+    error_estimate: float
+
+    def __init__(self, value: float, method: str, error_estimate: float) -> None:
+        if method not in METHOD_NAMES:
+            raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {method!r}")
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValueError(f"value must be finite and > 0, got {value!r}")
+        if not (error_estimate >= 0.0 and math.isfinite(error_estimate)):
+            raise ValueError(f"error_estimate must be finite and >= 0, got {error_estimate!r}")
+        # each field is set once, straight into the instance dict (the frozen
+        # class's __setattr__ raises)
+        fields = self.__dict__
+        fields["value"] = value
+        fields["method"] = method
+        fields["error_estimate"] = error_estimate
+
+
+def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
+    """I(theta) = beta/theta^2, valid for positive even integer beta only.
+
+    Non-even shapes are rejected rather than extrapolated; fisher's
+    quadrature and Monte Carlo routes remain available for any beta > 0.
+    ValueError, naming theta, where the value is not a finite, normal double.
+    """
+    require_even_shape(params.beta)
+    return FisherEstimate(fisher_information(params.beta, params.theta), "closed_form", 0.0)
+
+
 @dataclass(frozen=True)
 class MleMoments:
     """The exact mean, bias and variance of the scale MLE theta_hat from n
-    draws at known beta, next to the bound crlb = theta**2/(n*beta).
+    draws at known beta, next to the bound crlb = cramer_rao_bound(beta, theta, n).
 
     efficiency = crlb/variance; unbiased_variance and unbiased_efficiency are
     those of the unbiased rescaling theta_hat/E[theta_hat/theta].  The MLE's
@@ -145,8 +232,8 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
     10**6), 4e-7 at beta 2 and n = 10**4, 3e-4 at beta 4 and n = 10**6.
 
     beta is a shape as GenNormParams takes it, theta > 0 and n >= 1 an
-    integer; ValueError otherwise, and where theta puts a moment or the
-    bound outside the positive finite doubles.
+    integer; ValueError otherwise, where theta puts a moment outside the
+    positive finite doubles, and where cramer_rao_bound rejects the bound.
     """
     bf = require_shape(beta)
     tf = require_real("theta", theta, positive=True)
@@ -164,11 +251,11 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
         bias=tf * math.expm1(log_ew),
         variance=tf * tf * var_w,
         unbiased_variance=tf * tf * rel_var,
-        crlb=tf * tf / (n * bf),
+        crlb=cramer_rao_bound(bf, tf, n),
         efficiency=unit / var_w,
         unbiased_efficiency=unit / rel_var,
     )
-    positive = (moments.mean, moments.variance, moments.unbiased_variance, moments.crlb)
+    positive = (moments.mean, moments.variance, moments.unbiased_variance)
     if not all(0.0 < v < math.inf for v in positive):
         raise ValueError(
             f"the moments of the MLE at beta={bf!r}, theta={tf!r}, n={n} "

@@ -1,8 +1,9 @@
 """Fisher information of the scale parameter, by four routes.
 
 For the zero-mean generalized normal family with even integer shape beta the
-information about theta is exactly beta/theta^2.  That closed form is
-cross-checked here against three independent numerical routes:
+information about theta is exactly beta/theta^2.  That closed form,
+exact.fisher_closed_form, is cross-checked here against three independent
+numerical routes:
 
   * quad_score_variance:  I = integral of score(x)^2 f(x) dx
   * quad_neg_hessian:     I = -integral of d2 log f(x) * f(x) dx
@@ -14,74 +15,38 @@ In standardized units z = x/theta the score and second derivative are
     theta^2 * d2 log f(x)   = 1 - beta (beta+1) |z|^beta
 
 so every route integrates or averages in z and applies the exact scale law
-I(theta) = I(1)/theta^2 at the end; METHODS maps each route name to it.
+I(theta) = I(1)/theta^2 at the end.  METHODS maps each route name to it,
+the closed form through this module's name fisher_closed_form, which
+perfbench's tracer patches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
-from .distribution import (
-    GenNormParams,
-    log_norm_z,
-    require_count,
-    require_even_shape,
-    require_real,
-    sample_abs,
-    standardized_power,
-)
+from .distribution import log_norm_z, sample_abs, standardized_power
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
-from .exact import MC_MIN_DRAWS, METHOD_NAMES, QuadratureError, require_tol
+from .exact import MC_MIN_DRAWS, METHOD_NAMES, FisherEstimate, GenNormParams, QuadratureError
+from .exact import fisher_closed_form, require_even_shape, require_tol
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
+from .special_functions import require_count, require_real
 
 __all__ = [
     "METHODS",
-    "FisherEstimate",
     "score_z",
     "neg_d2_z",
     "score",
     "d2_log_pdf",
-    "fisher_closed_form",
     "fisher_quad_score_variance",
     "fisher_quad_neg_hessian",
     "fisher_mc_score_variance",
     "fisher_beta_sweep",
     "expected_score_quad",
 ]
-
-
-@dataclass(frozen=True, init=False)
-class FisherEstimate:
-    """One estimate of I(theta): value, producing method, and an error bound.
-
-    value is strictly positive, as I(theta) is; a value that underflowed to
-    0.0 is rejected rather than reported.  error_estimate is the quadrature
-    error bound or the Monte Carlo standard error; exactly 0.0 for the
-    closed form.
-    """
-
-    value: float
-    method: str
-    error_estimate: float
-
-    def __init__(self, value: float, method: str, error_estimate: float) -> None:
-        if method not in METHOD_NAMES:
-            raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {method!r}")
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"value must be finite and > 0, got {value!r}")
-        if not (error_estimate >= 0.0 and math.isfinite(error_estimate)):
-            raise ValueError(f"error_estimate must be finite and >= 0, got {error_estimate!r}")
-        # each field is set once, straight into the instance dict (the frozen
-        # class's __setattr__ raises)
-        fields = self.__dict__
-        fields["value"] = value
-        fields["method"] = method
-        fields["error_estimate"] = error_estimate
 
 
 def _affine(p: np.ndarray, slope: float) -> np.ndarray:
@@ -115,17 +80,7 @@ def score(params: GenNormParams, x) -> float:
 def d2_log_pdf(params: GenNormParams, x) -> float:
     """Second theta-derivative of log f: 1/theta^2 - beta(beta+1)|x|^beta/theta^(beta+2)."""
     z = require_real("x", x) / params.theta
-    return -float(neg_d2_z(params.beta, z)) / params.theta**2
-
-
-def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
-    """I(theta) = beta/theta^2, valid for positive even integer beta only.
-
-    Non-even shapes are rejected rather than extrapolated; the quadrature
-    and Monte Carlo routes below remain available for any beta > 0.
-    """
-    b = require_even_shape(params.beta)
-    return FisherEstimate(b / params.theta / params.theta, "closed_form", error_estimate=0.0)
+    return -float(neg_d2_z(params.beta, z)) / (params.theta * params.theta)
 
 
 def _scaled_quad(weight, beta: float, unit: float, **tol) -> QuadResult:

@@ -71,7 +71,7 @@ import numpy as np
 from .exact import QuadratureError
 from .special_functions import require_real
 
-__all__ = ["QuadResult", "QuadratureError", "integrate_decaying", "expect_power"]
+__all__ = ["QuadResult", "integrate_decaying", "expect_power"]
 
 _LOG_EPS = math.log(sys.float_info.epsilon)
 _LOG_MAX = math.log(sys.float_info.max)

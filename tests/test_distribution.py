@@ -15,6 +15,7 @@ from gennorm_fisher import (
     MomentSpec,
     abs_moment_quad,
     distribution,
+    exact,
     exact_moment,
     expected_abs_moment,
     fisher_quad_score_variance,
@@ -202,7 +203,7 @@ class TestExpectedAbsMoment:
     @pytest.mark.parametrize("beta", ["4", b"4", bytearray(b"4"), True])
     def test_numeric_text_and_bools_are_not_even_shapes(self, beta):
         with pytest.raises(ValueError, match="shape beta must be a real number"):
-            distribution.require_even_shape(beta)
+            exact.require_even_shape(beta)
         with pytest.raises(ValueError, match="shape beta must be a real number"):
             ExperimentConfig(beta=beta, theta_true=1.0, n=100, trials=10, seed=0)
 

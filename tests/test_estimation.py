@@ -398,6 +398,13 @@ class TestExactMleLaw:
         with pytest.raises(ValueError):
             mle_moments_exact(*args)
 
+    def test_the_experiment_and_the_law_share_one_bound(self):
+        # theta**2 rounds one ulp away from theta*theta at this theta
+        theta = 0.5609652345887124
+        report = run_crlb_experiment(
+            ExperimentConfig(beta=2, theta_true=theta, n=10, trials=3, seed=0))
+        assert report.crlb == mle_moments_exact(2, theta, 10).crlb == theta * theta / 20
+
     @pytest.mark.parametrize("beta", [4, 8])
     def test_the_experiment_draws_from_the_exact_law(self, beta):
         # integer shapes raise their powers by squaring; the simulated

@@ -87,6 +87,15 @@ class TestSecondDerivative:
         with pytest.raises(ValueError):
             d2_log_pdf(GenNormParams(1.0, 2.0), float("nan"))
 
+    @pytest.mark.parametrize("theta", [1e155, 1e200])
+    def test_a_value_that_underflows_is_a_signed_zero(self, theta):
+        # theta*theta overflows where the true value, (1 - 6)/theta**2 at x =
+        # theta and 1/theta**2 at 0, underflows: the sign survives
+        params = GenNormParams(theta, 2.0)
+        assert math.copysign(1.0, d2_log_pdf(params, theta)) == -1.0
+        assert math.copysign(1.0, d2_log_pdf(params, 0.0)) == 1.0
+        assert d2_log_pdf(params, theta) == d2_log_pdf(params, 0.0) == 0.0
+
 
 class TestClosedForm:
     def test_known_values(self):
@@ -278,8 +287,13 @@ class TestStandardizedUnits:
     def test_underflowed_value_rejected(self):
         with pytest.raises(ValueError):
             FisherEstimate(value=0.0, method="quad_score_variance", error_estimate=0.0)
-        with pytest.raises(ValueError):
-            fisher_closed_form(GenNormParams(1e200, 2.0))
+        # an information that underflows, or is subnormal, names theta
+        for theta, information in ((1e200, 0.0), (1e154, 2e-308)):
+            with pytest.raises(ValueError) as exc:
+                fisher_closed_form(GenNormParams(theta, 2.0))
+            assert str(exc.value) == (
+                f"theta={theta!r} puts the information beta/theta**2 = {information!r} "
+                "outside the finite, normal doubles at beta=2.0")
         with pytest.raises(ValueError):
             fisher_quad_score_variance(GenNormParams(1e200, 2.0))
 

@@ -1,5 +1,5 @@
 """The sweep tables run end to end through the CLI, modules use only each
-other's public names, only distribution raises a value to the shape, the
+other's public names, only distribution raises an array to the shape, the
 exact commands start without numpy and the others with one BLAS thread, the
 package loads its names on first access, and every name the benchmark's
 tracer patches exists."""
@@ -7,6 +7,7 @@ tracer patches exists."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from gennorm_fisher import exact
 from gennorm_fisher.cli import main
 from gennorm_fisher.exact import QuadratureError
 
@@ -155,12 +157,15 @@ def _powers_of_the_shape(path):
 
 
 def test_only_distribution_raises_to_the_shape():
-    # distribution.standardized_power is the one power kernel
+    # distribution.standardized_power is the one power kernel; the one other
+    # power of the shape is the scalar closed form theta**beta/beta, the last
+    # line of exact.expected_abs_moment
     files = sorted((ROOT / "src" / "gennorm_fisher").glob("*.py"))
     assert files
     hits = [hit for path in files if path.stem != "distribution"
             for hit in _powers_of_the_shape(path)]
-    assert hits == []
+    lines, first = inspect.getsourcelines(exact.expected_abs_moment)
+    assert hits == [f"src/gennorm_fisher/exact.py:{first + len(lines) - 1}"]
     assert list(_powers_of_the_shape(ROOT / "src" / "gennorm_fisher" / "distribution.py"))
 
 
@@ -195,7 +200,7 @@ def _run_fresh(probe, **variables):
 @pytest.mark.parametrize(
     "argv, exit_code",
     [
-        (None, 0),  # the package import, and the exact law of the MLE
+        (None, 0),  # the package import and its closed forms
         (["verify", "lemma2"], 0),
         (["moments", "--k", "0,2"], 0),
         (["sweep", "crlb", "--theta", "2"], 2),
@@ -208,7 +213,12 @@ def _run_fresh(probe, **variables):
 )
 def test_exact_commands_start_without_numpy(argv, exit_code):
     # in a fresh interpreter, since this one has imported numpy
-    run = ("import gennorm_fisher; gennorm_fisher.mle_moments_exact(2, 1.0, 10); code = 0"
+    run = ("import gennorm_fisher as gf\n"
+           "from gennorm_fisher.exact import cramer_rao_bound, fisher_information\n"
+           "p = gf.GenNormParams(1.0, 2.0)\n"
+           "gf.mle_moments_exact(2, 1.0, 10), gf.fisher_closed_form(p), gf.expected_abs_moment(p)\n"
+           "fisher_information(2.0, 1.0), cramer_rao_bound(2.0, 1.0, 10)\n"
+           "code = 0"
            if argv is None
            else f"from gennorm_fisher.cli import main; code = main({argv!r})")
     probe = f"import sys\n{run}\nprint('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)"
