@@ -510,7 +510,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early (`| head`): stop as SIGPIPE would
+        # stdout goes to devnull, so the interpreter's last flush finds no pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OverflowError) as exc:  # domain, input, degenerate data
         print(f"error: {exc}", file=sys.stderr)
         return 2

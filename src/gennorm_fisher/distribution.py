@@ -45,6 +45,7 @@ _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministi
 # the powers overflow and underflow at np.power's thresholds ulp for ulp.
 _SQUARING_MAX = 8
 _SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_power_trials
+_BLOCK_DRAWS = 1 << 15  # draws of the trials sample_power_trials finishes in one block
 
 
 # Standardized-unit kernels: every quantity depends on x only through z = x/theta,
@@ -57,25 +58,32 @@ def standardized_power(beta: float, z, out=None) -> np.ndarray:
     where it overflows.
 
     The one place the package raises a value to the power beta: every
-    kernel, the sampler's trial terms and the MLE build their quantity from
-    it, in place.  An integer beta up to 8 is raised by binary powering, in
-    place: one square per bit after the leading one, and a product with |z|
-    for each further set bit.  That is np.power itself at beta 1 and 2, and
+    kernel and the MLE build their quantity from it, in place, and the
+    experiment's trial terms from its in-place power (_raise), which takes
+    values in (0, 1] and so needs neither the abs pass nor the overflow
+    guard.  An integer beta up to 8 is raised by binary powering, in place:
+    one square per bit after the leading one, and a product with |z| for
+    each further set bit.  That is np.power itself at beta 1 and 2, and
     within beta ulp of it (5 ulp seen at beta 8) from 3 to 8; every other
     beta calls np.power.
     """
     p = np.absolute(z, out=np.empty(np.shape(z)) if out is None else out)
-    b = float(beta)
     with np.errstate(over="ignore"):
-        if b.is_integer() and 1.0 <= b <= _SQUARING_MAX:
-            k = int(b)
-            base = p.copy() if k & (k - 1) else None  # |z|, for the set bits
-            for bit in bin(k)[3:]:
-                np.square(p, out=p)
-                if bit == "1":
-                    p *= base
-        else:
-            np.power(p, b, out=p)
+        return _raise(p, beta)
+
+
+def _raise(p: np.ndarray, beta: float) -> np.ndarray:
+    """p**beta in place, for p >= 0, by standardized_power's rule; returns p."""
+    b = float(beta)
+    if b.is_integer() and 1.0 <= b <= _SQUARING_MAX:
+        k = int(b)
+        base = p.copy() if k & (k - 1) else None  # p, for the set bits
+        for bit in bin(k)[3:]:
+            np.square(p, out=p)
+            if bit == "1":
+                p *= base
+    else:
+        np.power(p, b, out=p)
     return p
 
 
@@ -157,30 +165,38 @@ def trial_seed(seed: int, trial: int) -> int:
 
 def sample_power_trials(
     params: GenNormParams, count: int, seed: int, trials: int
-) -> Iterator[tuple[float, np.ndarray]]:
-    """For t in range(trials), yield (m, p), the draws of trial t as
-    standardized powers: sum |x_i/theta|**beta equals m**beta * sum p_i up to
-    rounding, with 0 < m <= 1.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (m, p) for the trials in order, a block of them at a time: m of
+    shape (r,) and p of shape (r, count), row i the draws of the block's i-th
+    trial as standardized powers, so that sum |x_j/theta|**beta equals
+    m[i]**beta * p[i].sum() up to rounding, with 0 < m[i] <= 1.
 
-    Trial t draws from the streams of sample_abs(params, count,
-    trial_seed(seed, t)), in the same order; only the finish differs, and
-    only the seeding is batched: the trial seeds and every trial's chunk seed
-    words are derived a block of trials at a time in vectorized passes (the
-    seeding module).  The construction gives |X/theta|**beta =
-    G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta), for beta > 1), so the
-    terms are p_i = G_i * ((1 - U_i)/m)**beta with m = max(1 - U_i): one
-    power per draw, no root taken and raised back, and no theta.  Each p_i
-    is at most its G_i, and the one at m equals its G_i, so no term
-    overflows and the sum does not underflow at any beta.  For beta <= 1,
-    m = 1 and p = G ~ Gamma(1/beta).  p is one buffer that every yield
-    refills.  Arguments are checked once, at the call.
+    A block holds max(1, min(trials, 2**15 // count)) trials (_BLOCK_DRAWS),
+    the last one those left over; past 2**15 draws a trial is a block of its
+    own.  Trial t draws from the streams of sample_abs(params, count,
+    trial_seed(seed, t)), in the same order, into its row; only the finish
+    differs, and it runs once per block.  The seeding is batched too: the
+    trial seeds and every trial's chunk seed words are derived a block of
+    trials at a time in vectorized passes (the seeding module).  The
+    construction gives |X/theta|**beta = G * (1 - U)**beta exactly
+    (G ~ Gamma(1 + 1/beta), for beta > 1), so the terms are
+    p_j = G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over the trial:
+    one power per draw, no root taken and raised back, and no theta.  Each
+    p_j is at most its G_j, and the one at m equals its G_j, so no term
+    overflows and no trial's sum underflows at any beta.  For beta <= 1,
+    m is all ones and p holds the gammas G ~ Gamma(1/beta).  p is a view of
+    one buffer that every yield refills.  Arguments are checked once, at the
+    call.
     """
     require_count("count", count, 1)
     require_count("seed", seed, 0)
     require_count("trials", trials, 0)
-    g = np.empty(count)
-    w = np.empty(count) if params.beta > 1.0 else None  # all of 1 - U: m is their max
-    return (_powers(g, w, params.beta, streams) for streams in _trial_streams(seed, count, trials))
+    rows = max(1, min(trials, _BLOCK_DRAWS // count))
+    g = np.empty((rows, count))
+    w = np.empty((rows, count)) if params.beta > 1.0 else None  # all of 1 - U: m is their max
+    streams = _trial_streams(seed, count, trials)
+    return (_powers(g[:r], None if w is None else w[:r], params.beta, streams)
+            for r in (min(rows, trials - first) for first in range(0, trials, rows)))
 
 
 def _trial_streams(seed: int, count: int, trials: int):
@@ -235,15 +251,20 @@ def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndar
     return out
 
 
-def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[float, np.ndarray]:
-    """One trial of sample_power_trials: its draws into g and w, then the terms into g."""
-    for chunk, rng in _chunks(g.size, streams):
-        _draw_chunk(g[chunk], None if w is None else w[chunk], rng, beta)
+def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndarray]:
+    """One block of sample_power_trials: row i's draws, from the next trial's
+    streams, into g[i] and w[i], then the block's terms into g.
+
+    The finish needs no abs pass and no overflow guard: w/m lies in (0, 1].
+    """
+    for row, trial in zip(range(len(g)), streams):  # range first: the next block's trial stays
+        for chunk, rng in _chunks(g.shape[1], trial):
+            _draw_chunk(g[row, chunk], None if w is None else w[row, chunk], rng, beta)
     if w is None:
-        return 1.0, g
-    m = float(w.max())
-    w /= m
-    g *= standardized_power(beta, w, out=w)
+        return np.ones(len(g)), g
+    m = w.max(axis=1)
+    w /= m[:, None]
+    g *= _raise(w, beta)
     return m, g
 
 

@@ -123,18 +123,21 @@ def _trial_ratios(params: GenNormParams, n: int, seed: int, trials: int) -> np.n
     """theta_hat/theta of each trial, from its standardized powers
     (sample_power_trials): m * (beta * mean(p))**(1/beta).
 
-    0.0 marks a degenerate trial (all terms zero, or an estimate that
-    underflows).  Every term is at most its gamma draw, so a sum that is not
-    finite is the one finite check: ValueError, as mle_theta raises.
+    One sum and one finite check per block of trials; each ratio is then
+    taken on Python floats, as one scalar power per trial.  0.0 marks a
+    degenerate trial (all terms zero, or an estimate that underflows).
+    Every term is at most its gamma draw, so a sum that is not finite is the
+    one finite check: ValueError, as mle_theta raises.
     """
     beta = params.beta
-    ratios = np.empty(trials)
-    for t, (m, p) in enumerate(sample_power_trials(params, n, seed, trials)):
-        total = float(p.sum())
-        if not math.isfinite(total):
+    ratios = []
+    for m, p in sample_power_trials(params, n, seed, trials):
+        totals = p.sum(axis=1)
+        if not math.isfinite(totals.max()):  # max propagates nan
             raise ValueError("samples must all be finite")
-        ratios[t] = m * (beta * (total / n)) ** (1.0 / beta)
-    return ratios
+        ratios += [mt * (beta * (total / n)) ** (1.0 / beta)
+                   for mt, total in zip(m.tolist(), totals.tolist())]
+    return np.array(ratios)
 
 
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
@@ -142,13 +145,14 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
 
     Trial t takes the draws of sample_abs(params, config.n,
     trial_seed(config.seed, t)) as their standardized powers
-    (sample_power_trials), so trials may run in any order or in parallel
-    without changing the report, and its theta_hat/theta_true is
-    m * (beta * mean(p))**(1/beta), within a few ulp of mle_theta of those
-    draws over theta_true (not bit for bit).  The statistics below are
-    reduced with numpy pairwise summation over the trial-indexed array,
-    which is order-independent; they are taken from theta_hat/theta_true and
-    scaled back, so they neither overflow nor underflow at extreme scales.
+    (sample_power_trials, a block of trials at a time), so trials may run in
+    any order, in blocks of any size or in parallel without changing the
+    report, and its theta_hat/theta_true is m * (beta * mean(p))**(1/beta),
+    within a few ulp of mle_theta of those draws over theta_true (not bit
+    for bit).  The statistics below are reduced with numpy pairwise
+    summation over the trial-indexed array, which is order-independent; they
+    are taken from theta_hat/theta_true and scaled back, so they neither
+    overflow nor underflow at extreme scales.
     Degenerate trials are skipped and counted (never seen for n >= 10).
     The bound theta_true**2/(n*beta) was checked when config was built;
     raises ValueError where a draw is not finite.

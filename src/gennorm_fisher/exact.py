@@ -161,10 +161,11 @@ def cramer_rao_bound(beta, theta, n) -> float:
 class FisherEstimate:
     """One estimate of I(theta): value, producing method, and an error bound.
 
-    value is strictly positive, as I(theta) is; a value that underflowed to
-    0.0 is rejected rather than reported.  error_estimate is the quadrature
-    error bound or the Monte Carlo standard error; exactly 0.0 for the
-    closed form.
+    value is a finite, normal double, the rule fisher_information applies:
+    a value that underflowed to 0.0 or to a subnormal, whose last digits are
+    lost, is rejected rather than reported.  error_estimate is the
+    quadrature error bound or the Monte Carlo standard error; exactly 0.0
+    for the closed form.
     """
 
     value: float
@@ -174,8 +175,9 @@ class FisherEstimate:
     def __init__(self, value: float, method: str, error_estimate: float) -> None:
         if method not in METHOD_NAMES:
             raise ValueError(f"method must be one of {sorted(METHOD_NAMES)}, got {method!r}")
-        if not (value > 0.0 and math.isfinite(value)):
-            raise ValueError(f"value must be finite and > 0, got {value!r}")
+        if not sys.float_info.min <= value < math.inf:
+            raise ValueError(f"value must be finite and > 0, got {value!r}, "
+                             "outside the finite, normal doubles")
         if not (error_estimate >= 0.0 and math.isfinite(error_estimate)):
             raise ValueError(f"error_estimate must be finite and >= 0, got {error_estimate!r}")
         # each field is set once, straight into the instance dict (the frozen

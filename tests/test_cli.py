@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -640,3 +644,40 @@ class TestInvocation:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
+
+
+def _cli_process(args, stdout, unbuffered):
+    # python -m gennorm_fisher.cli in a fresh interpreter, on this tree's src
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "gennorm_fisher.cli", *args], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE)
+
+
+class TestClosedPipe:
+    # a reader that leaves early (`| head -1`) ends the command quietly with
+    # 141, as SIGPIPE would end a C program: no traceback, nothing on stderr
+    def test_reader_leaves_after_the_first_line(self):
+        # 5.5 MB of CSV: the command is still writing when the pipe closes
+        proc = _cli_process(["pdf", "--min", "-5", "--max", "5", "--count", "100001"],
+                            subprocess.PIPE, unbuffered=False)
+        assert proc.stdout.readline() == b"x,pdf,log_pdf\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_left_before_the_first_write(self, unbuffered):
+        # unbuffered, the first print meets the closed pipe; buffered, the
+        # flush at the end of the command does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_process(["verify", "lemma2"], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b"")

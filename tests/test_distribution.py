@@ -435,12 +435,19 @@ def _reference_power_trials(params, count, seed, trials):
              for t in range(trials))]
 
 
+def _power_trials(params, count, seed, trials):
+    # sample_power_trials one trial at a time: (m, terms) of each row of each block
+    for m, terms in distribution.sample_power_trials(params, count, seed, trials):
+        assert m.shape == terms.shape[:1] and terms.shape[1:] == (count,)
+        yield from zip(m.tolist(), terms)
+
+
 class TestSamplePowerTrials:
     @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0, 1e6])
     def test_equals_the_power_construction_of_each_trial(self, beta, count, trials):
         p = GenNormParams(0.7, beta)
-        for t, (m, terms) in enumerate(distribution.sample_power_trials(p, count, 4, trials)):
+        for t, (m, terms) in enumerate(_power_trials(p, count, 4, trials)):
             want_m, want_terms = _reference_powers(p, count, distribution.trial_seed(4, t))
             assert m == want_m and 0.0 < m <= 1.0
             assert terms.tobytes() == want_terms.tobytes()
@@ -452,7 +459,7 @@ class TestSamplePowerTrials:
     def test_seeds_of_every_width_equal_the_power_construction(self, beta, count, trials, seed):
         p = GenNormParams(0.7, beta)
         got = [(m, terms.tobytes())
-               for m, terms in distribution.sample_power_trials(p, count, seed, trials)]
+               for m, terms in _power_trials(p, count, seed, trials)]
         assert got == _reference_power_trials(p, count, seed, trials)
 
     @pytest.mark.parametrize("rows", [1, 3, 5])
@@ -464,7 +471,7 @@ class TestSamplePowerTrials:
         monkeypatch.setattr(distribution, "_SEED_ROWS", rows)
         p = GenNormParams(1.0, beta)
         got = [(m, terms.tobytes())
-               for m, terms in distribution.sample_power_trials(p, count, 9, 5)]
+               for m, terms in _power_trials(p, count, 9, 5)]
         assert got == _reference_power_trials(p, count, 9, 5)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0])
@@ -472,14 +479,25 @@ class TestSamplePowerTrials:
         # |x| = theta * G**(1/beta): the same draws as sample_abs, bit for bit
         p = GenNormParams(0.7, beta)
         magnitudes = (sample_abs(p, 300, distribution.trial_seed(2, t)) for t in range(3))
-        for (m, terms), x in zip(distribution.sample_power_trials(p, 300, 2, 3), magnitudes):
+        for (m, terms), x in zip(_power_trials(p, 300, 2, 3), magnitudes):
             assert m == 1.0
             assert (terms ** (1.0 / beta) * 0.7).tobytes() == x.tobytes()
 
-    def test_yields_one_buffer_once_per_trial(self):
-        draws = [terms for _, terms in distribution.sample_power_trials(_P, 10, 3, 4)]
-        assert len(draws) == 4 and all(p is draws[0] for p in draws)
-        assert draws[0].dtype == np.float64 and draws[0].shape == (10,)
+    @pytest.mark.parametrize("count, trials, rows", [
+        (10, 4, [4]), (1 << 15, 3, [1, 1, 1]), (700, 100, [46, 46, 8]), (1, 5, [5]),
+        ((1 << 15) // 3, 7, [3, 3, 1]), ((1 << 18) + 3, 2, [1, 1]),
+    ])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_yields_blocks_of_one_buffer(self, beta, count, trials, rows):
+        # max(1, min(trials, 2**15 // count)) trials a block, the last one
+        # those left over, each block a view of the first rows of one buffer
+        blocks = list(distribution.sample_power_trials(GenNormParams(1.0, beta), count, 3, trials))
+        assert [terms.shape for _, terms in blocks] == [(r, count) for r in rows]
+        assert [m.shape for m, _ in blocks] == [(r,) for r in rows]
+        assert all(np.shares_memory(terms, blocks[0][1]) for _, terms in blocks)
+        assert all(terms.dtype == m.dtype == np.float64 for m, terms in blocks)
+        if beta <= 1.0:
+            assert all((m == 1.0).all() for m, _ in blocks)
         assert list(distribution.sample_power_trials(_P, 10, 3, 0)) == []
 
     @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
@@ -489,7 +507,7 @@ class TestSamplePowerTrials:
         p = GenNormParams(theta, beta)
         with np.errstate(over="raise"):
             got = [(m, terms.tobytes())
-                   for m, terms in distribution.sample_power_trials(p, 5, 1, 2)]
+                   for m, terms in _power_trials(p, 5, 1, 2)]
         assert got == _reference_power_trials(p, 5, 1, 2)
         assert all(np.isfinite(np.frombuffer(terms)).all() for _, terms in got)
 

@@ -60,6 +60,28 @@ def _reference_ratio(beta, n, seed):
     return m * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
 
 
+def _reference_chunked_ratio(beta, n, seed):
+    # _reference_ratio at any n and shape: chunk i of 2**18 draws on
+    # SeedSequence(seed, spawn_key=(i,)), its gammas and then its U; the power
+    # by squares at beta in {2, 4, 8}, by np.power at any other
+    g, w = [], []
+    for i, lo in enumerate(range(0, n, 1 << 18)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+        size = min(1 << 18, n - lo)
+        g.append(rng.standard_gamma(1.0 + 1.0 / beta, size=size))
+        w.append(1.0 - rng.random(size))
+    g, w = np.concatenate(g), np.concatenate(w)
+    m = float(w.max())
+    power = w / m
+    if beta in (2, 4, 8):
+        for _ in range(int(beta).bit_length() - 1):
+            power = power * power
+    else:
+        power = np.power(power, float(beta))
+    p = g * power
+    return m * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
+
+
 class TestMleTheta:
     def test_two_point_sample(self):
         assert mle_theta([1.0, -1.0], beta=2.0) == math.sqrt(2.0)
@@ -225,6 +247,17 @@ class TestCrlbExperiment:
             cfg, mean, variance, crlb, crlb / variance, stderr, 0
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, trials", [(700, 100), (1, 50), ((1 << 18) + 3, 3)])
+    @pytest.mark.parametrize("beta", [2, 4, 8, 10**6])
+    def test_blocks_of_trials_equal_reference_loop_bitwise(self, beta, n, trials):
+        # 700 draws a trial: blocks of 46, 46 and 8 trials; 1 draw: one block
+        # of 50; 2**18 + 3 draws: a block per trial, of two chunks.  Under
+        # -W error: at 10**6 the finish underflows, and warns of nothing
+        ratios = estimation._trial_ratios(GenNormParams(1.0, float(beta)), n, 7, trials)
+        want = [_reference_chunked_ratio(beta, n, trial_seed(7, t)) for t in range(trials)]
+        assert ratios.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("n", [1, 10, 100, 10**4, (1 << 18) + 3])
     @pytest.mark.parametrize("beta", [2, 4, 8, 64, 1024, 10**6])
     def test_each_trial_is_mle_theta_of_its_draws(self, beta, n):
@@ -239,11 +272,14 @@ class TestCrlbExperiment:
 
     def test_degenerate_trials_are_counted(self, monkeypatch):
         def zero_in_odd_trials(params, count, seed, trials):
-            out = np.empty(count)
-            for t in range(trials):
-                ts = trial_seed(seed, t)
-                out[:] = 0.0 if ts % 2 else 1.0 + (ts % 7)
-                yield 1.0, out
+            # blocks of 8 trials, the last one of 4 (60 = 7 * 8 + 4)
+            out = np.empty((8, count))
+            for first in range(0, trials, 8):
+                block = out[:min(8, trials - first)]
+                for row, t in zip(block, range(first, trials)):
+                    ts = trial_seed(seed, t)
+                    row[:] = 0.0 if ts % 2 else 1.0 + (ts % 7)
+                yield np.ones(len(block)), block
 
         monkeypatch.setattr(estimation, "sample_power_trials", zero_in_odd_trials)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=10, trials=60, seed=5)
@@ -254,11 +290,10 @@ class TestCrlbExperiment:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_draws_raise(self, bad, monkeypatch):
         def one_bad_draw(params, count, seed, trials):
-            out = np.empty(count)
-            for _ in range(trials):
-                out[:] = 1.0
-                out[count // 2] = bad
-                yield 1.0, out
+            # one block, whose last trial has the one bad draw
+            out = np.ones((trials, count))
+            out[-1, count // 2] = bad
+            yield np.ones(trials), out
 
         monkeypatch.setattr(estimation, "sample_power_trials", one_bad_draw)
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=5, seed=1)

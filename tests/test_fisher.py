@@ -1,6 +1,7 @@
 """Score, observed information, and the four Fisher information routes."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +297,14 @@ class TestStandardizedUnits:
                 "outside the finite, normal doubles at beta=2.0")
         with pytest.raises(ValueError):
             fisher_quad_score_variance(GenNormParams(1e200, 2.0))
+
+    @pytest.mark.parametrize("route", [fisher_quad_score_variance, fisher_quad_neg_hessian])
+    def test_subnormal_value_rejected(self, route):
+        # I = 2e-308 at theta 1e154 is below the smallest normal double, and
+        # every route applies fisher_information's rule to what it reports
+        with pytest.raises(ValueError, match="outside the finite, normal doubles"):
+            route(GenNormParams(1e154, 2.0))
+        assert route(GenNormParams(1e154, 2.5)).value >= sys.float_info.min
 
 
 class TestKernelsAndRegistry:

@@ -164,6 +164,10 @@ class TestFisherEstimate:
         ((-1.0, "closed_form", 0.0), "value must be finite and > 0, got -1.0"),
         ((INF, "closed_form", 0.0), "value must be finite and > 0, got inf"),
         ((NAN, "closed_form", 0.0), "value must be finite and > 0, got nan"),
+        ((5e-324, "closed_form", 0.0), "value must be finite and > 0, got 5e-324, "
+                                       "outside the finite, normal doubles"),
+        ((2.225073858507201e-308, "closed_form", 0.0), "value must be finite and > 0, "
+                                                       "got 2.225073858507201e-308"),
         ((1.0, "closed_form", -1e-300), "error_estimate must be finite and >= 0, got -1e-300"),
         ((1.0, "closed_form", INF), "error_estimate must be finite and >= 0, got inf"),
         ((1.0, "closed_form", NAN), "error_estimate must be finite and >= 0, got nan"),
@@ -175,6 +179,11 @@ class TestFisherEstimate:
         with pytest.raises(ValueError) as excinfo:
             FisherEstimate(*args)
         assert str(excinfo.value).startswith(message)
+
+    def test_the_smallest_normal_double_is_a_value(self):
+        # the subnormals just below it are not (test_validation_messages)
+        tiny = 2.2250738585072014e-308
+        assert FisherEstimate(tiny, "closed_form", 0.0).value == tiny
 
 
 class TestQuadResult:
