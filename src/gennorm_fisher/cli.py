@@ -92,11 +92,27 @@ def _write_result(args, command: str, inputs: dict, outputs: dict, seed=None, to
         out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _mode_options(args, mode: str, modes: dict, names) -> dict:
-    """The options that mode of args.command reads (modes maps each mode to its
-    defaults), with the values given.  The parser defaults each of names to
-    None ("not given"), so one given to a mode that does not read it is an error."""
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+def _option_names(modes: dict) -> dict:
+    """The options any mode of a command reads, in the order the modes name
+    them: modes maps each mode to its options' defaults, {mode: {option: default}}."""
+    return dict.fromkeys(name for defaults in modes.values() for name in defaults)
+
+
+def _add_mode_options(parser, modes: dict) -> None:
+    """Register each option of modes once, typed by its default and defaulting
+    to None ("not given"); its help names each reading mode's default."""
+    for name in _option_names(modes):
+        readers = {mode: defaults[name] for mode, defaults in modes.items() if name in defaults}
+        parser.add_argument(f"--{name}", type=type(next(iter(readers.values()))), default=None,
+                            help="; ".join(f"{mode} default {d}" for mode, d in readers.items()))
+
+
+def _mode_options(args, mode: str, modes: dict) -> dict:
+    """The options that mode of args.command reads (modes as in _option_names),
+    with the values given.  The parser defaults each option of modes to None
+    ("not given"), so one given to a mode that does not read it is an error."""
+    given = {name: getattr(args, name) for name in _option_names(modes)
+             if getattr(args, name) is not None}
     unread = [name for name in given if name not in modes[mode]]
     if unread:
         readers = ("/".join(m for m in modes if name in modes[m]) for name in unread)
@@ -239,7 +255,7 @@ def _cmd_estimate(args) -> int:
     if (args.input is None) == (not args.simulate):
         raise ValueError("provide exactly one of --input FILE or --simulate")
     mode = "--simulate" if args.simulate else "--input"
-    vars(args).update(_mode_options(args, mode, _ESTIMATE_MODES, ("theta", "n", "seed")))
+    vars(args).update(_mode_options(args, mode, _ESTIMATE_MODES))
     if args.simulate:
         params = GenNormParams(theta=args.theta, beta=args.beta)
         draws = sample_abs(params, args.n, args.seed)  # theta_hat and the score use |x| only
@@ -285,7 +301,7 @@ _THEOREM1_CHECKS = (
 )
 
 
-def _verify_theorem1(*, tol: float = 1e-9, n: int = 1_000_000, seed: int = DEFAULT_SEED):
+def _verify_theorem1(*, seed: int = DEFAULT_SEED, tol: float = 1e-9, n: int = 1_000_000):
     from .fisher import METHODS
 
     for cell, tag, params in _grid():
@@ -314,7 +330,7 @@ def _verify_equivalence(*, tol: float = 1e-9):
                "abs 1e-9")
 
 
-def _verify_crlb(*, beta: float = 2.0, theta: float = 1.0, n: int = 10_000, trials: int = 1000,
+def _verify_crlb(*, theta: float = 1.0, beta: float = 2.0, n: int = 10_000, trials: int = 1000,
                  seed: int = DEFAULT_SEED):
     from .estimation import ExperimentConfig, run_crlb_experiment
 
@@ -329,12 +345,14 @@ def _verify_crlb(*, beta: float = 2.0, theta: float = 1.0, n: int = 10_000, tria
 # Each suite's keyword arguments are the options it reads, with their defaults.
 _VERIFY_SUITES = {"lemma2": _verify_lemma2, "theorem1": _verify_theorem1,
                   "equivalence": _verify_equivalence, "crlb": _verify_crlb}
-_VERIFY_OPTIONS = ("theta", "beta", "seed", "tol", "n", "trials")
+
+
+def _verify_modes() -> dict:
+    return {suite: run.__kwdefaults__ or {} for suite, run in _VERIFY_SUITES.items()}
 
 
 def _cmd_verify(args) -> int:
-    modes = {suite: run.__kwdefaults__ or {} for suite, run in _VERIFY_SUITES.items()}
-    options = _mode_options(args, args.suite, modes, _VERIFY_OPTIONS)
+    options = _mode_options(args, args.suite, _verify_modes())
     checks = _VERIFY_SUITES[args.suite](**options)
     passed = count = 0
     for count, (name, ok, observed, expected, tol) in enumerate(checks, 1):
@@ -393,12 +411,14 @@ _SWEEPS = {
               "variance_stderr", "failed_trials"), _sweep_crlb),
     "routes": (("beta", *METHOD_NAMES, "mc_stderr", "rel_gap_quad", "rel_gap_mc"), _sweep_routes),
 }
-_SWEEP_OPTIONS = ("betas", "thetas", "sizes", "trials", "theta", "tol", "n", "seed")
+
+
+def _sweep_modes() -> dict:
+    return {table: run.__kwdefaults__ for table, (_, run) in _SWEEPS.items()}
 
 
 def _cmd_sweep(args) -> int:
-    modes = {table: run.__kwdefaults__ for table, (_, run) in _SWEEPS.items()}
-    options = _mode_options(args, args.table, modes, _SWEEP_OPTIONS)
+    options = _mode_options(args, args.table, _sweep_modes())
     columns, run = _SWEEPS[args.table]
     _write_result(args, "sweep", options, {"columns": columns, "rows": run(**options)})
     return 0
@@ -415,18 +435,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed_default=None, fmt_default="csv"):
-        # --seed only where a command draws samples, --format/--output only
-        # where it emits a table or record: argparse rejects the others
-        p.add_argument("--theta", type=float, default=1.0, help="scale parameter (default 1)")
-        p.add_argument("--beta", type=float, default=2.0, help="shape parameter (default 2)")
-        if seed_default is not None:
-            p.add_argument("--seed", type=int, default=seed_default,
-                           help=f"RNG seed (default {seed_default})")
-        if fmt_default is not None:
-            p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
-                           help=f"output format (default {fmt_default})")
-            p.add_argument("--output", default=None, help="write to file instead of stdout")
+    def add_common(p, fmt_default="csv", theta=True):
+        # theta=False where the command's modes register --theta (_add_mode_options)
+        if theta:
+            p.add_argument("--theta", type=float, default=1.0,
+                           help="scale parameter (default %(default)s)")
+        p.add_argument("--beta", type=float, default=2.0,
+                       help="shape parameter (default %(default)s)")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
+                       help="output format (default %(default)s)")
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     p_pdf = sub.add_parser("pdf", help="density table over an x grid")
     add_common(p_pdf)
@@ -437,14 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_pdf.set_defaults(func=_cmd_pdf)
 
     p_fisher = sub.add_parser("fisher", help="Fisher information estimates")
-    add_common(p_fisher, seed_default=0)
+    add_common(p_fisher)
     p_fisher.add_argument("--methods", default="all",
                           help=f"comma list from {', '.join(METHOD_NAMES)}; 'all' selects "
-                               "every method valid for the given beta (default all)")
+                               "every method valid for the given beta (default %(default)s)")
     p_fisher.add_argument("--tol", type=float, default=1e-9,
-                          help="relative quadrature tolerance (default 1e-9)")
+                          help="relative quadrature tolerance (default %(default)s)")
     p_fisher.add_argument("--n", type=int, default=1_000_000,
-                          help="Monte Carlo sample count (default 1e6)")
+                          help="Monte Carlo sample count (default %(default)s)")
+    p_fisher.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p_fisher.set_defaults(func=_cmd_fisher)
 
     p_moments = sub.add_parser("moments", help="exact moments E[X^k]")
@@ -453,46 +472,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments.set_defaults(func=_cmd_moments)
 
     p_est = sub.add_parser("estimate", help="maximum-likelihood scale estimate")
-    add_common(p_est, seed_default=0, fmt_default="json")
+    add_common(p_est, fmt_default="json", theta=False)
     p_est.add_argument("--input", default=None,
                        help="sample file: one number per line, blank lines ignored")
     p_est.add_argument("--simulate", action="store_true",
                        help="draw samples from (theta, beta) instead of reading a file")
-    p_est.add_argument("--n", type=int, help="sample count for --simulate (default 1e6)")
-    # --theta, --seed, --n: --simulate applies its own defaults (_ESTIMATE_MODES)
-    p_est.set_defaults(func=_cmd_estimate, theta=None, seed=None)
+    _add_mode_options(p_est, _ESTIMATE_MODES)
+    p_est.set_defaults(func=_cmd_estimate)
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
     p_verify.add_argument("suite", choices=tuple(_VERIFY_SUITES))
-    # no defaults here: each suite applies its own (its keyword defaults)
-    p_verify.add_argument("--theta", type=float, help="crlb scale parameter (default 1)")
-    p_verify.add_argument("--beta", type=float, help="crlb shape parameter (default 2)")
-    p_verify.add_argument("--seed", type=int,
-                          help=f"theorem1 and crlb RNG seed (default {DEFAULT_SEED})")
-    p_verify.add_argument("--tol", type=float,
-                          help="theorem1 and equivalence relative quadrature tolerance "
-                               "(default 1e-9)")
-    p_verify.add_argument("--n", type=int,
-                          help="Monte Carlo draws (theorem1, default 1e6) or per-trial "
-                               "samples (crlb, default 1e4)")
-    p_verify.add_argument("--trials", type=int, help="crlb trials (default 1000)")
+    _add_mode_options(p_verify, _verify_modes())
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="CSV table of the crlb experiment or the routes "
                                            "along a grid")
     p_sweep.add_argument("table", choices=tuple(_SWEEPS))
-    # no defaults here either: each table applies its own (its keyword defaults)
-    p_sweep.add_argument("--betas", help="comma list of even shapes (crlb default 2,4,6,8; "
-                                         "routes 2,4,6,8,10,12,16,20,50,100)")
-    p_sweep.add_argument("--thetas", help="crlb comma list of scales (default 1.0)")
-    p_sweep.add_argument("--sizes", help="crlb comma list of per-trial sample sizes "
-                                         "(default 100,1000,10000)")
-    p_sweep.add_argument("--trials", type=int, help="crlb trials per cell (default 1000)")
-    p_sweep.add_argument("--theta", type=float, help="routes scale parameter (default 1)")
-    p_sweep.add_argument("--tol", type=float,
-                         help="routes relative quadrature tolerance (default 1e-9)")
-    p_sweep.add_argument("--n", type=int, help="routes Monte Carlo draws (default 1e6)")
-    p_sweep.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+    _add_mode_options(p_sweep, _sweep_modes())
     p_sweep.add_argument("--output", help="write to file instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep, format="csv")
 

