@@ -435,6 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):  # every command that writes a table or a record
+        p.add_argument("--output", default=None, help="write to file instead of stdout")
+
     def add_common(p, fmt_default="csv", theta=True):
         # theta=False where the command's modes register --theta (_add_mode_options)
         if theta:
@@ -444,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shape parameter (default %(default)s)")
         p.add_argument("--format", choices=("csv", "json"), default=fmt_default,
                        help="output format (default %(default)s)")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
+        add_output(p)
 
     p_pdf = sub.add_parser("pdf", help="density table over an x grid")
     add_common(p_pdf)
@@ -489,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "along a grid")
     p_sweep.add_argument("table", choices=tuple(_SWEEPS))
     _add_mode_options(p_sweep, _sweep_modes())
-    p_sweep.add_argument("--output", help="write to file instead of stdout")
+    add_output(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep, format="csv")
 
     return parser

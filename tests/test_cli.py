@@ -149,13 +149,19 @@ class TestPdfCommand:
         assert code == 2 and out == ""
         assert err == "error: beta=1e-310 is too small: 1/beta overflows the double range\n"
 
-    def test_output_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, cell", [
+        (("pdf", "--min", "0", "--max", "0", "--count", "1", "--theta", "1", "--beta", "1"),
+         ("pdf", "0.5")),
+        (("sweep", "routes", "--betas", "2", "--n", "200"), ("closed_form", "2.0")),
+    ], ids=["pdf", "sweep"])
+    def test_output_file(self, capsys, tmp_path, argv, cell):
+        # every writing command takes the one --output option
         target = tmp_path / "table.csv"
-        code, out, _ = run(capsys, "pdf", "--min", "0", "--max", "0", "--count", "1",
-                           "--theta", "1", "--beta", "1", "--output", str(target))
+        code, out, _ = run(capsys, *argv, "--output", str(target))
         assert code == 0 and out == ""
         header, rows = parse_csv(target.read_text())
-        assert rows[0][1] == "0.5"
+        column, value = cell
+        assert rows[0][header.index(column)] == value
 
 
 class TestFisherCommand:

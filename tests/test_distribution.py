@@ -158,8 +158,10 @@ class TestExactMoment:
         [
             (300, 2.0, 0.25, r"E\[X\^300\] at theta=2.0, beta=0.25 "),
             (2, 1e200, 2.0, r"E\[X\^2\] at theta=1e\+200, beta=2.0 "),
+            # log Gamma(3e306) itself overflows; the ratio kernel raises for it
+            (2, 1.0, 1e-306, r"E\[X\^2\] at theta=1.0, beta=1e-306 "),
         ],
-        ids=["order", "theta"],
+        ids=["order", "theta", "shape"],
     )
     def test_overflow_for_huge_orders(self, k, theta, beta, message):
         spec = MomentSpec(k=k, params=GenNormParams(theta, beta))

@@ -1,8 +1,8 @@
 """The sweep tables run end to end through the CLI, modules use only each
-other's public names, only distribution raises an array to the shape, the
-exact commands start without numpy and the others with one BLAS thread, the
-package loads its names on first access, and every name the benchmark's
-tracer patches exists."""
+other's public names, only distribution raises an array to the shape, only
+special_functions takes log Gamma, the exact commands start without numpy and
+the others with one BLAS thread, the package loads its names on first access,
+and every name the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -167,6 +167,31 @@ def test_only_distribution_raises_to_the_shape():
     lines, first = inspect.getsourcelines(exact.expected_abs_moment)
     assert hits == [f"src/gennorm_fisher/exact.py:{first + len(lines) - 1}"]
     assert list(_powers_of_the_shape(ROOT / "src" / "gennorm_fisher" / "distribution.py"))
+
+
+def _callers(path, names):
+    # "module.function" for each call of a function named in names (bare, or an
+    # attribute such as math.lgamma), by its innermost enclosing function
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in names:
+            owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            owner = min(owners, key=lambda f: f.end_lineno - f.lineno).name if owners else ""
+            yield f"{path.stem}.{owner}"
+
+
+def test_only_special_functions_takes_log_gamma():
+    # special_functions owns log Gamma and every ratio of Gammas; the one other
+    # math.lgamma is quadrature._rule's node cut, and exact.py, home of the
+    # moments and of the MLE's law, takes no log-Gamma of its own
+    files = sorted((ROOT / "src" / "gennorm_fisher").glob("*.py"))
+    callers = {hit for path in files for hit in _callers(path, ("lgamma",))}
+    assert "quadrature._rule" in callers
+    assert {c for c in callers if not c.startswith("special_functions.")} == {"quadrature._rule"}
+    exact_py = ROOT / "src" / "gennorm_fisher" / "exact.py"
+    assert list(_callers(exact_py, ("lgamma", "log_gamma", "gamma"))) == []
 
 
 def test_tracer_patch_targets_resolve(monkeypatch):
