@@ -16,8 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .special_functions import (
-    log_gamma_ratio, log_gamma_second_difference, require_count, require_real)
+from .special_functions import log_gamma_ratio, log_gamma_ratio_excess, log_gamma_second_difference
+from .special_functions import require_count, require_real
 
 __all__ = [
     "MC_MIN_DRAWS",
@@ -221,8 +221,8 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
 
     sum |X_i/theta|**beta ~ Gamma(n/beta), so theta_hat/theta = W =
     (beta G/n)**(1/beta) with G ~ Gamma(n/beta), and
-    E[W**k] = (beta/n)**(k/beta) Gamma((n + k)/beta) / Gamma(n/beta); the
-    mean and both variances are within 1e-13 of 60-digit mpmath to n = 10**6.
+    E[W**k] = (beta/n)**(k/beta) Gamma((n + k)/beta) / Gamma(n/beta): mean,
+    variances and bias (off beta near 1) within 1e-13 of mpmath to n = 10**6.
 
     beta is a shape as GenNormParams takes it, theta > 0 and n >= 1 an
     integer; ValueError otherwise, where theta puts a moment outside the
@@ -232,7 +232,7 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
     tf = require_real("theta", theta, positive=True)
     require_count("n", n, 1)
     a, h = n / bf, 1.0 / bf
-    log_ew = math.log(bf / n) / bf + log_gamma_ratio(a, h)
+    log_ew = log_gamma_ratio_excess(a, h)  # log E W = log Gamma(a + h) - log Gamma(a) - h log a
     ew = math.exp(log_ew)
     rel_var = math.expm1(log_gamma_second_difference(a, h))  # Var W / (E W)**2
     var_w = ew * ew * rel_var

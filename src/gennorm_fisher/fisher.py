@@ -116,13 +116,9 @@ def fisher_quad_score_variance(
     carrying the partial value (in the units of I(theta)).
     """
     b = params.beta
-    inv_b = 1.0 / b
 
-    def score_sq_over_beta(p):  # (beta p - 1)^2 / beta = (beta p - 1) (p - 1/beta)
-        q = p - inv_b
-        _affine(p, b)
-        p *= q
-        return p
+    def score_sq_over_beta(p):  # (beta p - 1)^2 / beta
+        return (b * p - 1.0) * (p - 1.0 / b)
 
     return _fisher_quad(params, score_sq_over_beta, "quad_score_variance", tol, max_level)
 
@@ -134,9 +130,7 @@ def fisher_quad_neg_hessian(
     b = params.beta
 
     def neg_d2_over_beta(p):  # (beta (beta+1) p - 1) / beta
-        p *= b + 1.0
-        p -= 1.0 / b
-        return p
+        return (b + 1.0) * p - 1.0 / b
 
     return _fisher_quad(params, neg_d2_over_beta, "quad_neg_hessian", tol, max_level)
 
@@ -170,7 +164,7 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     and the result's error bound is abs_tol / theta.
     """
     beta = params.beta
-    return _scaled_quad(lambda p: _affine(p, beta), beta, 1.0 / params.theta, abs_tol=abs_tol)
+    return _scaled_quad(lambda p: beta * p - 1.0, beta, 1.0 / params.theta, abs_tol=abs_tol)
 
 
 _ROUTES = {

@@ -69,7 +69,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .exact import QuadratureError
-from .special_functions import require_real
+from .special_functions import log_gamma, require_real
 
 __all__ = ["QuadResult", "integrate_decaying", "expect_power"]
 
@@ -139,7 +139,7 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
     expect_power).
     """
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
-    s_left = _LOG_EPS + math.lgamma(1.0 + 1.0 / shape) - log_p_end / shape
+    s_left = _LOG_EPS + log_gamma(1.0 + 1.0 / shape) - log_p_end / shape
     u_left = math.asinh(s_left / math.pi)
     u_right = math.asinh((math.log(shape) + log_p_end) / math.pi)
     # The floor raise of the module docstring, at the drop of exp(-p) at
@@ -331,21 +331,21 @@ def expect_power(
     With log_unit = distribution.log_norm_z(beta), the log of the normalizer
     of f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|**beta), this is
     E[p**exponent * weight(p)] under f_Z; callers add the log of their own
-    units to it.  weight maps an ndarray of p values to weights of at most
-    polynomial growth, and may overwrite it; None stands for 1.
+    units to it.  weight maps a read-only ndarray of p values to a new array
+    of weights of at most polynomial growth; None stands for 1.
     p**exponent (that is |z|**(beta*exponent)) and exp(log_unit) enter the
     integrand through its logarithm, so that neither overflows or underflows
     ahead of the result.  Tolerances as in integrate_decaying; the floor is
     ROUTE_MIN_LEVEL or above (see the module docstring).  Raises ValueError
-    for a beta or an exponent out of range, or where the range
-    p_end**(1/beta) overflows (beta below 0.00923 for the density alone),
-    and OverflowError where the rule's sum exceeds the double range: where
-    the result does, or comes within a factor of about 20 of its top (1e3 at
-    beta = 1e300).
+    for a beta or an exponent out of range or not a real number (a bool or
+    text), or where the range p_end**(1/beta) overflows (beta below 0.00923
+    for the density alone), and OverflowError where the rule's sum exceeds
+    the double range: where the result does, or comes within a factor of
+    about 20 of its top (1e3 at beta = 1e300).
     """
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
-    if not (exponent >= 0.0 and math.isfinite(exponent)):
+    beta = require_real("beta", beta, positive=True)
+    exponent = require_real("exponent", exponent)
+    if exponent < 0.0:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
     log_p_end = math.log(_p_end(exponent)) if exponent else _LOG_P_DROP
     log_b = log_p_end / beta  # z = b * exp(-L)
@@ -372,18 +372,16 @@ def expect_power(
             if exponent:
                 w += exponent * log_p
             p = np.exp(log_p, out=log_p)
+            p.setflags(write=False)
             w -= p
             np.exp(w, out=w)
             w *= jac
-            if key[2] > _KEEP_COUNT:  # a pass too large to keep: p and w are this call's own
-                if weight is not None:
-                    w *= weight(p)
-                return w
-            # a kept pass keeps one slot, for the last density_key it served
-            p.setflags(write=False)
-            w.setflags(write=False)
-            rule.densities[key] = (density_key, p, w)
-        return w if weight is None else w * weight(p.copy())
+            del jac  # before the weight allocates: a fresh pass peaks at 4 arrays, not 5
+            if key[2] <= _KEEP_COUNT:  # a kept pass keeps one slot, for the last density_key
+                w.setflags(write=False)
+                rule.densities[key] = (density_key, p, w)
+        out = w if w.flags.writeable else None  # a fresh pass multiplies its own w in place
+        return w if weight is None else np.multiply(w, weight(p), out=out)
 
     try:
         with np.errstate(over="ignore"):  # an inf term is reported below

@@ -3,8 +3,8 @@
 Everything downstream reduces to Gamma at positive real arguments.  gamma()
 and log_gamma() validate theirs and call math.gamma and math.lgamma: within
 8e-16 relative error on (0, 171.62] and 1e-14 (absolute near the zeros at 1
-and 2) of 50-digit references.  Every ratio of Gammas goes through one
-kernel, log_gamma_ratio(a, h) or its second difference.
+and 2) of 50-digit references.  Every ratio of Gammas goes through one kernel:
+log_gamma_ratio(a, h), its excess over h log a, or its second difference.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "gamma",
     "log_gamma",
     "log_gamma_ratio",
+    "log_gamma_ratio_excess",
     "log_gamma_second_difference",
     "multifactorial",
     "gamma_rational",
@@ -100,21 +101,29 @@ def log_gamma(z) -> float:
 def log_gamma_ratio(a, h) -> float:
     """log Gamma(a + h) - log Gamma(a) for real a > 0, h >= 0.  ValueError as log_gamma
     raises it; OverflowError once the result, or h/a, exceeds the double range."""
-    return _gamma_difference("log_gamma_ratio", a, h, second=False)
+    return _gamma_difference("log_gamma_ratio", a, h, "ratio")
+
+
+def log_gamma_ratio_excess(a, h) -> float:
+    """log Gamma(a + h) - log Gamma(a) - h log a, the log of Gamma(a + h) / (Gamma(a) a**h)
+    (DLMF 5.11.13), without subtracting h log a: its relative digits survive where it is
+    small, about h (h - 1) / (2a) at large a.  Errors as log_gamma_ratio's."""
+    return _gamma_difference("log_gamma_ratio_excess", a, h, "excess")
 
 
 def log_gamma_second_difference(a, h) -> float:
     """log Gamma(a + 2h) - 2 log Gamma(a + h) + log Gamma(a); errors as log_gamma_ratio's."""
-    return _gamma_difference("log_gamma_second_difference", a, h, second=True)
+    return _gamma_difference("log_gamma_second_difference", a, h, "second")
 
 
-def _gamma_difference(name: str, a, h, second: bool) -> float:
+def _gamma_difference(name: str, a, h, kind: str) -> float:
     # Steps below b take their own terms.  A Stirling term z**-m has k-th difference k! (-h)**k
     # prod(y) h_(m-1)(y), y = 1/z, h_d the complete homogeneous symmetric polynomial.
     af = require_real(f"{name} argument a", a, positive=True)
     hf = require_real(f"{name} step h", h)
     if hf < 0.0:
         raise ValueError(f"{name} step h must be >= 0, got {h!r}")
+    second = kind == "second"
     steps = max(0, math.ceil(_STIRLING_FROM - af))
     b = af + steps
     ys = [1.0 / b, 1.0 / (b + hf)] + [1.0 / (b + 2.0 * hf)] * second
@@ -127,6 +136,15 @@ def _gamma_difference(name: str, a, h, second: bool) -> float:
     if second:
         out = (b - 0.5) * _log1m_square(b, hf) + 2.0 * hf * math.log1p(hf / (b + hf)) + corrections
         out -= math.fsum(_log1m_square(af + k, hf) for k in range(steps))
+    elif kind == "excess":  # the ratio's terms less h log b = h log a + h sum log1p(1/(a + k))
+        x, t = hf / b, hf / (2.0 * b + hf)  # log1p(x) = 2 atanh(t) and x - 2t = x t, so below
+        # x = 1, log1p(x) - x = -x t + 2 t**3 sum t**2k / (2k + 3) with t <= 1/3
+        log1p_minus_x = (math.log1p(x) - x if x > 1.0 else
+                         2.0 * t**3 * sum(t ** (2 * k) / (2 * k + 3) for k in range(18)) - x * t)
+        out = b * log1p_minus_x + (hf - 0.5) * math.log1p(x) + corrections
+        # terms of one sign: sum, not fsum, which raises on an overflowing partial sum
+        out -= sum(math.log1p(hf / (af + k)) - hf * math.log1p(1.0 / (af + k))
+                   for k in range(steps))
     else:
         out = (b - 0.5) * math.log1p(hf / b) + hf * (math.log(b + hf) - 1.0) + corrections
         out -= math.fsum(math.log1p(hf / (af + k)) for k in range(steps))

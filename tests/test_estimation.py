@@ -394,7 +394,7 @@ def perfbench_workloads():
 
 
 def _mle_law_mp(beta, n):
-    """Mean, variance and unbiased variance of theta_hat at theta = 1, in
+    """Mean, variance, unbiased variance and bias of theta_hat at theta = 1, in
     60-digit mpmath, from E[W**k] = (beta/n)**(k/beta) Gamma((n + k)/beta) / Gamma(n/beta)."""
     with mp.workdps(60):
         b = mp.mpf(beta)
@@ -403,7 +403,7 @@ def _mle_law_mp(beta, n):
         l1, l2 = mp.loggamma(a + h) - lga, mp.loggamma(a + 2 * h) - lga
         mean = mp.exp(mp.log(b / n) / b + l1)
         rel_var = mp.expm1(l2 - 2 * l1)
-        return mean, mean * mean * rel_var, rel_var
+        return mean, mean * mean * rel_var, rel_var, mean - 1
 
 
 class TestExactMleLaw:
@@ -418,11 +418,17 @@ class TestExactMleLaw:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 4.0, 8.0, 64.0, 1000.0, 1e6])
     def test_against_high_precision_oracle(self, beta, n):
         # worst measured 3.8e-15 (the variance at beta 0.5, n 10**4); subtracting
-        # math.lgamma values instead gave 2.1e-3 at beta 2, n 10**6
+        # math.lgamma values instead gave 2.1e-3 at beta 2, n 10**6.  The bias
+        # is 0 at beta 1; elsewhere worst 3.3e-16, where log_gamma_ratio less
+        # h log a gave 1.3e-9 at beta 3, n 10**6
         law = mle_moments_exact(beta, 1.0, n)
-        expected = _mle_law_mp(beta, n)
+        *expected, bias = _mle_law_mp(beta, n)
         for got, want in zip((law.mean, law.variance, law.unbiased_variance), expected):
             assert abs(got / want - 1) <= 1e-13
+        if beta == 1.0:
+            assert abs(law.bias) <= 1e-15
+        else:
+            assert abs(law.bias / bias - 1) <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 3, 10, 100, 10**4])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 8.0, 64.0, 1e6])
@@ -432,7 +438,7 @@ class TestExactMleLaw:
         # the package must agree with it to 1e-12; elsewhere the package is the
         # accurate side, which test_against_high_precision_oracle holds to 1e-13.
         oracle = perfbench_workloads.mle_moments_exact
-        mean_mp, variance_mp, _ = _mle_law_mp(beta, n)
+        mean_mp, variance_mp, *_ = _mle_law_mp(beta, n)
         for theta in (0.3, 2.5):
             law = mle_moments_exact(beta, theta, n)
             for got, want, exact in zip((law.mean, law.variance), oracle(beta, theta, n),

@@ -475,22 +475,32 @@ def test_interleaved_routes_give_the_bits_of_uncached_calls(beta, rules):
     assert _densities(seen) and not any(a.flags.writeable for a in _densities(seen))
 
 
-def test_a_weight_that_overwrites_its_argument_leaves_the_kept_terms_as_they_were(rules):
+def test_a_weight_that_writes_to_p_fails_and_leaves_the_kept_terms_as_they_were(rules):
+    # every pass hands the weight a read-only p: a kept first pass of 257 nodes
+    # at beta 2.5, and a fresh one of 8193 nodes at beta 1e100, whose floor is
+    # raised by 5 levels
     cached, seen = rules
+    sizes = []
 
-    def weight(p):
+    def overwrite(p):
+        sizes.append(p.size)
         p *= 3.0
-        p -= 1.0
         return p
 
-    def result():
-        return quadrature.expect_power(weight, 2.5, log_unit=-0.5, rel_tol=1e-12)
+    def result(weight, beta=2.5):
+        return quadrature.expect_power(weight, beta, log_unit=-0.5, rel_tol=1e-12)
 
-    first, second = result(), result()
+    first = result(lambda p: 3.0 * p - 1.0)
     kept = _densities(seen)
+    copies = [a.copy() for a in kept]
+    for beta in (2.5, 1e100):
+        with pytest.raises(ValueError, match="read-only"):
+            result(overwrite, beta)
+    assert sizes == [257, 8193]
+    assert kept and all(np.array_equal(a, c) for a, c in zip(kept, copies))
+    warm = result(lambda p: 3.0 * p - 1.0)
     cached.cache_clear()
-    assert first == second == result()
-    assert kept and not any(a.flags.writeable for a in kept)
+    assert first == warm == result(lambda p: 3.0 * p - 1.0)
 
 
 def test_a_pass_keeps_one_density_slot(rules):
@@ -548,6 +558,8 @@ def test_any_real_tolerance_is_taken_at_its_value(tol):
 
 REAL_ARGUMENTS = {
     "order": lambda v: abs_moment_quad(GenNormParams(1.0, 2.0), v),
+    "beta": lambda v: quadrature.expect_power(None, v, abs_tol=1e-9),
+    "exponent": lambda v: quadrature.expect_power(None, 2.0, exponent=v, abs_tol=1e-9),
     "scale": lambda v: integrate_decaying(lambda x: np.exp(-x * x), scale=v, shape=2.0,
                                           abs_tol=1e-9, rel_tol=0.0),
     "shape": lambda v: integrate_decaying(lambda x: np.exp(-x * x), scale=1.0, shape=v,

@@ -16,7 +16,8 @@ from gennorm_fisher import (
     log_gamma,
     multifactorial,
 )
-from gennorm_fisher.special_functions import log_gamma_ratio, log_gamma_second_difference
+from gennorm_fisher.special_functions import (
+    log_gamma_ratio, log_gamma_ratio_excess, log_gamma_second_difference)
 
 mp.mp.dps = 50
 
@@ -128,6 +129,7 @@ class TestLogGamma:
 RATIO_A = sorted([float(a) for a in np.geomspace(1e-6, 5e5, 23)]
                  + [1.0, 1.4616321449683622, 2.0, 9.999999999999998, 10.0, 10.5])
 RATIO_H = [float(h) for h in np.geomspace(1e-6, 1e2, 17)]
+KERNELS = [log_gamma_ratio, log_gamma_ratio_excess, log_gamma_second_difference]
 
 
 class TestLogGammaRatio:
@@ -137,6 +139,9 @@ class TestLogGammaRatio:
         # ratio L (at a = h = 1, where L = 0) and 5.3e-16 for the second
         # difference; over 40,000 log-uniform points of the same box, 9.8e-16
         # and 6.7e-16.  L is held to |error| / (|L| + h), since L crosses 0.
+        # The excess L - h log a is 0 at h = 1; elsewhere on this grid its
+        # worst is 6.6e-16, and over 3,000 log-uniform points of the box with
+        # |h - 1| > 0.1 it is 3.1e-15; nearer h = 1 it grows like 1e-15 / |h - 1|.
         with mp.workdps(60):
             am = mp.mpf(a)
             lga = mp.loggamma(am)
@@ -144,13 +149,18 @@ class TestLogGammaRatio:
                 hm = mp.mpf(h)
                 ratio = mp.loggamma(am + hm) - lga
                 second = mp.loggamma(am + 2 * hm) - lga - 2 * ratio
+                excess = ratio - hm * mp.log(am)
                 assert abs(log_gamma_ratio(a, h) - ratio) / (abs(ratio) + hm) <= 2e-15, h
                 assert abs(log_gamma_second_difference(a, h) / second - 1) <= 2e-15, h
+                if h == 1.0:
+                    assert abs(log_gamma_ratio_excess(a, h)) <= 1e-16, h
+                else:
+                    assert abs(log_gamma_ratio_excess(a, h) / excess - 1) <= 2e-15, h
 
     def test_recurrence_and_zero_step(self):
         for a in (1e-3, 0.5, 1.0, 7.25, 1e4):  # Gamma(a + 1) = a Gamma(a), held as above
             assert abs(log_gamma_ratio(a, 1.0) - math.log(a)) <= 2e-15 * (abs(math.log(a)) + 1.0)
-            assert log_gamma_ratio(a, 0) == 0.0
+            assert log_gamma_ratio(a, 0) == log_gamma_ratio_excess(a, 0) == 0.0
             assert log_gamma_second_difference(a, 0.0) == 0.0
 
     def test_large_arguments_stay_finite(self):
@@ -161,14 +171,14 @@ class TestLogGammaRatio:
         assert log_gamma_second_difference(1e200, 1e100) == pytest.approx(float(expected),
                                                                           rel=1e-15)
 
-    @pytest.mark.parametrize("kernel", [log_gamma_ratio, log_gamma_second_difference])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("a, h", [(1.0, 1e308), (1e-300, 1e10)])
     def test_overflow(self, kernel, a, h):
         # the result itself, or h/a, past the double range
         with pytest.raises(OverflowError, match="exceeds the double range"):
             kernel(a, h)
 
-    @pytest.mark.parametrize("kernel", [log_gamma_ratio, log_gamma_second_difference])
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("a, h", [
         (0, 1.0), (-1.0, 1.0), (float("nan"), 1.0), (float("inf"), 1.0), (True, 1.0),
         ("2", 1.0), (1.0, -1e-9), (1.0, float("nan")), (1.0, float("inf")), (1.0, np.True_),
