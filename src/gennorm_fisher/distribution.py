@@ -7,12 +7,12 @@ The family is parameterized by a scale theta > 0 and a shape beta > 0:
 
 Laplace at beta = 1, Gaussian (with sigma^2 = theta^2/2) at beta = 2, and
 pointwise convergence to the uniform density on [-theta, theta] as
-beta -> infinity.
+beta -> infinity.  Its log-normalizer in z = x/theta is
+special_functions.log_norm_z, which expect_power adds to every route itself.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -22,11 +22,11 @@ import numpy as np
 from .exact import GenNormParams
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
-from .special_functions import log_gamma, require_count, require_real
+from .special_functions import log_gamma  # noqa: F401  perfbench's tracer patches this name
+from .special_functions import log_norm_z, require_count, require_real
 
 __all__ = [
     "standardized_power",
-    "log_norm_z",
     "log_pdf_z",
     "log_pdf",
     "pdf",
@@ -85,23 +85,6 @@ def _raise(p: np.ndarray, beta: float) -> np.ndarray:
     else:
         np.power(p, b, out=p)
     return p
-
-
-@functools.lru_cache
-def log_norm_z(beta: float) -> float:
-    """log(beta / (2 Gamma(1/beta))), the log-normalizer of f_Z.
-
-    The one copy behind the density kernels and the quadrature routes.
-    Cached: a pure function of beta, taken once per shape rather than once
-    per kernel call or quadrature pass.  Callers pass float(beta), so a 0-d
-    array or numpy scalar shape keys the same entry.  For beta >= 1 it is
-    -log 2 - log Gamma(1 + 1/beta), the same value without the cancellation
-    of two logs that grow with beta (529 ulp at worst up to beta = 1e300,
-    10 this way); below 1 the direct form is the more accurate one.
-    """
-    if beta >= 1.0:
-        return -math.log(2.0) - log_gamma(1.0 + 1.0 / beta)
-    return math.log(beta / 2.0) - log_gamma(1.0 / beta)
 
 
 def log_pdf_z(beta: float, z) -> np.ndarray:
@@ -293,8 +276,7 @@ def pdf_normalization(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResu
 
     The integral is dimensionless, so it is taken in z = x/theta directly.
     """
-    beta = params.beta
-    return expect_power(None, beta, log_unit=log_norm_z(beta), abs_tol=abs_tol)
+    return expect_power(None, params.beta, abs_tol=abs_tol)
 
 
 def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11) -> QuadResult:
@@ -312,6 +294,5 @@ def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11)
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     beta = params.beta
     return expect_power(
-        None, beta, exponent=of / beta,
-        log_unit=log_norm_z(beta) + of * math.log(params.theta), rel_tol=rel_tol,
+        None, beta, exponent=of / beta, log_unit=of * math.log(params.theta), rel_tol=rel_tol
     )

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distribution import log_norm_z, sample_abs, standardized_power
+from .distribution import sample_abs, standardized_power
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, FisherEstimate, GenNormParams, QuadratureError
 from .exact import fisher_closed_form, require_even_shape, require_tol
@@ -87,7 +87,7 @@ def _scaled_quad(weight, beta: float, unit: float, **tol) -> QuadResult:
     """expect_power of weight against f_Z, times unit; a QuadratureError's
     partial value and error are rescaled by unit too."""
     try:
-        res = expect_power(weight, beta, log_unit=log_norm_z(beta), **tol)
+        res = expect_power(weight, beta, **tol)
     except QuadratureError as exc:
         raise QuadratureError(exc.args[0], exc.partial * unit, exc.error_estimate * unit) from None
     return QuadResult(res.value * unit, res.error_estimate * unit, res.intervals)

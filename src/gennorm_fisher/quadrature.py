@@ -31,8 +31,8 @@ is still a normal double, and a subnormal exp costs ~30x a normal one.
 
   * integrate_decaying(f, scale, shape, ...) integrates any vectorized f over
     R, odd parts included: each pass evaluates f once, on the nodes [x, -x].
-  * expect_power(weight, beta, ...) integrates a function of p times exp(-p)
-    over z = x/scale, the form of every quadrature route of the package.
+  * expect_power(weight, beta, ...) takes E[weight(p)], p = |z|**beta, under
+    f_Z (log_norm_z), the form of every quadrature route of the package.
     The integrand is even, so it evaluates the half-line once and doubles it.
 
 No level below min_level may end a call, so the first pass evaluates the
@@ -69,7 +69,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .exact import QuadratureError
-from .special_functions import log_gamma, require_real
+from .special_functions import log_norm_z, require_real
 
 __all__ = ["QuadResult", "integrate_decaying", "expect_power"]
 
@@ -139,7 +139,7 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
     expect_power).
     """
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
-    s_left = _LOG_EPS + log_gamma(1.0 + 1.0 / shape) - log_p_end / shape
+    s_left = _LOG_EPS + (-_LOG_2 - log_norm_z(shape)) - log_p_end / shape
     u_left = math.asinh(s_left / math.pi)
     u_right = math.asinh((math.log(shape) + log_p_end) / math.pi)
     # The floor raise of the module docstring, at the drop of exp(-p) at
@@ -325,17 +325,15 @@ def expect_power(
     rel_tol: float = 0.0,
     max_level: int = 22,
 ) -> QuadResult:
-    """exp(log_unit) * integral over R of p**exponent * weight(p) * exp(-p) dz,
-    with p = |z|**beta.
+    """exp(log_unit) * E[p**exponent * weight(p)] under
+    f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|**beta), with p = |z|**beta.
 
-    With log_unit = distribution.log_norm_z(beta), the log of the normalizer
-    of f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|**beta), this is
-    E[p**exponent * weight(p)] under f_Z; callers add the log of their own
-    units to it.  weight maps a read-only ndarray of p values to a new array
-    of weights of at most polynomial growth; None stands for 1.
-    p**exponent (that is |z|**(beta*exponent)) and exp(log_unit) enter the
-    integrand through its logarithm, so that neither overflows or underflows
-    ahead of the result.  Tolerances as in integrate_decaying; the floor is
+    log_unit is the log of the caller's own unit: the normalizer is
+    log_norm_z's.  weight maps a read-only ndarray of p values to a new array
+    of weights of at most polynomial growth; None stands for 1.  p**exponent
+    (that is |z|**(beta*exponent)) and exp(log_unit) enter the integrand
+    through its logarithm, so that neither overflows or underflows ahead of
+    the result.  Tolerances as in integrate_decaying; the floor is
     ROUTE_MIN_LEVEL or above (see the module docstring).  Raises ValueError
     for a beta or an exponent out of range or not a real number (a bool or
     text), or where the range p_end**(1/beta) overflows (beta below 0.00923
@@ -351,9 +349,9 @@ def expect_power(
     log_b = log_p_end / beta  # z = b * exp(-L)
     if log_b > _LOG_MAX:
         raise ValueError(f"the integration range overflows at beta {beta!r}, exponent {exponent!r}")
-    # log of 2 (both halves of the line) * b * exp(log_unit): the factors of
-    # every term that do not depend on the node
-    log_const = _LOG_2 + log_b + log_unit
+    # log of 2 (both halves of the line) * b * the normalizer of f_Z * exp(log_unit):
+    # the factors of every term that do not depend on the node
+    log_const = _LOG_2 + log_b + (log_norm_z(beta) + log_unit)
 
     density_key = (log_const, exponent)
 

@@ -26,6 +26,7 @@ from gennorm_fisher import (
     sample,
     sample_abs,
     seeding,
+    special_functions,
 )
 from gennorm_fisher.distribution import log_pdf_z, standardized_power
 from gennorm_fisher.estimation import ExperimentConfig
@@ -618,26 +619,34 @@ class TestStandardizedKernels:
     def test_log_normalizer_is_within_10_ulp_at_every_shape(self):
         # log(beta/2) - log Gamma(1/beta) cancels two logs that grow with the
         # shape: 529 ulp at beta near 1e300, where -log 2 - log Gamma(1 + 1/beta)
-        # keeps the error of log Gamma alone (9.1 ulp the worst of 40,000 shapes)
-        for beta in np.geomspace(0.01, 1e300, 500).tolist():
+        # keeps the error of log Gamma alone.  Between 1 and 2, 1 + 1/beta is near
+        # the zero of lgamma at 2: at the two shapes listed, log Gamma(1 + 1/beta)
+        # from math.lgamma is 11.2 and 10.3 ulp off, from the ratio kernel 0.3
+        shapes = np.geomspace(0.01, 1e300, 500).tolist()
+        shapes += [1.1067280067739707, 1.0080186308017907]
+        shapes += np.random.default_rng(28).uniform(1.0, 2.0, 2000).tolist()
+        for beta in shapes:
             want = mp.log(mp.mpf(beta) / 2) - mp.loggamma(1 / mp.mpf(beta))
-            err = abs(mp.mpf(distribution.log_norm_z(beta)) - want) / math.ulp(float(want))
+            err = abs(mp.mpf(special_functions.log_norm_z(beta)) - want) / math.ulp(float(want))
             assert err <= 10, beta
 
     def test_log_normalizer_taken_once_per_shape(self, monkeypatch):
+        # special_functions makes every call of log_gamma (test_layout), so
+        # counting its calls there counts every log Gamma of the package
         calls = []
 
         def counting_log_gamma(z):
             calls.append(z)
             return log_gamma(z)
 
-        monkeypatch.setattr(distribution, "log_gamma", counting_log_gamma)
+        monkeypatch.setattr(special_functions, "log_gamma", counting_log_gamma)
         beta = 2.375  # a shape no other test uses, so it is not cached yet
         first = pdf_normalization(GenNormParams(1.0, beta))
+        # one log Gamma for the rule's left cut and expect_power's normalizer
         assert len(calls) == 1
         assert pdf_normalization(GenNormParams(1.0, beta)) == first
-        # the routes and the kernels share one cached copy: a new shape takes
-        # it once, in whichever of them comes first
+        # the rule, the routes and the kernels share one cached copy: a new
+        # shape takes it once, in whichever of them comes first
         other = 3.625
         fisher_quad_score_variance(GenNormParams(1.5, other))
         assert len(calls) == 2

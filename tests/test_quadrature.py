@@ -19,6 +19,7 @@ from gennorm_fisher import (
     integrate_decaying,
     pdf_normalization,
     quadrature,
+    special_functions,
 )
 
 
@@ -251,25 +252,24 @@ class TestExpectPower:
             seen.append(p.copy())
             return p
 
-        res = quadrature.expect_power(
-            weight, 2.5, log_unit=distribution.log_norm_z(2.5), rel_tol=1e-12
-        )
+        res = quadrature.expect_power(weight, 2.5, rel_tol=1e-12)
         assert res.value == pytest.approx(1.0 / 2.5, rel=1e-12)
         assert sum(p.size for p in seen) == res.intervals // 2 + 1
         assert all(p.min() >= 0.0 and p.max() < 700.0 for p in seen)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 7.0])
-    def test_unit_log_scale_integrates_the_bare_exponential(self, beta):
-        # integral over R of exp(-|z|^beta) dz = 2 Gamma(1 + 1/beta)
+    def test_no_weight_integrates_the_density(self, beta):
+        # E[1] = 1 under f_Z: expect_power adds the normalizer itself
         res = quadrature.expect_power(None, beta, rel_tol=1e-12)
-        assert res.value == pytest.approx(2.0 * math.gamma(1.0 + 1.0 / beta), rel=1e-12)
+        assert res.value == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 64.0])
     def test_shares_the_rule_of_integrate_decaying(self, beta):
         # one node map, range and floor: the same levels at the same tolerance
         res = quadrature.expect_power(None, beta, rel_tol=1e-12)
+        norm = math.exp(special_functions.log_norm_z(beta))
         same = integrate_decaying(
-            lambda x: np.exp(-np.abs(x) ** beta), scale=1.0, shape=beta, abs_tol=0.0,
+            lambda x: norm * np.exp(-np.abs(x) ** beta), scale=1.0, shape=beta, abs_tol=0.0,
             rel_tol=1e-12, min_level=quadrature.ROUTE_MIN_LEVEL,
         )
         assert same.intervals == res.intervals
