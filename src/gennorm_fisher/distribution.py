@@ -19,7 +19,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .exact import GenNormParams
+from .exact import GenNormParams, require_shape
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 from .special_functions import log_gamma  # noqa: F401  perfbench's tracer patches this name
@@ -152,7 +152,7 @@ def trial_seed(seed: int, trial: int) -> int:
 
 
 def sample_power_trials(
-    params: GenNormParams, count: int, seed: int, trials: int
+    beta: float, count: int, seed: int, trials: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (m, p) for the trials in order, a block of them at a time: m of
     shape (r,) and p of shape (r, count), row i the draws of the block's i-th
@@ -161,29 +161,30 @@ def sample_power_trials(
 
     A block holds max(1, min(trials, 2**15 // count)) trials (_BLOCK_DRAWS),
     the last one those left over; past 2**15 draws a trial is a block of its
-    own.  Trial t draws from the streams of sample_abs(params, count,
-    trial_seed(seed, t)), in the same order, into its row; only the finish
-    differs, and it runs once per block.  The seeding is batched too: the
-    trial seeds and every trial's chunk seed words are derived a block of
-    trials at a time in vectorized passes (the seeding module).  The
-    construction gives |X/theta|**beta = G * (1 - U)**beta exactly
-    (G ~ Gamma(1 + 1/beta), for beta > 1), so the terms are
+    own.  Trial t draws the streams of sample_abs(GenNormParams(theta, beta),
+    count, trial_seed(seed, t)) at any theta, in the same order, into its
+    row; only the finish differs, and it runs once per block.  Seeding is
+    batched too: the trial seeds and every trial's chunk seed words are
+    derived a block of trials at a time in vectorized passes (the seeding
+    module).  The construction gives |X/theta|**beta = G * (1 - U)**beta
+    exactly (G ~ Gamma(1 + 1/beta), for beta > 1), so the terms are
     p_j = G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over the trial:
     one power per draw, no root taken and raised back, and no theta.  Each
     p_j is at most its G_j, and the one at m equals its G_j, so no term
     overflows and no trial's sum underflows at any beta.  For beta <= 1,
     m is all ones and p holds the gammas G ~ Gamma(1/beta).  p is a view of
     one buffer that every yield refills.  Arguments are checked once, at the
-    call.
+    call, beta by require_shape.
     """
+    bf = require_shape(beta)
     require_count("count", count, 1)
     require_count("seed", seed, 0)
     require_count("trials", trials, 0)
     rows = max(1, min(trials, _BLOCK_DRAWS // count))
     g = np.empty((rows, count))
-    w = np.empty((rows, count)) if params.beta > 1.0 else None  # all of 1 - U: m is their max
+    w = np.empty((rows, count)) if bf > 1.0 else None  # all of 1 - U: m is their max
     streams = _trial_streams(seed, count, trials)
-    return (_powers(g[:r], None if w is None else w[:r], params.beta, streams)
+    return (_powers(g[:r], None if w is None else w[:r], bf, streams)
             for r in (min(rows, trials - first) for first in range(0, trials, rows)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .distribution import sample_power_trials, standardized_power
 from .distribution import sample, trial_seed  # noqa: F401  perfbench's tracer patches these names
-from .exact import GenNormParams, cramer_rao_bound, require_even_shape, require_shape
+from .exact import cramer_rao_bound, require_even_shape, require_shape
 from .special_functions import require_count, require_real
 
 __all__ = [
@@ -119,9 +119,9 @@ def mle_theta(samples, beta) -> float:
     return theta_hat
 
 
-def _trial_ratios(params: GenNormParams, n: int, seed: int, trials: int) -> np.ndarray:
-    """theta_hat/theta of each trial, from its standardized powers
-    (sample_power_trials): m * (beta * mean(p))**(1/beta).
+def _trial_ratios(beta: float, n: int, seed: int, trials: int) -> np.ndarray:
+    """theta_hat/theta of each trial, the same at every theta: from its
+    standardized powers (sample_power_trials), m * (beta * mean(p))**(1/beta).
 
     One sum and one finite check per block of trials; each ratio is then
     taken on Python floats, as one scalar power per trial.  0.0 marks a
@@ -129,9 +129,8 @@ def _trial_ratios(params: GenNormParams, n: int, seed: int, trials: int) -> np.n
     Every term is at most its gamma draw, so a sum that is not finite is the
     one finite check: ValueError, as mle_theta raises.
     """
-    beta = params.beta
     ratios = []
-    for m, p in sample_power_trials(params, n, seed, trials):
+    for m, p in sample_power_trials(beta, n, seed, trials):
         totals = p.sum(axis=1)
         if not math.isfinite(totals.max()):  # max propagates nan
             raise ValueError("samples must all be finite")
@@ -143,8 +142,8 @@ def _trial_ratios(params: GenNormParams, n: int, seed: int, trials: int) -> np.n
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """Estimate theta over config.trials independent repetitions.
 
-    Trial t takes the draws of sample_abs(params, config.n,
-    trial_seed(config.seed, t)) as their standardized powers
+    Trial t takes the streams of sample_abs(GenNormParams(theta, beta), n,
+    trial_seed(seed, t)) at any theta, as their standardized powers
     (sample_power_trials, a block of trials at a time), so trials may run in
     any order, in blocks of any size or in parallel without changing the
     report, and its theta_hat/theta_true is m * (beta * mean(p))**(1/beta),
@@ -159,8 +158,7 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """
     theta = config.theta_true
     crlb = cramer_rao_bound(config.beta, theta, config.n)
-    params = GenNormParams(theta=theta, beta=float(config.beta))
-    ratios = _trial_ratios(params, config.n, config.seed, config.trials)
+    ratios = _trial_ratios(float(config.beta), config.n, config.seed, config.trials)
     ratios = ratios[ratios > 0.0]
     if ratios.size < 3:
         raise DegenerateDataError(

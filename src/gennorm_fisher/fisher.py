@@ -136,14 +136,13 @@ def fisher_quad_neg_hessian(
 
 
 def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> FisherEstimate:
-    """Monte Carlo route: mean of score^2 over n simulated draws.
+    """Monte Carlo route: mean of score^2 over n draws of |z| (sample_abs at theta 1).
 
-    error_estimate is the standard error of that mean (unbiased sample
-    standard deviation over sqrt(n)).  Deterministic given seed.
+    error_estimate is its standard error, the unbiased standard deviation over
+    sqrt(n); deterministic given seed.  theta enters only as 1/theta/theta.
     """
     require_count("n", n, MC_MIN_DRAWS)
-    z = sample_abs(params, n, seed)
-    z /= params.theta  # the score depends on |z| only
+    z = sample_abs(GenNormParams(1.0, params.beta), n, seed)
     sq = score_z(params.beta, z, out=z)
     sq *= sq
     # sq.mean() and sq.std(ddof=1), bit for bit, on the one buffer

@@ -230,6 +230,10 @@ class TestFisherCommand:
         assert run(capsys, *argv, "--beta", "0.005") == (
             2, "", "error: a draw overflows the double range at theta=1.0, beta=0.005\n")
 
+    def test_methods_that_name_no_method(self, capsys):
+        assert run(capsys, "fisher", "--methods", " , ") == (
+            2, "", "error: --methods must name at least one method\n")
+
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "fisher", "--methods", "sorcery")
         assert code == 2

@@ -176,6 +176,11 @@ class TestExactMoment:
         assert exact == pytest.approx(3.0364926890871e219, rel=1e-12)
         assert abs_moment_quad(params, 1100.0).value == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("order", [-1.0, -5e-324])
+    def test_a_negative_order_is_rejected(self, order):
+        with pytest.raises(ValueError, match=r"order must be finite and >= 0"):
+            abs_moment_quad(GenNormParams(1.0, 2.0), order)
+
     def test_quadrature_of_an_unrepresentable_moment(self):
         # E|X|^2 = 1e400 * Gamma(3/2) / Gamma(1/2) exceeds the double range
         with np.errstate(over="raise"), pytest.raises(OverflowError):
@@ -440,7 +445,7 @@ def _reference_power_trials(params, count, seed, trials):
 
 def _power_trials(params, count, seed, trials):
     # sample_power_trials one trial at a time: (m, terms) of each row of each block
-    for m, terms in distribution.sample_power_trials(params, count, seed, trials):
+    for m, terms in distribution.sample_power_trials(params.beta, count, seed, trials):
         assert m.shape == terms.shape[:1] and terms.shape[1:] == (count,)
         yield from zip(m.tolist(), terms)
 
@@ -494,14 +499,14 @@ class TestSamplePowerTrials:
     def test_yields_blocks_of_one_buffer(self, beta, count, trials, rows):
         # max(1, min(trials, 2**15 // count)) trials a block, the last one
         # those left over, each block a view of the first rows of one buffer
-        blocks = list(distribution.sample_power_trials(GenNormParams(1.0, beta), count, 3, trials))
+        blocks = list(distribution.sample_power_trials(beta, count, 3, trials))
         assert [terms.shape for _, terms in blocks] == [(r, count) for r in rows]
         assert [m.shape for m, _ in blocks] == [(r,) for r in rows]
         assert all(np.shares_memory(terms, blocks[0][1]) for _, terms in blocks)
         assert all(terms.dtype == m.dtype == np.float64 for m, terms in blocks)
         if beta <= 1.0:
             assert all((m == 1.0).all() for m, _ in blocks)
-        assert list(distribution.sample_power_trials(_P, 10, 3, 0)) == []
+        assert list(distribution.sample_power_trials(_P.beta, 10, 3, 0)) == []
 
     @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
     def test_a_draw_that_overflows_as_a_magnitude_stays_finite_as_powers(self, theta, beta):
@@ -521,7 +526,15 @@ class TestSamplePowerTrials:
     )
     def test_arguments_are_checked_at_the_call(self, count, seed, trials):
         with pytest.raises(ValueError):
-            distribution.sample_power_trials(_P, count, seed, trials)
+            distribution.sample_power_trials(_P.beta, count, seed, trials)
+
+    @pytest.mark.parametrize("beta", [True, "2", 0, math.inf, 5e-324], ids=repr)
+    def test_the_shape_is_checked_by_require_shape(self, beta):
+        with pytest.raises(ValueError) as want:
+            exact.require_shape(beta)
+        with pytest.raises(ValueError) as got:
+            distribution.sample_power_trials(beta, 10, 1, 3)
+        assert str(got.value) == str(want.value)
 
 
 _P = GenNormParams(1.0, 2.0)

@@ -255,7 +255,7 @@ class TestCrlbExperiment:
         # 700 draws a trial: blocks of 46, 46 and 8 trials; 1 draw: one block
         # of 50; 2**18 + 3 draws: a block per trial, of two chunks.  Under
         # -W error: at 10**6 the finish underflows, and warns of nothing
-        ratios = estimation._trial_ratios(GenNormParams(1.0, float(beta)), n, 7, trials)
+        ratios = estimation._trial_ratios(float(beta), n, 7, trials)
         want = [_reference_chunked_ratio(beta, n, trial_seed(7, t)) for t in range(trials)]
         assert ratios.tobytes() == np.array(want).tobytes()
 
@@ -266,7 +266,7 @@ class TestCrlbExperiment:
         # few roundings apart, never bit for bit
         params = GenNormParams(1.0, float(beta))
         trials = 3 if n > 10**4 else 20
-        ratios = estimation._trial_ratios(params, n, 11, trials)
+        ratios = estimation._trial_ratios(params.beta, n, 11, trials)
         for t, ratio in enumerate(ratios):
             want = mle_theta(sample_abs(params, n, trial_seed(11, t)), beta)
             assert abs(ratio - want) <= 4 * math.ulp(want), (t, ratio, want)
@@ -331,6 +331,11 @@ class TestCrlbExperiment:
 
 
 class TestMleExtremeScales:
+    def test_an_estimate_past_the_double_range_overflows(self):
+        # every |x| is finite, but (3 * mean(|x/m|**3))**(1/3) * m = 1.5e308 * 3**(1/3) is not
+        with pytest.raises(OverflowError, match=r"theta_hat overflows double precision"):
+            mle_theta([1.5e308] * 3, 3)
+
     @pytest.mark.parametrize("theta", [1e-300, 1e300])
     def test_estimate_stays_in_parameter_space(self, theta):
         base = sample(GenNormParams(1.0, 2.0), 1000, seed=1)
@@ -470,6 +475,12 @@ class TestExactMleLaw:
     def test_rejects_bad_arguments_and_unrepresentable_moments(self, args):
         with pytest.raises(ValueError):
             mle_moments_exact(*args)
+
+    def test_a_variance_past_the_double_range_is_rejected(self):
+        # the bound 1e304 / (1 * 0.1) = 1e305 is finite, but Var(theta_hat/theta)
+        # at beta = 0.1, n = 1 is 2.4e5, so theta**2 times it overflows
+        with pytest.raises(ValueError, match=r"are not all positive finite doubles"):
+            mle_moments_exact(0.1, 1e152, 1)
 
     def test_the_experiment_and_the_law_share_one_bound(self):
         # theta**2 rounds one ulp away from theta*theta at this theta

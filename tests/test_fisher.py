@@ -198,13 +198,36 @@ class TestMonteCarloRoute:
     @pytest.mark.parametrize("theta", [0.7, 1.0, 3.0])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
     def test_equals_the_mean_and_std_of_the_squared_scores(self, beta, theta):
-        params, n = GenNormParams(theta, beta), 5000
-        sq = score_z(beta, sample_abs(params, n, 3) / theta)
+        # the draws are |z|, taken at theta = 1; theta enters as 1/theta/theta
+        n = 5000
+        sq = score_z(beta, sample_abs(GenNormParams(1.0, beta), n, 3))
         sq *= sq
         unit = 1.0 / theta / theta
         expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
                                   float(sq.std(ddof=1)) / math.sqrt(n) * unit)
-        assert fisher_mc_score_variance(params, n, 3) == expected
+        assert fisher_mc_score_variance(GenNormParams(theta, beta), n, 3) == expected
+
+    @pytest.mark.parametrize("theta", [0.7, 1.3, 3.0, 1e-5, 12345.678])
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5, 8.0])
+    def test_scales_exactly_as_one_over_theta_squared(self, beta, theta):
+        # the scale law I(theta) = I(1)/theta^2, bit for bit in the value and
+        # in the standard error
+        unit = 1.0 / theta / theta
+        at_one = fisher_mc_score_variance(GenNormParams(1.0, beta), 10**5, 7)
+        got = fisher_mc_score_variance(GenNormParams(theta, beta), 10**5, 7)
+        assert got.value == at_one.value * unit
+        assert got.error_estimate == at_one.error_estimate * unit
+
+    def test_a_scale_that_overflows_the_draws_keeps_the_scale_law(self):
+        # |x| = theta |z| overflows at theta = 1e100, beta = 0.01 and |z| does
+        # not; the route never forms |x|, and I = 1e-202 is a normal double
+        params, unit = GenNormParams(1e100, 0.01), 1.0 / 1e100 / 1e100
+        with pytest.raises(OverflowError, match="theta=1e[+]100, beta=0.01"):
+            sample_abs(params, 1000, 5)
+        at_one = fisher_mc_score_variance(GenNormParams(1.0, 0.01), 1000, 5)
+        got = fisher_mc_score_variance(params, 1000, 5)
+        assert got.value == at_one.value * unit
+        assert got.error_estimate == at_one.error_estimate * unit
 
     @pytest.mark.parametrize("params", GRID, ids=str)
     def test_four_way_agreement(self, params):
