@@ -46,6 +46,8 @@ _SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministi
 _SQUARING_MAX = 8
 _SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_power_trials
 _BLOCK_DRAWS = 1 << 15  # draws of the trials sample_power_trials finishes in one block
+_GAUSSIAN = 2.0  # the shape drawn from the normal generator, not the boost
+_SQRT_HALF = math.sqrt(0.5)
 
 
 # Standardized-unit kernels: every quantity depends on x only through z = x/theta,
@@ -112,8 +114,12 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     """Draw count independent variates, deterministically in (params, count, seed).
 
     Construction: |X| = theta * G**(1/beta) with G ~ Gamma(1/beta, scale 1),
-    and an independent equiprobable sign.  For beta > 1 the gamma shape is
-    below 1, so G comes from the boost G = G1 * U**beta with
+    and an independent equiprobable sign.  The generator depends on the
+    shape alone.  At beta <= 1, G is drawn directly (numpy draws Gamma(1),
+    the Laplace shape, as an exponential).  At beta = 2, the Gaussian shape,
+    |X| = theta * |Z| / sqrt(2) with Z a standard normal, one draw per
+    variate, and X keeps the sign of Z.  At every other beta > 1 the gamma
+    shape is below 1, so G comes from the boost G = G1 * U**beta with
     G1 ~ Gamma(1 + 1/beta); folding the U power into the magnitude gives
 
         |X| = theta * U * G1**(1/beta)
@@ -123,10 +129,11 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     index space is cut into fixed 2**18 chunks, chunk i seeded by
     SeedSequence(seed, spawn_key=(i,)) (the i-th child of SeedSequence(seed)),
     so any parallel execution of chunks reproduces this exact output.  Each
-    chunk draws its magnitudes first and its signs last, so sample_abs, which
-    stops before the signs, returns |sample(...)| bit for bit.  A draw past
-    the double range (G**(1/beta) at beta = 0.005, or theta near the largest
-    double) raises OverflowError naming theta and beta.
+    chunk draws its magnitudes first and its signs last (at beta = 2 the
+    normals are the only draws), so sample_abs, which stops before the signs
+    (takes |Z|), returns |sample(...)| bit for bit.  A draw past the double
+    range (G**(1/beta) at beta = 0.005, or theta near the largest double)
+    raises OverflowError naming theta and beta.
     """
     return _draw(params, count, seed, signed=True)
 
@@ -166,15 +173,18 @@ def sample_power_trials(
     row; only the finish differs, and it runs once per block.  Seeding is
     batched too: the trial seeds and every trial's chunk seed words are
     derived a block of trials at a time in vectorized passes (the seeding
-    module).  The construction gives |X/theta|**beta = G * (1 - U)**beta
-    exactly (G ~ Gamma(1 + 1/beta), for beta > 1), so the terms are
-    p_j = G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over the trial:
-    one power per draw, no root taken and raised back, and no theta.  Each
-    p_j is at most its G_j, and the one at m equals its G_j, so no term
-    overflows and no trial's sum underflows at any beta.  For beta <= 1,
-    m is all ones and p holds the gammas G ~ Gamma(1/beta).  p is a view of
-    one buffer that every yield refills.  Arguments are checked once, at the
-    call, beta by require_shape.
+    module).  The generator is sample's, chosen by the shape.  For a boosted
+    shape (beta > 1, beta != 2) the construction gives
+    |X/theta|**beta = G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta)), so
+    the terms are p_j = G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over
+    the trial: one power per draw, no root taken and raised back, and no
+    theta.  Each p_j is at most its G_j, and the one at m equals its G_j, so
+    no term overflows and no trial's sum underflows at any beta.  At
+    beta = 2, m is all ones and p_j = z_j**2 * 0.5 from the standard normals
+    z_j; for beta <= 1, m is all ones and p holds the gammas
+    G ~ Gamma(1/beta) (exponentials at beta = 1).  p is a view of one buffer
+    that every yield refills.  Arguments are checked once, at the call, beta
+    by require_shape.
     """
     bf = require_shape(beta)
     require_count("count", count, 1)
@@ -182,7 +192,7 @@ def sample_power_trials(
     require_count("trials", trials, 0)
     rows = max(1, min(trials, _BLOCK_DRAWS // count))
     g = np.empty((rows, count))
-    w = np.empty((rows, count)) if bf > 1.0 else None  # all of 1 - U: m is their max
+    w = np.empty((rows, count)) if _boosted(bf) else None  # all of 1 - U: m is their max
     streams = _trial_streams(seed, count, trials)
     return (_powers(g[:r], None if w is None else w[:r], bf, streams)
             for r in (min(rows, trials - first) for first in range(0, trials, rows)))
@@ -211,28 +221,38 @@ def _chunks(size: int, streams):
 
 def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
     """sample (signed) or sample_abs: magnitudes chunk by chunk; if signed,
-    each chunk then draws its signs, the last draw on its stream."""
+    each chunk then draws its signs, the last draw on its stream.  At the
+    Gaussian shape the normals carry their own signs: signed keeps them and
+    sample_abs takes |z|, so no sign is drawn."""
     require_count("count", count, 1)
     require_count("seed", seed, 0)
     beta = params.beta
     out = np.empty(count)
-    scratch = np.empty(min(count, _SAMPLE_CHUNK)) if beta > 1.0 else None  # the boost's 1 - U
+    scratch = np.empty(min(count, _SAMPLE_CHUNK)) if _boosted(beta) else None  # the boost's 1 - U
     streams = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in itertools.count())
     for chunk, rng in _chunks(count, streams):
         x = out[chunk]
         w = None if scratch is None else scratch[:x.size]
         _draw_chunk(x, w, rng, beta)
         with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
-            x **= 1.0 / beta
-            if w is not None:
-                x *= np.subtract(1.0, w, out=w)
+            if beta == _GAUSSIAN:
+                if not signed:
+                    np.absolute(x, out=x)
+                x *= _SQRT_HALF  # |X/theta| = |N(0, 1)| / sqrt(2)
+            else:
+                x **= 1.0 / beta
+                if w is not None:
+                    x *= np.subtract(1.0, w, out=w)
             # theta enters in exactly one multiply and signs are exact, so
             # samples scale bit-for-bit with theta
             x *= params.theta
-        if not math.isfinite(x.max()):  # the one finite check, before any sign
+        # the one finite check, before any sign is drawn; signed normals reach
+        # their largest magnitude at either end
+        top = max(x.max(), -x.min()) if signed and beta == _GAUSSIAN else x.max()
+        if not math.isfinite(top):
             raise OverflowError(
                 f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
-        if signed:  # skipping this draw changes no magnitude
+        if signed and beta != _GAUSSIAN:  # skipping this draw changes no magnitude
             signs = rng.integers(0, 2, size=x.size)
             signs *= 2
             signs -= 1
@@ -244,11 +264,15 @@ def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndar
     """One block of sample_power_trials: row i's draws, from the next trial's
     streams, into g[i] and w[i], then the block's terms into g.
 
-    The finish needs no abs pass and no overflow guard: w/m lies in (0, 1].
+    The finish needs no abs pass and no overflow guard: w/m lies in (0, 1],
+    and a normal's square is far inside the double range.
     """
     for row, trial in zip(range(len(g)), streams):  # range first: the next block's trial stays
         for chunk, rng in _chunks(g.shape[1], trial):
             _draw_chunk(g[row, chunk], None if w is None else w[row, chunk], rng, beta)
+    if beta == _GAUSSIAN:  # |X/theta|**2 = z**2 / 2
+        np.square(g, out=g)
+        g *= 0.5
     if w is None:
         return np.ones(len(g)), g
     np.subtract(1.0, w, out=w)  # the whole block's 1 - U at once
@@ -258,15 +282,29 @@ def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndar
     return m, g
 
 
+def _boosted(beta: float) -> bool:
+    """Whether the shape draws through the boost, and so a uniform per variate."""
+    return beta > 1.0 and beta != _GAUSSIAN
+
+
 def _draw_chunk(x, w, rng, beta: float) -> None:
-    """Draw a chunk's gamma variates into x and then, for beta > 1 (w not
+    """Draw a chunk's variates into x and then, for a boosted shape (w not
     None), the boost's uniforms U into w: every draw but the signs, in stream
     order.  The caller takes 1 - U, in (0, 1] (no log or pow of exact zero).
+
+    The generator depends on the shape alone: at beta = 2, standard normals
+    z, one draw per variate, with |X/theta| = |z|/sqrt(2) (the normal's
+    ziggurat costs about half the boost); at beta <= 1, the gammas
+    G ~ Gamma(1/beta) (numpy draws Gamma(1) as an exponential); at every
+    other shape the boost's G1 ~ Gamma(1 + 1/beta) and then U.
 
     Built in place in x and w: a fresh array per step let a loop of calls
     (the CRLB experiment) return heap pages to the system and fault them
     back in.
     """
+    if beta == _GAUSSIAN:
+        rng.standard_normal(out=x)
+        return
     rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, out=x)
     if w is not None:
         rng.random(out=w)

@@ -126,8 +126,9 @@ def _trial_ratios(beta: float, n: int, seed: int, trials: int) -> np.ndarray:
     One sum and one finite check per block of trials; each ratio is then
     taken on Python floats, as one scalar power per trial.  0.0 marks a
     degenerate trial (all terms zero, or an estimate that underflows).
-    Every term is at most its gamma draw, so a sum that is not finite is the
-    one finite check: ValueError, as mle_theta raises.
+    Every term is at most its gamma draw (z**2 / 2 at beta = 2), so a sum
+    that is not finite is the one finite check: ValueError, as mle_theta
+    raises.
     """
     ratios = []
     for m, p in sample_power_trials(beta, n, seed, trials):
@@ -144,7 +145,9 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
 
     Trial t takes the streams of sample_abs(GenNormParams(theta, beta), n,
     trial_seed(seed, t)) at any theta, as their standardized powers
-    (sample_power_trials, a block of trials at a time), so trials may run in
+    (sample_power_trials, a block of trials at a time): standard normals at
+    beta = 2, and at every other shape the boost's Gamma(1 + 1/beta) draws
+    and uniforms (sample's generator for the shape), so trials may run in
     any order, in blocks of any size or in parallel without changing the
     report, and its theta_hat/theta_true is m * (beta * mean(p))**(1/beta),
     within a few ulp of mle_theta of those draws over theta_true (not bit

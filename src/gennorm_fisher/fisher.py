@@ -140,9 +140,15 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
 
     error_estimate is its standard error, the unbiased standard deviation over
     sqrt(n); deterministic given seed.  theta enters only as 1/theta/theta.
+    Where a standardized draw overflows, OverflowError names theta and beta,
+    as sample_abs(params, n, seed) would.
     """
     require_count("n", n, MC_MIN_DRAWS)
-    z = sample_abs(GenNormParams(1.0, params.beta), n, seed)
+    try:
+        z = sample_abs(GenNormParams(1.0, params.beta), n, seed)
+    except OverflowError:  # |z| itself overflowed, and so would theta |z|: name the caller's theta
+        raise OverflowError(f"a draw overflows the double range at theta={params.theta!r}, "
+                            f"beta={params.beta!r}") from None
     sq = score_z(params.beta, z, out=z)
     sq *= sq
     # sq.mean() and sq.std(ddof=1), bit for bit, on the one buffer

@@ -230,6 +230,12 @@ class TestFisherCommand:
         assert run(capsys, *argv, "--beta", "0.005") == (
             2, "", "error: a draw overflows the double range at theta=1.0, beta=0.005\n")
 
+    def test_draws_that_overflow_name_the_theta_passed(self, capsys):
+        # the route draws |z| at theta 1, but theta |z| overflows at theta 2 too
+        assert run(capsys, "fisher", "--beta", "0.005", "--theta", "2",
+                   "--methods", "mc_score_variance", "--n", "100") == (
+            2, "", "error: a draw overflows the double range at theta=2.0, beta=0.005\n")
+
     def test_methods_that_name_no_method(self, capsys):
         assert run(capsys, "fisher", "--methods", " , ") == (
             2, "", "error: --methods must name at least one method\n")

@@ -260,6 +260,14 @@ class TestSample:
         stderr = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - target) <= 4.0 * stderr
 
+    def test_fourth_moment_at_the_gaussian_shape_matches_exact(self):
+        # the normal generator's fourth moment, 3 theta^4 / 4 at beta = 2
+        p = GenNormParams(1.0, 2.0)
+        quads = sample(p, 10**6, seed=303) ** 4
+        target = exact_moment(MomentSpec(k=4, params=p))
+        stderr = quads.std(ddof=1) / math.sqrt(quads.size)
+        assert abs(quads.mean() - target) <= 4.0 * stderr
+
     def test_fourth_abs_moment_matches_short_route(self):
         p = GenNormParams(1.0, 4.0)
         quads = np.abs(sample(p, 10**6, seed=202)) ** 4
@@ -297,7 +305,8 @@ class TestSample:
 
 def _reference_sample(params, count, seed):
     # the sampler as first written: children from SeedSequence(seed).spawn,
-    # signs drawn last on each chunk's stream
+    # signs drawn last on each chunk's stream; at beta = 2 the normals
+    # z / sqrt(2), signs and all, then theta
     inv_beta = 1.0 / params.beta
     chunk = 1 << 18
     children = np.random.SeedSequence(seed).spawn((count + chunk - 1) // chunk)
@@ -305,6 +314,9 @@ def _reference_sample(params, count, seed):
     for i, child in enumerate(children):
         m = min(chunk, count - i * chunk)
         rng = np.random.Generator(np.random.PCG64(child))
+        if params.beta == 2.0:
+            parts.append(rng.standard_normal(m) * math.sqrt(0.5) * params.theta)
+            continue
         x = rng.standard_gamma(1.0 + inv_beta if params.beta > 1.0 else inv_beta, size=m)
         x = x**inv_beta
         if params.beta > 1.0:
@@ -420,16 +432,22 @@ def _power_rule(x, beta):
 
 def _reference_powers(params, count, seed):
     # one trial's standardized powers from numpy's Generator calls, chunk i on
-    # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays
+    # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays;
+    # at beta = 2 the normals z, as z**2 / 2
     beta, chunk = params.beta, 1 << 18
     g, w = [], []
     for i, lo in enumerate(range(0, count, chunk)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
         m = min(chunk, count - lo)
+        if beta == 2.0:
+            g.append(rng.standard_normal(m))
+            continue
         g.append(rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, size=m))
         if beta > 1.0:
             w.append(1.0 - rng.random(m))
     g = np.concatenate(g)
+    if beta == 2.0:
+        return 1.0, g * g * 0.5
     if beta <= 1.0:
         return 1.0, g
     w = np.concatenate(w)
@@ -535,6 +553,31 @@ class TestSamplePowerTrials:
         with pytest.raises(ValueError) as got:
             distribution.sample_power_trials(beta, 10, 1, 3)
         assert str(got.value) == str(want.value)
+
+
+def _variance_with_jackknife_se(ratios):
+    # the unbiased variance and the jackknife standard error of it, from
+    # the delete-one variances
+    t = ratios.size
+    d = ratios - ratios.mean()
+    ss = float(np.sum(d * d))
+    loo = (ss - d * d * (t / (t - 1.0))) / (t - 2.0)
+    return ss / (t - 1), math.sqrt((t - 1.0) / t * float(np.sum((loo - loo.mean()) ** 2)))
+
+
+def test_the_normal_and_the_boost_meet_at_the_gaussian_shape():
+    # beta = 2 draws normals, the next double up draws the boost: the trials'
+    # theta_hat/theta = m * (beta * mean(p))**(1/beta) must have one variance
+    # (near the bound 1/(n beta) for large n) within k joint jackknife standard errors
+    k, n, trials = 4.0, 20, 4000
+    stats = []
+    for beta in (2.0, 2.0000000000000004):
+        ratios = np.concatenate([
+            m * (beta * terms.mean(axis=1)) ** (1.0 / beta)
+            for m, terms in distribution.sample_power_trials(beta, n, 5, trials)])
+        stats.append(_variance_with_jackknife_se(ratios))
+    (v_normal, se_normal), (v_boost, se_boost) = stats
+    assert abs(v_normal - v_boost) <= k * math.hypot(se_normal, se_boost)
 
 
 _P = GenNormParams(1.0, 2.0)

@@ -49,8 +49,13 @@ def _numerical_mle(samples, beta):
 def _reference_ratio(beta, n, seed):
     # theta_hat/theta of one trial as |X/theta|**beta = G * (1 - U)**beta
     # builds it: G ~ Gamma(1 + 1/beta), then U, on chunk 0's stream; at beta
-    # in {2, 4, 8} the power is (w/m) squared log2(beta) times
+    # in {2, 4, 8} the power is (w/m) squared log2(beta) times.  At beta = 2
+    # the normals z give |X/theta|**2 = z**2 / 2, and m = 1
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    if beta == 2:
+        z = rng.standard_normal(n)
+        p = z * z * 0.5
+        return 1.0 * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
     g = rng.standard_gamma(1.0 + 1.0 / beta, size=n)
     w = 1.0 - rng.random(n)
     m = float(w.max())
@@ -64,13 +69,21 @@ def _reference_ratio(beta, n, seed):
 def _reference_chunked_ratio(beta, n, seed):
     # _reference_ratio at any n and shape: chunk i of 2**18 draws on
     # SeedSequence(seed, spawn_key=(i,)), its gammas and then its U; the power
-    # by squares at beta in {2, 4, 8}, by np.power at any other
+    # by squares at beta in {2, 4, 8}, by np.power at any other; at beta = 2
+    # each chunk's normals z, as z**2 / 2 with m = 1
     g, w = [], []
     for i, lo in enumerate(range(0, n, 1 << 18)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
         size = min(1 << 18, n - lo)
+        if beta == 2:
+            g.append(rng.standard_normal(size))
+            continue
         g.append(rng.standard_gamma(1.0 + 1.0 / beta, size=size))
         w.append(1.0 - rng.random(size))
+    if beta == 2:
+        z = np.concatenate(g)
+        p = z * z * 0.5
+        return 1.0 * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
     g, w = np.concatenate(g), np.concatenate(w)
     m = float(w.max())
     power = w / m
