@@ -30,7 +30,8 @@ import sys
 
 from . import __version__
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
-from .exact import exact_moment, fisher_information, require_even_shape, require_tol
+from .exact import exact_moment, fisher_information, mle_moments_exact, require_even_shape
+from .exact import require_tol
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
@@ -366,21 +367,22 @@ def _cmd_verify(args) -> int:
 
 def _sweep_crlb(*, betas: str = "2,4,6,8", thetas: str = "1.0", sizes: str = "100,1000,10000",
                 trials: int = 1000, seed: int = DEFAULT_SEED):
-    """The efficiency experiment over the (beta, theta, n) grid, one row per cell."""
+    """The efficiency experiment over the (beta, theta, n) grid, simulated and exact, by cell."""
     from itertools import product
 
     from .estimation import ExperimentConfig, run_crlb_experiment
 
-    grid = product(_comma_list("--betas", betas, int), _comma_list("--thetas", thetas, float),
+    grid = product(_comma_list("--betas", betas, float), _comma_list("--thetas", thetas, float),
                    _comma_list("--sizes", sizes, int))
     configs = [ExperimentConfig(beta=beta, theta_true=theta, n=n, trials=trials, seed=seed)
                for beta, theta, n in grid]  # every cell is checked before the first runs
-    for c in configs:
+    exact = [mle_moments_exact(c.beta, c.theta_true, c.n) for c in configs]
+    for c, law in zip(configs, exact):
         rep = run_crlb_experiment(c)
         print(f"beta={c.beta} theta={c.theta_true} n={c.n}: efficiency={rep.efficiency:.4f}",
               file=sys.stderr)
         yield (c.beta, c.theta_true, c.n, c.trials, rep.mle_mean, rep.mle_variance, rep.crlb,
-               rep.efficiency, rep.variance_stderr, rep.failed_trials)
+               rep.efficiency, rep.variance_stderr, rep.failed_trials, law.variance, law.efficiency)
 
 
 def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1.0,
@@ -408,7 +410,8 @@ def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1
 # Each table's columns and row generator, whose keyword arguments are the options it reads.
 _SWEEPS = {
     "crlb": (("beta", "theta", "n", "trials", "mle_mean", "mle_variance", "crlb", "efficiency",
-              "variance_stderr", "failed_trials"), _sweep_crlb),
+              "variance_stderr", "failed_trials", "exact_variance", "exact_efficiency"),
+             _sweep_crlb),
     "routes": (("beta", *METHOD_NAMES, "mc_stderr", "rel_gap_quad", "rel_gap_mc"), _sweep_routes),
 }
 

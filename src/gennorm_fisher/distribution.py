@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -141,7 +142,7 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
 def sample_abs(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     """|sample(params, count, seed)|, bit for bit, without drawing the signs.
 
-    For callers that use only |x| (the MLE, the score).
+    For callers that use only |x| (estimate --simulate's MLE).
     """
     return _draw(params, count, seed, signed=False)
 
@@ -163,28 +164,26 @@ def sample_power_trials(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (m, p) for the trials in order, a block of them at a time: m of
     shape (r,) and p of shape (r, count), row i the draws of the block's i-th
-    trial as standardized powers, so that sum |x_j/theta|**beta equals
-    m[i]**beta * p[i].sum() up to rounding, with 0 < m[i] <= 1.
+    trial as standardized powers, with sum |x_j/theta|**beta equal to
+    m[i]**beta * p[i].sum() up to rounding and 0 < m[i] <= 1.  The CRLB
+    experiment takes every trial, the Monte Carlo information route trial 0.
 
     A block holds max(1, min(trials, 2**15 // count)) trials (_BLOCK_DRAWS),
-    the last one those left over; past 2**15 draws a trial is a block of its
-    own.  Trial t draws the streams of sample_abs(GenNormParams(theta, beta),
-    count, trial_seed(seed, t)) at any theta, in the same order, into its
-    row; only the finish differs, and it runs once per block.  Seeding is
-    batched too: the trial seeds and every trial's chunk seed words are
-    derived a block of trials at a time in vectorized passes (the seeding
-    module).  The generator is sample's, chosen by the shape.  For a boosted
-    shape (beta > 1, beta != 2) the construction gives
-    |X/theta|**beta = G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta)), so
-    the terms are p_j = G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over
-    the trial: one power per draw, no root taken and raised back, and no
-    theta.  Each p_j is at most its G_j, and the one at m equals its G_j, so
-    no term overflows and no trial's sum underflows at any beta.  At
-    beta = 2, m is all ones and p_j = z_j**2 * 0.5 from the standard normals
-    z_j; for beta <= 1, m is all ones and p holds the gammas
-    G ~ Gamma(1/beta) (exponentials at beta = 1).  p is a view of one buffer
-    that every yield refills.  Arguments are checked once, at the call, beta
-    by require_shape.
+    the last one those left over.  Trial t draws the streams of
+    sample_abs(GenNormParams(theta, beta), count, trial_seed(seed, t)) at any
+    theta, in the same order, with sample's generator for the shape; only
+    the finish differs, once per block.  The trial seeds and their chunk
+    seed words are derived a block of trials at a time (the seeding module).
+    For a boosted shape (beta > 1, beta != 2), |X/theta|**beta =
+    G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta)), so p_j =
+    G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over the trial: one
+    power per draw, no root taken and raised back, and no theta.  Each p_j
+    is at most its G_j, and the one at m equals it, so no term overflows
+    and no trial's sum underflows at any beta.  At beta = 2, m = 1 and
+    p_j = z_j**2 * 0.5 from standard normals; at beta <= 1, m = 1 and p
+    holds the gammas G ~ Gamma(1/beta).  p is a view of one buffer that
+    every yield refills.  Arguments are checked at the call, beta by
+    require_shape.
     """
     bf = require_shape(beta)
     require_count("count", count, 1)
@@ -326,12 +325,16 @@ def abs_moment_quad(params: GenNormParams, order: float, rel_tol: float = 1e-11)
     (E|Z|^order alone can overflow: 4e550 at beta 4, order 1100); a
     QuadratureError carries its partial value in x units too.  order is a
     finite real number >= 0 (not a bool or text); ValueError otherwise.
-    Raises OverflowError where E|X|^order itself exceeds the double range.
+    Raises OverflowError where E|X|^order exceeds the double range, and
+    ValueError where it falls below the normal doubles, as FisherEstimate does.
     """
     of = require_real("order", order)
     if of < 0.0:
         raise ValueError(f"order must be finite and >= 0, got {order!r}")
     beta = params.beta
-    return expect_power(
-        None, beta, exponent=of / beta, log_unit=of * math.log(params.theta), rel_tol=rel_tol
-    )
+    res = expect_power(None, beta, exponent=of / beta, log_unit=of * math.log(params.theta),
+                       rel_tol=rel_tol)
+    if res.value < sys.float_info.min:
+        raise ValueError(f"E|X|^{of!r} at theta={params.theta!r}, beta={beta!r} is "
+                         f"{res.value!r}, below the normal doubles")
+    return res

@@ -29,7 +29,6 @@ __all__ = [
     "QuadratureError",
     "cramer_rao_bound",
     "exact_moment",
-    "expected_abs_moment",
     "fisher_closed_form",
     "fisher_information",
     "mle_moments_exact",
@@ -113,17 +112,6 @@ def exact_moment(spec: MomentSpec) -> float:
                             "exceeds the double range") from None
 
 
-def expected_abs_moment(params: GenNormParams) -> float:
-    """E[|X|^beta] = theta^beta / beta, for positive even integer beta.
-
-    Kept separate from exact_moment on purpose: this is the short route that
-    needs even beta, while exact_moment(k=beta) is the general gamma-ratio
-    route.  Their equality is asserted in tests, not assumed here.
-    """
-    b = require_even_shape(params.beta)
-    return params.theta**b / b
-
-
 def fisher_information(beta, theta) -> float:
     """I(theta) = beta/theta**2, the information about the scale theta.
 
@@ -188,8 +176,8 @@ class FisherEstimate:
 def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
     """I(theta) = beta/theta^2, valid for positive even integer beta only.
 
-    Non-even shapes are rejected rather than extrapolated; fisher's
-    quadrature and Monte Carlo routes remain available for any beta > 0.
+    Non-even shapes are rejected rather than extrapolated; fisher's quadrature
+    routes remain for any beta > 0, its Monte Carlo route from beta = eps.
     ValueError, naming theta, where the value is not a finite, normal double.
     """
     require_even_shape(params.beta)

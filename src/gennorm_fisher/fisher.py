@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .distribution import sample_abs, standardized_power
+from .distribution import sample_power_trials, standardized_power
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, FisherEstimate, GenNormParams, QuadratureError
 from .exact import fisher_closed_form, require_even_shape, require_tol
@@ -136,29 +136,31 @@ def fisher_quad_neg_hessian(
 
 
 def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> FisherEstimate:
-    """Monte Carlo route: mean of score^2 over n draws of |z| (sample_abs at theta 1).
+    """Monte Carlo route: mean of score^2 over the n powers m, p of trial 0 of
+    sample_power_trials(beta, n, seed, 1), whose score is beta * m**beta * p - 1
+    (|z|**beta = m**beta * p: no root is taken and raised back).
 
     error_estimate is its standard error, the unbiased standard deviation over
     sqrt(n); deterministic given seed.  theta enters only as 1/theta/theta.
-    Where a standardized draw overflows, OverflowError names theta and beta,
-    as sample_abs(params, n, seed) would.
+    The score spreads sqrt(beta) about 0 and is rounded to about eps, a
+    relative eps/sqrt(beta): below beta = eps (2.2e-16) that passes sqrt(eps),
+    half the digits, and ValueError is raised.
     """
     require_count("n", n, MC_MIN_DRAWS)
-    try:
-        z = sample_abs(GenNormParams(1.0, params.beta), n, seed)
-    except OverflowError:  # |z| itself overflowed, and so would theta |z|: name the caller's theta
-        raise OverflowError(f"a draw overflows the double range at theta={params.theta!r}, "
-                            f"beta={params.beta!r}") from None
-    sq = score_z(params.beta, z, out=z)
+    beta = params.beta
+    if beta < math.ulp(1.0):  # eps
+        raise ValueError(f"beta={beta!r} is below eps = 2.2e-16, where the Monte Carlo score "
+                         "keeps less than half the digits of its spread")
+    m, p = next(sample_power_trials(beta, n, seed, 1))
+    sq = _affine(p[0], beta * float(standardized_power(beta, m, out=m)[0]))
     sq *= sq
     # sq.mean() and sq.std(ddof=1), bit for bit, on the one buffer
     mean = float(sq.sum()) / n
     sq -= mean
     sq *= sq
     unit = 1.0 / params.theta / params.theta
-    value = mean * unit
     stderr = math.sqrt(float(sq.sum()) / (n - 1)) / math.sqrt(n) * unit
-    return FisherEstimate(value, "mc_score_variance", stderr)
+    return FisherEstimate(mean * unit, "mc_score_variance", stderr)
 
 
 def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:

@@ -222,7 +222,6 @@ class TestFisherCommand:
                        f"{information} outside the finite, normal doubles at beta=2.0\n")
 
     @pytest.mark.parametrize("argv", [
-        ("fisher", "--methods", "mc_score_variance", "--n", "100"),
         ("estimate", "--simulate", "--n", "100"),
     ])
     def test_draws_that_overflow_name_theta_and_beta(self, capsys, argv):
@@ -230,11 +229,22 @@ class TestFisherCommand:
         assert run(capsys, *argv, "--beta", "0.005") == (
             2, "", "error: a draw overflows the double range at theta=1.0, beta=0.005\n")
 
-    def test_draws_that_overflow_name_the_theta_passed(self, capsys):
-        # the route draws |z| at theta 1, but theta |z| overflows at theta 2 too
-        assert run(capsys, "fisher", "--beta", "0.005", "--theta", "2",
-                   "--methods", "mc_score_variance", "--n", "100") == (
-            2, "", "error: a draw overflows the double range at theta=2.0, beta=0.005\n")
+    @pytest.mark.parametrize("theta", ["1", "2"])
+    def test_the_monte_carlo_route_runs_where_the_magnitudes_overflow(self, capsys, theta):
+        # the route takes the powers of the draws, never |z| = G**200 at beta = 0.005
+        code, out, err = run(capsys, "fisher", "--beta", "0.005", "--theta", theta,
+                             "--methods", "mc_score_variance", "--n", "1000")
+        assert (code, err) == (0, "")
+        (method, value, stderr), = parse_csv(out)[1]
+        target = 0.005 / float(theta) ** 2
+        assert method == "mc_score_variance"
+        assert abs(float(value) - target) <= 4.0 * float(stderr)
+
+    def test_the_monte_carlo_route_below_eps_is_usage_error(self, capsys):
+        assert run(capsys, "fisher", "--beta", "1e-17", "--methods", "mc_score_variance",
+                   "--n", "100") == (
+            2, "", "error: beta=1e-17 is below eps = 2.2e-16, where the Monte Carlo score "
+                   "keeps less than half the digits of its spread\n")
 
     def test_methods_that_name_no_method(self, capsys):
         assert run(capsys, "fisher", "--methods", " , ") == (
@@ -450,11 +460,34 @@ class TestVerifyCommand:
         assert "crlb[beta=2,theta=1.0] efficiency" in default[1]
         assert default == run(capsys, *argv, "--beta", "2", "--theta", "1")[:2]
 
-    @pytest.mark.parametrize("beta", ["2.5", "4.9", "3"])
-    def test_crlb_non_even_shape_is_usage_error(self, capsys, beta):
-        # not truncated to an even shape and run
-        code, out, err = run(capsys, "verify", "crlb", "--beta", beta, "--n", "100", "--trials", "5")
-        assert code == 2 and out == "" and "positive even integer" in err
+    @pytest.mark.parametrize("beta, tag", [("2.5", "2.5"), ("4.9", "4.9"), ("3", "3"),
+                                           ("1e6", "1000000")])
+    def test_crlb_runs_at_every_shape(self, capsys, beta, tag):
+        # run as given, not truncated to an even shape; an integral one prints as an int
+        from gennorm_fisher import ExperimentConfig, run_crlb_experiment
+
+        code, out, err = run(capsys, "verify", "crlb", "--beta", beta, "--n", "100",
+                             "--trials", "50")
+        report = run_crlb_experiment(ExperimentConfig(float(beta), 1.0, 100, 50, cli.DEFAULT_SEED))
+        ok = 0.9 <= report.efficiency <= 1.1
+        assert (code, err) == (0 if ok else 1, "")
+        assert out.splitlines()[0] == (f"{'PASS' if ok else 'FAIL'} crlb[beta={tag},theta=1.0] "
+                                       f"efficiency observed={report.efficiency} expected=1.0 "
+                                       "tol=band [0.9, 1.1]")
+
+    def test_crlb_passes_at_the_laplace_shape(self, capsys):
+        # the defaults, n = 10**4 and 1000 trials, where the exact efficiency is 1
+        code, out, err = run(capsys, "verify", "crlb", "--beta", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "crlb: 2/2 checks passed"
+        assert out.startswith("PASS crlb[beta=1,theta=1.0] efficiency observed=1.099")
+
+    def test_crlb_fails_toward_the_uniform(self, capsys):
+        # at beta = 10**6 the MLE's exact efficiency at n = 10**4 is 0.01: the
+        # bound is far from attained, and the check says so
+        code, out, _ = run(capsys, "verify", "crlb", "--beta", "1e6", "--trials", "100")
+        assert code == 1
+        assert out.startswith("FAIL crlb[beta=1000000,theta=1.0] efficiency observed=0.01")
 
     @pytest.mark.parametrize("theta", ["1e-320", "1e-170", "1e160"])
     def test_crlb_unrepresentable_bound_is_usage_error(self, capsys, theta):

@@ -17,7 +17,7 @@ from gennorm_fisher import (
     distribution,
     exact,
     exact_moment,
-    expected_abs_moment,
+    fisher_closed_form,
     fisher_quad_score_variance,
     log_gamma,
     log_pdf,
@@ -186,33 +186,49 @@ class TestExactMoment:
         with np.errstate(over="raise"), pytest.raises(OverflowError):
             abs_moment_quad(GenNormParams(1e200, 2.0), 2.0)
 
+    @pytest.mark.parametrize("theta, beta, order", [
+        (7.858219192238e-235, 0.016860688013258303, 3.0),  # exp(-740.44), once a silent 0.0
+        (1e-103, 2.0, 3.0),  # 5.6e-310
+        (1e-200, 2.0, 2.0),  # 5e-401, below the subnormals too
+    ])
+    def test_a_moment_below_the_normal_doubles_is_rejected(self, theta, beta, order):
+        with pytest.raises(ValueError, match=f"at theta={theta!r}, beta={beta!r} is .*, "
+                                             "below the normal doubles"):
+            abs_moment_quad(GenNormParams(theta, beta), order)
 
-class TestExpectedAbsMoment:
+    def test_the_smallest_moments_it_returns(self):
+        # E|X|^3 = theta^3 / sqrt(pi) at beta = 2: 5.6e-307, a normal double
+        got = abs_moment_quad(GenNormParams(1e-102, 2.0), 3.0).value
+        assert got == pytest.approx(1e-306 / math.sqrt(math.pi), rel=1e-11)
+
+
+class TestMomentAtTheShape:
+    # E|X|^beta = theta^beta / beta at an even shape, where it is exact_moment(k=beta)
     def test_known_values(self):
-        assert expected_abs_moment(GenNormParams(1.0, 2.0)) == 0.5
-        assert expected_abs_moment(GenNormParams(2.0, 4.0)) == 4.0
+        assert exact_moment(MomentSpec(k=2, params=GenNormParams(1.0, 2.0))) == pytest.approx(
+            0.5, rel=1e-15)
+        assert exact_moment(MomentSpec(k=4, params=GenNormParams(2.0, 4.0))) == pytest.approx(
+            4.0, rel=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
-    def test_agrees_with_gamma_ratio_route(self, n, theta):
+    def test_agrees_with_the_short_route(self, n, theta):
         # theta^beta/beta against exact_moment(k=beta): two derivations of E[|X|^beta]
         beta = 2 * n
         p = GenNormParams(theta, float(beta))
-        short = expected_abs_moment(p)
         ratio = exact_moment(MomentSpec(k=beta, params=p))
         assert ratio * beta / theta**beta == pytest.approx(1.0, rel=1e-12)
-        assert short == pytest.approx(ratio, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [1.0, 3.0, 2.5, 0.5])
-    def test_rejects_non_even_shapes(self, beta):
-        with pytest.raises(ValueError):
-            expected_abs_moment(GenNormParams(1.0, beta))
+    def test_the_closed_form_rejects_non_even_shapes(self, beta):
+        with pytest.raises(ValueError, match="shape beta must be a positive even integer"):
+            fisher_closed_form(GenNormParams(1.0, beta))
 
     @pytest.mark.parametrize("beta", ["4", b"4", bytearray(b"4"), True])
-    def test_numeric_text_and_bools_are_not_even_shapes(self, beta):
+    def test_numeric_text_and_bools_are_not_shapes(self, beta):
         with pytest.raises(ValueError, match="shape beta must be a real number"):
             exact.require_even_shape(beta)
-        with pytest.raises(ValueError, match="shape beta must be a real number"):
+        with pytest.raises(ValueError, match="^beta must be a real number"):
             ExperimentConfig(beta=beta, theta_true=1.0, n=100, trials=10, seed=0)
 
 
@@ -268,10 +284,10 @@ class TestSample:
         stderr = quads.std(ddof=1) / math.sqrt(quads.size)
         assert abs(quads.mean() - target) <= 4.0 * stderr
 
-    def test_fourth_abs_moment_matches_short_route(self):
+    def test_fourth_abs_moment_matches_exact(self):
         p = GenNormParams(1.0, 4.0)
         quads = np.abs(sample(p, 10**6, seed=202)) ** 4
-        target = expected_abs_moment(p)  # theta^beta/beta = 0.25
+        target = exact_moment(MomentSpec(k=4, params=p))  # theta^beta/beta = 0.25
         stderr = quads.std(ddof=1) / math.sqrt(quads.size)
         assert abs(quads.mean() - target) <= 4.0 * stderr
 

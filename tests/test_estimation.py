@@ -182,10 +182,17 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=100, trials=10, seed=0)
         assert cfg.beta == 2 and cfg.theta_true == 1.0
 
+    @pytest.mark.parametrize("beta, stored", [(2, 2), (2.0, 2), (3.0, 3), (1, 1), (2.5, 2.5),
+                                              (0.5, 0.5), (1e6, 1000000)])
+    def test_every_shape_is_taken_and_an_integral_one_kept_as_an_int(self, beta, stored):
+        # an integral shape prints as 2, not 2.0, in check names and sweep cells
+        cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=100, trials=10, seed=0)
+        assert cfg.beta == stored and type(cfg.beta) is type(stored)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"beta": 3, "theta_true": 1.0, "n": 100, "trials": 10, "seed": 0},
+            {"beta": 0.0, "theta_true": 1.0, "n": 100, "trials": 10, "seed": 0},
             {"beta": 2, "theta_true": 0.0, "n": 100, "trials": 10, "seed": 0},
             {"beta": 2, "theta_true": 1.0, "n": 0, "trials": 10, "seed": 0},
             {"beta": 2, "theta_true": 1.0, "n": 100, "trials": 2, "seed": 0},
@@ -198,6 +205,21 @@ class TestExperimentConfig:
 
 
 class TestCrlbExperiment:
+    def test_every_shape_against_the_exact_law(self):
+        # the experiment from the Laplace shape toward the uniform, at the
+        # CLI's default seed: each cell's ddof=1 variance of theta_hat within
+        # k jackknife standard errors of the exact variance (mle_moments_exact);
+        # the largest seen is 2.2
+        k = 4.0
+        for beta in (0.5, 1, 2.5, 64, 1024):
+            for n in (100, 10**4):
+                cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=n, trials=1000, seed=20260819)
+                report = run_crlb_experiment(cfg)
+                exact = mle_moments_exact(beta, 1.0, n)
+                assert abs(report.mle_variance - exact.variance) <= k * report.variance_stderr, (
+                    beta, n, report.mle_variance, exact.variance, report.variance_stderr)
+                assert report.crlb == exact.crlb and report.failed_trials == 0
+
     def test_deterministic_reports(self):
         cfg = ExperimentConfig(beta=2, theta_true=1.0, n=200, trials=50, seed=7)
         assert run_crlb_experiment(cfg) == run_crlb_experiment(cfg)

@@ -21,7 +21,9 @@ from gennorm_fisher import (
     sample,
     sample_abs,
     score,
+    trial_seed,
 )
+from gennorm_fisher.distribution import sample_power_trials, standardized_power
 from gennorm_fisher.fisher import METHODS, neg_d2_z, score_z
 
 GRID = [
@@ -186,26 +188,54 @@ class TestMonteCarloRoute:
     @pytest.mark.parametrize(
         "params", [GenNormParams(1.3, 0.5), GenNormParams(0.7, 3.0), GenNormParams(2.0, 8.0)], ids=str
     )
-    def test_equals_reference_from_signed_draws(self, params):
+    def test_agrees_with_the_scores_of_signed_draws(self, params):
+        # the route's draws are sample's at trial_seed(seed, 0); it takes their
+        # powers without the root and raise-back, so it agrees to rounding only
         n = (1 << 18) + 5  # two sampler chunks
-        sq = score_z(params.beta, sample(params, n, 17) / params.theta)
+        sq = score_z(params.beta, sample(params, n, trial_seed(17, 0)) / params.theta)
         sq *= sq
         unit = 1.0 / params.theta / params.theta
-        expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
-                                  float(sq.std(ddof=1)) / math.sqrt(n) * unit)
-        assert fisher_mc_score_variance(params, n, 17) == expected
+        got = fisher_mc_score_variance(params, n, 17)
+        assert got.value == pytest.approx(float(sq.mean()) * unit, rel=1e-13)
+        assert got.error_estimate == pytest.approx(
+            float(sq.std(ddof=1)) / math.sqrt(n) * unit, rel=1e-13)
 
     @pytest.mark.parametrize("theta", [0.7, 1.0, 3.0])
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
-    def test_equals_the_mean_and_std_of_the_squared_scores(self, beta, theta):
-        # the draws are |z|, taken at theta = 1; theta enters as 1/theta/theta
+    @pytest.mark.parametrize("beta", [1e-10, 0.5, 1.0, 2.0, 2.5, 8.0, 1e6])
+    def test_equals_the_squared_scores_of_trial_zero_of_the_power_sampler(self, beta, theta):
+        # |z|**beta = m**beta * p from sample_power_trials(beta, n, seed, 1), so
+        # the score is beta * m**beta * p - 1; theta enters as 1/theta/theta
         n = 5000
-        sq = score_z(beta, sample_abs(GenNormParams(1.0, beta), n, 3))
+        m, p = next(sample_power_trials(beta, n, 3, 1))
+        sq = beta * float(standardized_power(beta, m)[0]) * p[0] - 1.0
         sq *= sq
         unit = 1.0 / theta / theta
         expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
                                   float(sq.std(ddof=1)) / math.sqrt(n) * unit)
         assert fisher_mc_score_variance(GenNormParams(theta, beta), n, 3) == expected
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_a_shape_whose_draws_overflow_as_magnitudes(self, seed):
+        # |z| = G**200 overflows at beta = 0.005 (G near 200); the route takes
+        # no root, so it returns I(1) = beta within 4 standard errors
+        got = fisher_mc_score_variance(GenNormParams(1.0, 0.005), 1000, seed)
+        assert abs(got.value - 0.005) <= 4.0 * got.error_estimate
+        with pytest.raises(OverflowError):
+            sample_abs(GenNormParams(1.0, 0.005), 1000, seed)
+
+    @pytest.mark.parametrize("beta", [sys.float_info.epsilon, 1e-15, 1e-12])
+    def test_the_smallest_shapes_it_resolves(self, beta):
+        # at beta >= eps the score's rounding, eps/sqrt(beta), is at most sqrt(eps)
+        got = fisher_mc_score_variance(GenNormParams(1.0, beta), 10**4, 1)
+        assert abs(got.value - beta) <= 4.0 * got.error_estimate
+
+    @pytest.mark.parametrize("beta", [math.nextafter(sys.float_info.epsilon, 0.0), 1e-32, 1e-300])
+    def test_a_shape_below_eps_is_rejected(self, beta):
+        # unguarded, the route read 75 standard errors off at 1e-32, and a
+        # standard error of 0.0 at 1e-300
+        with pytest.raises(ValueError, match="below eps = 2.2e-16, where the Monte Carlo score "
+                                             "keeps less than half the digits of its spread"):
+            fisher_mc_score_variance(GenNormParams(1.0, beta), 1000, 5)
 
     @pytest.mark.parametrize("theta", [0.7, 1.3, 3.0, 1e-5, 12345.678])
     @pytest.mark.parametrize("beta", [1.0, 2.0, 2.5, 8.0])
@@ -220,7 +250,7 @@ class TestMonteCarloRoute:
 
     def test_a_scale_that_overflows_the_draws_keeps_the_scale_law(self):
         # |x| = theta |z| overflows at theta = 1e100, beta = 0.01 and |z| does
-        # not; the route never forms |x|, and I = 1e-202 is a normal double
+        # not; the route forms neither, and I = 1e-202 is a normal double
         params, unit = GenNormParams(1e100, 0.01), 1.0 / 1e100 / 1e100
         with pytest.raises(OverflowError, match="theta=1e[+]100, beta=0.01"):
             sample_abs(params, 1000, 5)

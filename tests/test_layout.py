@@ -7,7 +7,6 @@ and every name the benchmark's tracer patches exists."""
 import ast
 import importlib
 import importlib.util
-import inspect
 import os
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gennorm_fisher import exact
+from gennorm_fisher import mle_moments_exact
 from gennorm_fisher.cli import main
 from gennorm_fisher.exact import QuadratureError
 
@@ -34,10 +33,23 @@ def test_sweep_crlb(tmp_path):
     assert main(argv) == 0
     header, rows = _read_csv(out)
     assert header == ["beta", "theta", "n", "trials", "mle_mean", "mle_variance", "crlb",
-                      "efficiency", "variance_stderr", "failed_trials"]
+                      "efficiency", "variance_stderr", "failed_trials", "exact_variance",
+                      "exact_efficiency"]
     assert len(rows) == 4 and all(len(row) == len(header) for row in rows)
     assert [row[:3] for row in rows] == [["2", "1.5", "10"], ["2", "1.5", "20"],
                                          ["4", "1.5", "10"], ["4", "1.5", "20"]]
+    for row in rows:  # the exact columns are mle_moments_exact's, to the last digit
+        law = mle_moments_exact(int(row[0]), 1.5, int(row[2]))
+        assert row[-2:] == [repr(law.variance), repr(law.efficiency)]
+
+
+def test_sweep_crlb_at_every_shape(capsys):
+    # real shapes, from the Laplace shape toward the uniform; an integral one prints as an int
+    assert main(["sweep", "crlb", "--betas", "1,2.5,1e6", "--sizes", "10", "--trials", "3"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["1", "2.5", "1000000"]
+    assert [float(row[-1]) for row in rows] == [
+        mle_moments_exact(beta, 1.0, 10).efficiency for beta in (1.0, 2.5, 1e6)]
 
 
 def test_sweep_routes(tmp_path):
@@ -63,8 +75,8 @@ def test_a_sweep_writes_a_progress_line_per_cell_and_the_table_to_stdout(capsys)
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["crlb", "--betas", "3", "--trials", "3"],
-         "error: shape beta must be a positive even integer, got 3\n"),
+        (["crlb", "--betas", "2.5,x", "--trials", "3"],
+         "error: --betas entries must be real numbers: could not convert string to float: 'x'\n"),
         (["crlb", "--betas", "2,4", "--sizes", "10,0", "--trials", "3"],
          "error: n must be an integer >= 1, got 0\n"),
         (["crlb", "--sizes", "10,x", "--trials", "3"],
@@ -157,15 +169,13 @@ def _powers_of_the_shape(path):
 
 
 def test_only_distribution_raises_to_the_shape():
-    # distribution.standardized_power is the one power kernel; the one other
-    # power of the shape is the scalar closed form theta**beta/beta, the last
-    # line of exact.expected_abs_moment
+    # distribution.standardized_power is the one power kernel: no other
+    # module raises anything to the power of the shape
     files = sorted((ROOT / "src" / "gennorm_fisher").glob("*.py"))
     assert files
     hits = [hit for path in files if path.stem != "distribution"
             for hit in _powers_of_the_shape(path)]
-    lines, first = inspect.getsourcelines(exact.expected_abs_moment)
-    assert hits == [f"src/gennorm_fisher/exact.py:{first + len(lines) - 1}"]
+    assert hits == []
     assert list(_powers_of_the_shape(ROOT / "src" / "gennorm_fisher" / "distribution.py"))
 
 
@@ -241,7 +251,7 @@ def test_exact_commands_start_without_numpy(argv, exit_code):
     run = ("import gennorm_fisher as gf\n"
            "from gennorm_fisher.exact import cramer_rao_bound, fisher_information\n"
            "p = gf.GenNormParams(1.0, 2.0)\n"
-           "gf.mle_moments_exact(2, 1.0, 10), gf.fisher_closed_form(p), gf.expected_abs_moment(p)\n"
+           "gf.mle_moments_exact(2, 1.0, 10), gf.fisher_closed_form(p)\n"
            "fisher_information(2.0, 1.0), cramer_rao_bound(2.0, 1.0, 10)\n"
            "code = 0"
            if argv is None
