@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gennorm_fisher import GenNormParams, __version__, log_pdf, mle_theta, pdf, sample
-from gennorm_fisher import QuadratureError
+from gennorm_fisher import ExperimentConfig, QuadratureError, run_crlb_experiment
 from gennorm_fisher import cli
 from gennorm_fisher.cli import csv_table, main
 from gennorm_fisher.fisher import score_z
@@ -464,8 +464,6 @@ class TestVerifyCommand:
                                            ("1e6", "1000000")])
     def test_crlb_runs_at_every_shape(self, capsys, beta, tag):
         # run as given, not truncated to an even shape; an integral one prints as an int
-        from gennorm_fisher import ExperimentConfig, run_crlb_experiment
-
         code, out, err = run(capsys, "verify", "crlb", "--beta", beta, "--n", "100",
                              "--trials", "50")
         report = run_crlb_experiment(ExperimentConfig(float(beta), 1.0, 100, 50, cli.DEFAULT_SEED))
