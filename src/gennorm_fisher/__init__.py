@@ -21,7 +21,7 @@ _HOME = {
         ),
         "exact": (
             "FisherEstimate", "GenNormParams", "MleMoments", "MomentSpec", "QuadratureError",
-            "exact_moment", "fisher_closed_form", "mle_moments_exact",
+            "exact_moment", "fisher_closed_form", "fisher_moment_identity", "mle_moments_exact",
         ),
         "quadrature": ("QuadResult", "integrate_decaying"),
         "distribution": (

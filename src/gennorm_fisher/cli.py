@@ -6,9 +6,10 @@ floats as their shortest round-trip text) or JSON with the schema
 
     {command, inputs{}, outputs{}, metadata{seed, tolerances, version}}
 
-`fisher` and `verify theorem1` run the routes of fisher.METHODS.  A verify
-suite yields one (name, ok, observed, expected, tol) record per check, and
-_cmd_verify prints each as it comes, then the summary.  A sweep table yields
+`fisher`, `verify theorem1` and `verify shapes` run the routes of
+fisher.METHODS.  A verify suite yields one (name, ok, observed, expected,
+tol) record per check, and _cmd_verify prints each as it comes, then the
+summary.  A sweep table yields
 its CSV rows, each after a progress line on stderr, into an --output file
 opened before the first.  Exit codes: 0 success,
 1 a failed check or a numerical failure, 2 usage or input error (an option the
@@ -30,8 +31,8 @@ import sys
 
 from . import __version__
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
-from .exact import exact_moment, fisher_information, mle_moments_exact, require_even_shape
-from .exact import require_tol
+from .exact import exact_moment, fisher_information, fisher_moment_identity, mle_moments_exact
+from .exact import require_even_shape, require_mc_draws, require_tol
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
@@ -194,10 +195,13 @@ def _cmd_fisher(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     methods = _parse_methods(args.methods, params.beta)
     # the routes' own checks of --tol and --n, and the scale of their values,
-    # before any runs, whatever --methods selects
+    # before any runs, whatever --methods selects; the Monte Carlo route's
+    # bound on --n, before any runs, if it is selected
     require_tol(args.tol)
     require_count("n", args.n, MC_MIN_DRAWS)
     fisher_information(params.beta, params.theta)
+    if "mc_score_variance" in methods:
+        require_mc_draws(args.n, params.beta)
     from .fisher import METHODS
 
     # ValueError (the closed form at a non-even shape) -> exit 2
@@ -285,38 +289,55 @@ def _verify_lemma2():
             yield f"lemma2[n={n},p={p}]", ok, via_identity, direct, "rel 1e-12"
 
 
-def _grid():
-    """The cells theorem1 and equivalence walk: index, [beta,theta] tag, params."""
-    cells = [(beta, theta) for beta in (2, 4, 6, 8) for theta in (0.5, 1.0, 2.0)]
+def _grid(betas=(2, 4, 6, 8)):
+    """The cells the route suites walk, betas by theta in {0.5, 1, 2} (the
+    even betas for theorem1 and equivalence): index, [beta,theta] tag, params."""
+    cells = [(beta, theta) for beta in betas for theta in (0.5, 1.0, 2.0)]
     for cell, (beta, theta) in enumerate(cells):
         yield cell, f"[beta={beta},theta={theta}]", GenNormParams(theta=theta, beta=float(beta))
 
 
-# (route, check name, tolerance) for each route theorem1 checks against the closed
-# form: "rel L" is |value - closed| / closed <= L, "K standard errors" is
-# |value - closed| <= K * error_estimate.
-_THEOREM1_CHECKS = (
+# (route, check name, tolerance) for each route theorem1 and shapes check against
+# the exact value: "rel L" is |value - exact| / exact <= L, "K standard errors"
+# is |value - exact| <= K * error_estimate.
+_ROUTE_CHECKS = (
     ("quad_score_variance", "score-variance", "rel 1e-7"),
     ("quad_neg_hessian", "neg-hessian", "rel 1e-7"),
     ("mc_score_variance", "monte-carlo", "4 standard errors"),
 )
 
 
-def _verify_theorem1(*, seed: int = DEFAULT_SEED, tol: float = 1e-9, n: int = 1_000_000):
+def _route_checks(suite: str, betas, exact, *, seed: int, tol: float, n: int):
+    """The checks of _ROUTE_CHECKS at each cell of _grid(betas), against
+    exact(params); cell i's Monte Carlo route draws from seed + i."""
     from .fisher import METHODS
 
-    for cell, tag, params in _grid():
-        estimates = {name: route(params, tol=tol, n=n, seed=seed + cell)
-                     for name, route in METHODS.items()}
-        closed = estimates["closed_form"].value
-        for route, check, tolerance in _THEOREM1_CHECKS:
+    for cell, tag, params in _grid(betas):
+        expected = exact(params)
+        estimates = {route: METHODS[route](params, tol=tol, n=n, seed=seed + cell)
+                     for route, _, _ in _ROUTE_CHECKS}
+        for route, check, tolerance in _ROUTE_CHECKS:
             est = estimates[route]
             head, rest = tolerance.split(" ", 1)
             if head == "rel":
-                ok = abs(est.value - closed) / closed <= float(rest)
+                ok = abs(est.value - expected) / expected <= float(rest)
             else:  # "K standard errors"
-                ok = abs(est.value - closed) <= float(head) * est.error_estimate
-            yield f"theorem1{tag} {check}", ok, est.value, closed, tolerance
+                ok = abs(est.value - expected) <= float(head) * est.error_estimate
+            yield f"{suite}{tag} {check}", ok, est.value, expected, tolerance
+
+
+def _verify_theorem1(*, seed: int = DEFAULT_SEED, tol: float = 1e-9, n: int = 1_000_000):
+    from .fisher import fisher_closed_form
+
+    return _route_checks("theorem1", (2, 4, 6, 8), lambda params: fisher_closed_form(params).value,
+                         seed=seed, tol=tol, n=n)
+
+
+def _verify_shapes(*, seed: int = DEFAULT_SEED, tol: float = 1e-9, n: int = 1_000_000):
+    """Theorem 1 at shapes that are not even, against the moment identity."""
+    return _route_checks("shapes", (0.5, 1, 1.5, 3, 5),
+                         lambda params: fisher_moment_identity(params.beta, params.theta),
+                         seed=seed, tol=tol, n=n)
 
 
 def _verify_equivalence(*, tol: float = 1e-9):
@@ -345,7 +366,8 @@ def _verify_crlb(*, theta: float = 1.0, beta: float = 2.0, n: int = 10_000, tria
 
 # Each suite's keyword arguments are the options it reads, with their defaults.
 _VERIFY_SUITES = {"lemma2": _verify_lemma2, "theorem1": _verify_theorem1,
-                  "equivalence": _verify_equivalence, "crlb": _verify_crlb}
+                  "shapes": _verify_shapes, "equivalence": _verify_equivalence,
+                  "crlb": _verify_crlb}
 
 
 def _verify_modes() -> dict:
@@ -393,8 +415,9 @@ def _sweep_routes(*, betas: str = "2,4,6,8,10,12,16,20,50,100", theta: float = 1
 
     cells = [GenNormParams(theta, require_even_shape(b))
              for b in _comma_list("--betas", betas, int)]
-    for params in cells:  # every cell's information is checked before the first runs
+    for params in cells:  # every cell's information and draws are checked before the first runs
         fisher_information(params.beta, params.theta)
+        require_mc_draws(n, params.beta)
     for params in cells:
         est = {name: route(params, tol=tol, n=n, seed=seed) for name, route in METHODS.items()}
         closed = est["closed_form"].value

@@ -13,7 +13,6 @@ special_functions.log_norm_z, which expect_power adds to every route itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Iterator
@@ -39,13 +38,12 @@ __all__ = [
     "abs_moment_quad",
 ]
 
-_SAMPLE_CHUNK = 1 << 18  # fixed chunking keeps parallel generation deterministic
 # Integer shapes up to this one are raised by squaring.  A square costs about a
 # tenth of a pow per element, but the error grows with the shape, about
 # 0.7 (beta - 1) ulp at worst: at 8 it is at most 5 ulp from np.power, and
 # the powers overflow and underflow at np.power's thresholds ulp for ulp.
 _SQUARING_MAX = 8
-_SEED_ROWS = 2048  # (trial, chunk) streams seeded per vectorized pass in sample_power_trials
+_SEED_ROWS = 2048  # trial streams seeded per vectorized pass in sample_power_trials
 _BLOCK_DRAWS = 1 << 15  # draws of the trials sample_power_trials finishes in one block
 _GAUSSIAN = 2.0  # the shape drawn from the normal generator, not the boost
 _SQRT_HALF = math.sqrt(0.5)
@@ -126,15 +124,13 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
         |X| = theta * U * G1**(1/beta)
 
     which stays well-scaled for arbitrarily large beta (it tends to the
-    uniform theta*U).  Streams are PCG64 seeded via SeedSequence(seed); the
-    index space is cut into fixed 2**18 chunks, chunk i seeded by
-    SeedSequence(seed, spawn_key=(i,)) (the i-th child of SeedSequence(seed)),
-    so any parallel execution of chunks reproduces this exact output.  Each
-    chunk draws its magnitudes first and its signs last (at beta = 2 the
-    normals are the only draws), so sample_abs, which stops before the signs
-    (takes |Z|), returns |sample(...)| bit for bit.  A draw past the double
-    range (G**(1/beta) at beta = 0.005, or theta near the largest double)
-    raises OverflowError naming theta and beta.
+    uniform theta*U).  Every draw comes from one PCG64 stream, seeded by
+    SeedSequence(seed, spawn_key=(0,)): the magnitudes' draws first and the
+    signs last (at beta = 2 the normals are the only draws), so sample_abs,
+    which stops before the signs (takes |Z|), returns |sample(...)| bit for
+    bit.  A boosted shape holds its uniforms in a second buffer of count
+    doubles.  A draw past the double range (G**(1/beta) at beta = 0.005, or
+    theta near the largest double) raises OverflowError naming theta and beta.
     """
     return _draw(params, count, seed, signed=True)
 
@@ -169,10 +165,10 @@ def sample_power_trials(
     experiment takes every trial, the Monte Carlo information route trial 0.
 
     A block holds max(1, min(trials, 2**15 // count)) trials (_BLOCK_DRAWS),
-    the last one those left over.  Trial t draws the streams of
+    the last one those left over.  Trial t draws the stream of
     sample_abs(GenNormParams(theta, beta), count, trial_seed(seed, t)) at any
     theta, in the same order, with sample's generator for the shape; only
-    the finish differs, once per block.  The trial seeds and their chunk
+    the finish differs, once per block.  The trial seeds and their streams'
     seed words are derived a block of trials at a time (the seeding module).
     For a boosted shape (beta > 1, beta != 2), |X/theta|**beta =
     G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta)), so p_j =
@@ -192,83 +188,70 @@ def sample_power_trials(
     rows = max(1, min(trials, _BLOCK_DRAWS // count))
     g = np.empty((rows, count))
     w = np.empty((rows, count)) if _boosted(bf) else None  # all of 1 - U: m is their max
-    streams = _trial_streams(seed, count, trials)
+    streams = _trial_streams(seed, trials)
     return (_powers(g[:r], None if w is None else w[:r], bf, streams)
             for r in (min(rows, trials - first) for first in range(0, trials, rows)))
 
 
-def _trial_streams(seed: int, count: int, trials: int):
-    """For each trial, the seed sources of its chunks, derived a block of trials at a time."""
+def _trial_streams(seed: int, trials: int):
+    """Trial t's generator: PCG64 on SeedSequence(trial_seed(seed, t), spawn_key=(0,)),
+    sample_abs's stream, its seed words derived a block of trials at a time."""
     from . import seeding  # on first use: it imports numpy.random, which most callers never need
 
-    chunks = len(range(0, count, _SAMPLE_CHUNK))
-    block = max(1, _SEED_ROWS // chunks)
-    for first in range(0, trials, block):
-        seeds = seeding.trial_seeds(seed, np.arange(first, min(first + block, trials)))
-        keys = np.tile(np.arange(chunks), seeds.size)
-        words = seeding.stream_words(np.repeat(seeds, chunks), keys)
-        for trial_words in words.reshape(seeds.size, chunks, 4):
-            yield map(seeding.SeedWords, trial_words)
-
-
-def _chunks(size: int, streams):
-    """(slice, rng) for each 2**18 chunk of range(size), rng a PCG64 seeded by
-    the chunk's seed source from streams (which may be endless)."""
-    for lo, stream in zip(range(0, size, _SAMPLE_CHUNK), streams):
-        yield slice(lo, lo + _SAMPLE_CHUNK), np.random.Generator(np.random.PCG64(stream))
+    for first in range(0, trials, _SEED_ROWS):
+        seeds = seeding.trial_seeds(seed, np.arange(first, min(first + _SEED_ROWS, trials)))
+        for words in seeding.stream_words(seeds, np.zeros_like(seeds)):
+            yield np.random.Generator(np.random.PCG64(seeding.SeedWords(words)))
 
 
 def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
-    """sample (signed) or sample_abs: magnitudes chunk by chunk; if signed,
-    each chunk then draws its signs, the last draw on its stream.  At the
-    Gaussian shape the normals carry their own signs: signed keeps them and
-    sample_abs takes |z|, so no sign is drawn."""
+    """sample (signed) or sample_abs: the magnitudes and then, if signed, the
+    signs, the last draws on the stream.  At the Gaussian shape the normals
+    carry their own signs: signed keeps them and sample_abs takes |z|, so no
+    sign is drawn."""
     require_count("count", count, 1)
     require_count("seed", seed, 0)
     beta = params.beta
-    out = np.empty(count)
-    scratch = np.empty(min(count, _SAMPLE_CHUNK)) if _boosted(beta) else None  # the boost's 1 - U
-    streams = (np.random.SeedSequence(seed, spawn_key=(i,)) for i in itertools.count())
-    for chunk, rng in _chunks(count, streams):
-        x = out[chunk]
-        w = None if scratch is None else scratch[:x.size]
-        _draw_chunk(x, w, rng, beta)
-        with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
-            if beta == _GAUSSIAN:
-                if not signed:
-                    np.absolute(x, out=x)
-                x *= _SQRT_HALF  # |X/theta| = |N(0, 1)| / sqrt(2)
-            else:
-                x **= 1.0 / beta
-                if w is not None:
-                    x *= np.subtract(1.0, w, out=w)
-            # theta enters in exactly one multiply and signs are exact, so
-            # samples scale bit-for-bit with theta
-            x *= params.theta
-        # the one finite check, before any sign is drawn; signed normals reach
-        # their largest magnitude at either end
-        top = max(x.max(), -x.min()) if signed and beta == _GAUSSIAN else x.max()
-        if not math.isfinite(top):
-            raise OverflowError(
-                f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
-        if signed and beta != _GAUSSIAN:  # skipping this draw changes no magnitude
-            signs = rng.integers(0, 2, size=x.size)
-            signs *= 2
-            signs -= 1
-            x *= signs
-    return out
+    x = np.empty(count)
+    w = np.empty(count) if _boosted(beta) else None  # the boost's 1 - U
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    _draw_variates(x, w, rng, beta)
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
+        if beta == _GAUSSIAN:
+            if not signed:
+                np.absolute(x, out=x)
+            x *= _SQRT_HALF  # |X/theta| = |N(0, 1)| / sqrt(2)
+        else:
+            x **= 1.0 / beta
+            if w is not None:
+                x *= np.subtract(1.0, w, out=w)
+        # theta enters in exactly one multiply and signs are exact, so
+        # samples scale bit-for-bit with theta
+        x *= params.theta
+    del w  # folded in: its buffer is free before the signs are drawn
+    # the one finite check, before any sign is drawn; signed normals reach
+    # their largest magnitude at either end
+    top = max(x.max(), -x.min()) if signed and beta == _GAUSSIAN else x.max()
+    if not math.isfinite(top):
+        raise OverflowError(
+            f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
+    if signed and beta != _GAUSSIAN:  # skipping this draw changes no magnitude
+        signs = rng.integers(0, 2, size=count)
+        signs *= 2
+        signs -= 1
+        x *= signs
+    return x
 
 
 def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndarray]:
     """One block of sample_power_trials: row i's draws, from the next trial's
-    streams, into g[i] and w[i], then the block's terms into g.
+    stream, into g[i] and w[i], then the block's terms into g.
 
     The finish needs no abs pass and no overflow guard: w/m lies in (0, 1],
     and a normal's square is far inside the double range.
     """
-    for row, trial in zip(range(len(g)), streams):  # range first: the next block's trial stays
-        for chunk, rng in _chunks(g.shape[1], trial):
-            _draw_chunk(g[row, chunk], None if w is None else w[row, chunk], rng, beta)
+    for row, rng in zip(range(len(g)), streams):  # range first: the next block's trial stays
+        _draw_variates(g[row], None if w is None else w[row], rng, beta)
     if beta == _GAUSSIAN:  # |X/theta|**2 = z**2 / 2
         np.square(g, out=g)
         g *= 0.5
@@ -286,9 +269,9 @@ def _boosted(beta: float) -> bool:
     return beta > 1.0 and beta != _GAUSSIAN
 
 
-def _draw_chunk(x, w, rng, beta: float) -> None:
-    """Draw a chunk's variates into x and then, for a boosted shape (w not
-    None), the boost's uniforms U into w: every draw but the signs, in stream
+def _draw_variates(x, w, rng, beta: float) -> None:
+    """Draw the variates into x and then, for a boosted shape (w not None),
+    the boost's uniforms U into w: every draw but the signs, in stream
     order.  The caller takes 1 - U, in (0, 1] (no log or pow of exact zero).
 
     The generator depends on the shape alone: at beta = 2, standard normals

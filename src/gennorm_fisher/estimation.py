@@ -20,7 +20,7 @@ import numpy as np
 
 from .distribution import sample_power_trials, standardized_power
 from .distribution import sample, trial_seed  # noqa: F401  perfbench's tracer patches these names
-from .exact import cramer_rao_bound, require_shape
+from .exact import cramer_rao_bound, mle_moments_exact, require_shape
 from .special_functions import require_count, require_real
 
 __all__ = [
@@ -41,11 +41,14 @@ class DegenerateDataError(ValueError):
 class ExperimentConfig:
     """One cell of the CRLB experiment grid, at any shape the sampler takes.
 
-    An integral beta is kept as an int (it prints as 2).  trials must be at
-    least 3 so the jackknife delete-one variances (divisor trials - 2) are
-    defined.  The bound theta_true**2/(n*beta) must be a finite, normal
-    double (cramer_rao_bound); ValueError otherwise, when the config is
-    built, so a grid of configs is checked before any cell runs.
+    An integral beta below 2**53 is kept as an int (it prints as 2; 1e20
+    stays a float and prints as 1e+20).  trials must be at least 3 so the
+    jackknife delete-one variances (divisor trials - 2) are defined.  The
+    bound theta_true**2/(n*beta) must be a finite, normal double
+    (cramer_rao_bound), and then the exact law of theta_hat positive finite
+    doubles (mle_moments_exact, which a tiny beta fails at any theta);
+    ValueError otherwise, when the config is built, so a grid of configs is
+    checked before any cell runs.
     """
 
     beta: float
@@ -56,13 +59,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         beta = require_shape(self.beta)
-        object.__setattr__(self, "beta", int(beta) if beta.is_integer() else beta)
+        object.__setattr__(self, "beta", int(beta) if beta.is_integer() and beta < 2**53 else beta)
         theta = require_real("theta_true", self.theta_true, positive=True)
         object.__setattr__(self, "theta_true", theta)
         require_count("n", self.n, 1)
         require_count("trials", self.trials, 3)
         require_count("seed", self.seed, 0)
         cramer_rao_bound(self.beta, theta, self.n)
+        mle_moments_exact(self.beta, theta, self.n)
 
 
 @dataclass(frozen=True)
@@ -130,15 +134,20 @@ def _trial_ratios(beta: float, n: int, seed: int, trials: int) -> np.ndarray:
     degenerate trial (all terms zero, or an estimate that underflows).
     Every term is at most its gamma draw (z**2 / 2 at beta = 2), so a sum
     that is not finite is the one finite check: ValueError, as mle_theta
-    raises.
+    raises.  A ratio past the double range raises OverflowError naming beta
+    and n.
     """
     ratios = []
     for m, p in sample_power_trials(beta, n, seed, trials):
         totals = p.sum(axis=1)
         if not math.isfinite(totals.max()):  # max propagates nan
             raise ValueError("samples must all be finite")
-        ratios += [mt * (beta * (total / n)) ** (1.0 / beta)
-                   for mt, total in zip(m.tolist(), totals.tolist())]
+        try:
+            ratios += [mt * (beta * (total / n)) ** (1.0 / beta)
+                       for mt, total in zip(m.tolist(), totals.tolist())]
+        except OverflowError:  # the float power's errno error names nothing
+            raise OverflowError(f"theta_hat/theta_true overflows double precision at "
+                                f"beta={beta!r}, n={n}") from None
     return np.array(ratios)
 
 
@@ -156,8 +165,9 @@ def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     is order-independent; they are taken from theta_hat/theta_true and scaled
     back, so they neither overflow nor underflow at extreme scales.
     Degenerate trials are skipped and counted (never seen for n >= 10).
-    The bound theta_true**2/(n*beta) was checked when config was built;
-    raises ValueError where a draw is not finite.
+    The bound and the law of theta_hat/theta_true were checked when config
+    was built; raises ValueError where a draw is not finite, and
+    OverflowError where a trial's estimate passes the double range.
     """
     theta = config.theta_true
     crlb = cramer_rao_bound(config.beta, theta, config.n)

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from .special_functions import log_gamma_ratio, log_gamma_ratio_excess, log_gamma_second_difference
-from .special_functions import require_count, require_real
+from .special_functions import multifactorial, require_count, require_real
 
 __all__ = [
     "MC_MIN_DRAWS",
@@ -31,8 +31,10 @@ __all__ = [
     "exact_moment",
     "fisher_closed_form",
     "fisher_information",
+    "fisher_moment_identity",
     "mle_moments_exact",
     "require_even_shape",
+    "require_mc_draws",
     "require_shape",
     "require_tol",
 ]
@@ -85,6 +87,18 @@ def require_even_shape(beta) -> int:
     if bf <= 0.0 or not bf.is_integer() or int(bf) % 2 != 0:
         raise ValueError(f"shape beta must be a positive even integer, got {beta!r}")
     return int(bf)
+
+
+def require_mc_draws(n, beta) -> None:
+    """Check that n draws give the Monte Carlo route a relative standard
+    error of at most 1.  Its squared score (beta p - 1)**2 has mean beta and
+    variance beta**2 (6 beta + 2), so the error is sqrt((6 beta + 2)/n):
+    ValueError, naming n, beta and the bound, where n < 6 beta + 2.
+    """
+    bound = 6.0 * beta + 2.0
+    if n < bound:
+        raise ValueError(f"n={n} is below 6*beta + 2 = {bound!r} at beta={beta!r}, where the "
+                         "Monte Carlo route's relative standard error exceeds 1")
 
 
 def require_tol(tol) -> float:
@@ -184,6 +198,37 @@ def fisher_closed_form(params: GenNormParams) -> FisherEstimate:
     return FisherEstimate(fisher_information(params.beta, params.theta), "closed_form", 0.0)
 
 
+def fisher_moment_identity(beta, theta) -> float:
+    """I(theta) = (beta**2 m_2beta - 2 beta m_beta + 1)/theta**2, with
+    m_k = E|Z|**k: Theorem 1 at any shape, from the absolute moments.
+
+    With s_h = beta**h m_(h beta), I(1) = s_2 - 2 s_1 + 1.  At an integral
+    beta = p, Lemma 2 gives s_h = multifactorial((h - 1) p + 1, p), that is
+    s_1 = 1 and s_2 = p + 1 (m_p = 1/p, m_2p = (p + 1)/p**2), so I(1) = p
+    exactly, in integers, odd p included.  At any other beta,
+    s_h = exp(log_gamma_ratio_excess(1/beta, h)), analytically 1 and
+    1 + beta: there this checks the ratio kernel as much as the theorem.
+    The sum cancels toward beta -> 0, to a relative rounding of about
+    2 eps/beta (0.5 eps/beta seen); below beta = sqrt(eps) = 1.5e-8 that
+    passes half the digits, and ValueError is raised.  ValueError, as
+    fisher_information raises it, where the value is not a finite, normal
+    double.
+    """
+    bf = require_shape(beta)
+    tf = require_real("theta", theta, positive=True)
+    if bf.is_integer():
+        p = int(bf)
+        s1, s2 = (multifactorial((h - 1) * p + 1, p) for h in (1, 2))
+        i1 = float(s2 - 2 * s1 + 1)
+    elif bf < math.sqrt(sys.float_info.epsilon):
+        raise ValueError(f"beta={bf!r} is below sqrt(eps) = 1.5e-8, where the moment identity "
+                         "keeps less than half its digits")
+    else:
+        s1, s2 = (math.exp(log_gamma_ratio_excess(1.0 / bf, h)) for h in (1.0, 2.0))
+        i1 = s2 - 2.0 * s1 + 1.0
+    return fisher_information(i1, tf)
+
+
 @dataclass(frozen=True)
 class MleMoments:
     """The exact mean, bias and variance of the scale MLE theta_hat from n
@@ -213,16 +258,20 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
     variances and bias (off beta near 1) within 1e-13 of mpmath to n = 10**6.
 
     beta is a shape as GenNormParams takes it, theta > 0 and n >= 1 an
-    integer; ValueError otherwise, where theta puts a moment outside the
-    positive finite doubles, and where cramer_rao_bound rejects the bound.
+    integer; ValueError otherwise, where theta or a tiny beta (1e-4 at
+    n = 10) puts a moment outside the positive finite doubles, and where
+    cramer_rao_bound rejects the bound.
     """
     bf = require_shape(beta)
     tf = require_real("theta", theta, positive=True)
     require_count("n", n, 1)
     a, h = n / bf, 1.0 / bf
-    log_ew = log_gamma_ratio_excess(a, h)  # log E W = log Gamma(a + h) - log Gamma(a) - h log a
-    ew = math.exp(log_ew)
-    rel_var = math.expm1(log_gamma_second_difference(a, h))  # Var W / (E W)**2
+    try:
+        log_ew = log_gamma_ratio_excess(a, h)  # log Gamma(a + h) - log Gamma(a) - h log a
+        ew = math.exp(log_ew)
+        rel_var = math.expm1(log_gamma_second_difference(a, h))  # Var W / (E W)**2
+    except OverflowError:  # a moment past the double range: the check below raises
+        log_ew = ew = rel_var = math.inf
     var_w = ew * ew * rel_var
     unit = 1.0 / (n * bf)  # the bound at theta = 1
     moments = MleMoments(

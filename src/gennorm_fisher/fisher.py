@@ -30,7 +30,7 @@ import numpy as np
 from .distribution import sample_power_trials, standardized_power
 from .distribution import sample  # noqa: F401  perfbench's tracer patches this name
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, FisherEstimate, GenNormParams, QuadratureError
-from .exact import fisher_closed_form, require_even_shape, require_tol
+from .exact import fisher_closed_form, require_even_shape, require_mc_draws, require_tol
 from .quadrature import QuadResult, expect_power
 from .quadrature import integrate_decaying  # noqa: F401  perfbench's tracer patches this name
 from .special_functions import require_count, require_real
@@ -142,12 +142,16 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
 
     error_estimate is its standard error, the unbiased standard deviation over
     sqrt(n); deterministic given seed.  theta enters only as 1/theta/theta.
-    The score spreads sqrt(beta) about 0 and is rounded to about eps, a
-    relative eps/sqrt(beta): below beta = eps (2.2e-16) that passes sqrt(eps),
-    half the digits, and ValueError is raised.
+    The relative standard error is sqrt((6 beta + 2)/n): ValueError where
+    n < 6 beta + 2 (require_mc_draws), and even n/beta near 100 can still
+    under-cover, most draws scoring -1.  The score spreads sqrt(beta) about
+    0 and is rounded to about eps, a relative eps/sqrt(beta): below
+    beta = eps (2.2e-16) that passes sqrt(eps), half the digits, and
+    ValueError is raised.
     """
     require_count("n", n, MC_MIN_DRAWS)
     beta = params.beta
+    require_mc_draws(n, beta)
     if beta < math.ulp(1.0):  # eps
         raise ValueError(f"beta={beta!r} is below eps = 2.2e-16, where the Monte Carlo score "
                          "keeps less than half the digits of its spread")

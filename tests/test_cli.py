@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gennorm_fisher import GenNormParams, __version__, log_pdf, mle_theta, pdf, sample
+from gennorm_fisher import GenNormParams, __version__, fisher_moment_identity, log_pdf, mle_theta
+from gennorm_fisher import pdf, sample
 from gennorm_fisher import ExperimentConfig, QuadratureError, run_crlb_experiment
 from gennorm_fisher import cli
 from gennorm_fisher.cli import csv_table, main
@@ -246,6 +247,25 @@ class TestFisherCommand:
             2, "", "error: beta=1e-17 is below eps = 2.2e-16, where the Monte Carlo score "
                    "keeps less than half the digits of its spread\n")
 
+    @pytest.mark.parametrize("argv", [("--seed", "3"), ("--methods", "mc_score_variance",
+                                                      "--n", "1000")])
+    def test_too_few_draws_for_the_shape_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # the Monte Carlo route printed 2542.9 +- 2339.5 against 10**6 at the
+        # default n; its bound is checked before any route runs
+        from gennorm_fisher import fisher
+
+        monkeypatch.setattr(fisher, "METHODS", {})  # a route that ran would be a KeyError
+        n = dict(zip(argv[::2], argv[1::2])).get("--n", "1000000")
+        assert run(capsys, "fisher", "--beta", "1e6", *argv) == (
+            2, "", f"error: n={n} is below 6*beta + 2 = 6000002.0 at beta=1000000.0, where the "
+                   "Monte Carlo route's relative standard error exceeds 1\n")
+
+    def test_the_draw_bound_holds_only_where_the_route_runs(self, capsys):
+        code, out, err = run(capsys, "fisher", "--beta", "1e6", "--n", "1000",
+                             "--methods", "quad_score_variance")
+        assert (code, err) == (0, "")
+        assert float(parse_csv(out)[1][0][1]) == pytest.approx(1e6, rel=1e-7)
+
     def test_methods_that_name_no_method(self, capsys):
         assert run(capsys, "fisher", "--methods", " , ") == (
             2, "", "error: --methods must name at least one method\n")
@@ -449,6 +469,33 @@ class TestVerifyCommand:
                               ("monte-carlo", "4 standard errors"))
         ]
 
+    def test_shapes_suite(self, capsys):
+        # theorem1's three checks at shapes that are not even, against the
+        # moment identity
+        code, out, err = run(capsys, "verify", "shapes")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-1] == "shapes: 45/45 checks passed"
+        checks = [(line.split(" observed=")[0], line.split(" tol=")[1]) for line in lines[:-1]]
+        assert checks == [
+            (f"PASS shapes[beta={beta},theta={theta}] {name}", tol)
+            for beta in (0.5, 1, 1.5, 3, 5)
+            for theta in (0.5, 1.0, 2.0)
+            for name, tol in (("score-variance", "rel 1e-7"), ("neg-hessian", "rel 1e-7"),
+                              ("monte-carlo", "4 standard errors"))
+        ]
+        expected = [float(line.split(" expected=")[1].split()[0]) for line in lines[:-1]]
+        assert expected == [fisher_moment_identity(beta, theta)
+                            for beta in (0.5, 1, 1.5, 3, 5) for theta in (0.5, 1.0, 2.0)
+                            for _ in range(3)]
+
+    def test_shapes_reads_theorem1s_options(self, capsys):
+        argv = ("verify", "shapes", "--n", "1000", "--tol", "1e-8")
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", str(cli.DEFAULT_SEED))
+        assert run(capsys, *argv)[1] != run(capsys, *argv, "--seed", "3")[1]
+        code, out, err = run(capsys, "verify", "shapes", "--trials", "3")
+        assert (code, out) == (2, "") and "verify shapes does not read --trials" in err
+
     def test_crlb_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "crlb", "--beta", "2", "--theta", "1")
         assert code == 0
@@ -479,6 +526,19 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "crlb: 2/2 checks passed"
         assert out.startswith("PASS crlb[beta=1,theta=1.0] efficiency observed=1.099")
+
+    def test_crlb_names_a_huge_integral_shape_as_a_float(self, capsys):
+        # an integral shape from 2**53 printed all 301 digits of 1e300
+        code, out, err = run(capsys, "verify", "crlb", "--beta", "1e300", "--n", "10",
+                             "--trials", "3")
+        assert (code, err) == (1, "")
+        assert out.startswith("FAIL crlb[beta=1e+300,theta=1.0] efficiency observed=")
+
+    def test_crlb_at_a_shape_whose_ratio_law_overflows_is_a_usage_error(self, capsys):
+        # the float power printed "error: (34, 'Numerical result out of range')"
+        assert run(capsys, "verify", "crlb", "--beta", "1e-6", "--n", "1", "--trials", "50") == (
+            2, "", "error: the moments of the MLE at beta=1e-06, theta=1.0, n=1 are not all "
+                   "positive finite doubles\n")
 
     def test_crlb_fails_toward_the_uniform(self, capsys):
         # at beta = 10**6 the MLE's exact efficiency at n = 10**4 is 0.01: the
@@ -653,7 +713,8 @@ class TestModeOptions:
 
     def test_help_of_the_shared_options(self, capsys):
         verify = self.option_help(capsys, "verify")
-        assert verify["--n"] == "theorem1 default 1000000; crlb default 10000"
+        assert verify["--n"] == (
+            "theorem1 default 1000000; shapes default 1000000; crlb default 10000")
         assert verify["--theta"] == "crlb default 1.0"
         sweep = self.option_help(capsys, "sweep")
         assert sweep["--betas"] == "crlb default 2,4,6,8; routes default 2,4,6,8,10,12,16,20,50,100"
@@ -669,7 +730,7 @@ class TestModeOptions:
         assert run(capsys, "verify", "scaled", "--scale", "2")[1].startswith(
             "PASS scaled observed=2.0 expected=3 ")
         assert "--scale SCALE" in run(capsys, "verify", "--help")[1]
-        for suite in ("lemma2", "theorem1", "equivalence", "crlb"):
+        for suite in ("lemma2", "theorem1", "shapes", "equivalence", "crlb"):
             assert run(capsys, "verify", suite, "--scale", "2") == (
                 2, "", f"error: verify {suite} does not read --scale (verify scaled only)\n")
 

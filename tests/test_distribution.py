@@ -246,7 +246,6 @@ class TestSample:
         assert np.array_equal(scaled, 2.0 * base)
 
     def test_multi_chunk_paths(self):
-        # crosses the 2**18 chunk boundary
         n = (1 << 18) + 3
         p = GenNormParams(1.0, 2.0)
         a = sample(p, n, seed=5)
@@ -320,26 +319,20 @@ class TestSample:
 
 
 def _reference_sample(params, count, seed):
-    # the sampler as first written: children from SeedSequence(seed).spawn,
-    # signs drawn last on each chunk's stream; at beta = 2 the normals
-    # z / sqrt(2), signs and all, then theta
+    # the sampler from numpy's Generator calls on one stream, the first child
+    # of SeedSequence(seed).spawn: the gammas, then the uniforms, then the
+    # signs, each for all count draws; at beta = 2 the normals z / sqrt(2),
+    # signs and all, then theta
     inv_beta = 1.0 / params.beta
-    chunk = 1 << 18
-    children = np.random.SeedSequence(seed).spawn((count + chunk - 1) // chunk)
-    parts = []
-    for i, child in enumerate(children):
-        m = min(chunk, count - i * chunk)
-        rng = np.random.Generator(np.random.PCG64(child))
-        if params.beta == 2.0:
-            parts.append(rng.standard_normal(m) * math.sqrt(0.5) * params.theta)
-            continue
-        x = rng.standard_gamma(1.0 + inv_beta if params.beta > 1.0 else inv_beta, size=m)
-        x = x**inv_beta
-        if params.beta > 1.0:
-            x = x * (1.0 - rng.random(m))
-        signs = rng.integers(0, 2, size=m) * 2 - 1
-        parts.append(x * params.theta * signs)
-    return np.concatenate(parts)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    if params.beta == 2.0:
+        return rng.standard_normal(count) * math.sqrt(0.5) * params.theta
+    x = rng.standard_gamma(1.0 + inv_beta if params.beta > 1.0 else inv_beta, size=count)
+    x = x**inv_beta
+    if params.beta > 1.0:
+        x = x * (1.0 - rng.random(count))
+    signs = rng.integers(0, 2, size=count) * 2 - 1
+    return x * params.theta * signs
 
 
 class TestSampleAbs:
@@ -447,26 +440,18 @@ def _power_rule(x, beta):
 
 
 def _reference_powers(params, count, seed):
-    # one trial's standardized powers from numpy's Generator calls, chunk i on
-    # SeedSequence(seed, spawn_key=(i,)): gammas, then 1 - U, into whole arrays;
-    # at beta = 2 the normals z, as z**2 / 2
-    beta, chunk = params.beta, 1 << 18
-    g, w = [], []
-    for i, lo in enumerate(range(0, count, chunk)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-        m = min(chunk, count - lo)
-        if beta == 2.0:
-            g.append(rng.standard_normal(m))
-            continue
-        g.append(rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, size=m))
-        if beta > 1.0:
-            w.append(1.0 - rng.random(m))
-    g = np.concatenate(g)
+    # one trial's standardized powers from numpy's Generator calls on the one
+    # stream SeedSequence(seed, spawn_key=(0,)): the gammas, then 1 - U, each
+    # for all count draws; at beta = 2 the normals z, as z**2 / 2
+    beta = params.beta
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     if beta == 2.0:
-        return 1.0, g * g * 0.5
+        z = rng.standard_normal(count)
+        return 1.0, z * z * 0.5
+    g = rng.standard_gamma(1.0 + 1.0 / beta if beta > 1.0 else 1.0 / beta, size=count)
     if beta <= 1.0:
         return 1.0, g
-    w = np.concatenate(w)
+    w = 1.0 - rng.random(count)
     m = float(w.max())
     return m, g * _power_rule(w / m, beta)
 
@@ -495,7 +480,6 @@ class TestSamplePowerTrials:
             assert terms.tobytes() == want_terms.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 2**40, 2**70])
-    # 2 trials of two chunks each at 2**18 + 3
     @pytest.mark.parametrize("count, trials", [(1, 5), (100, 12), ((1 << 18) + 3, 2)])
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
     def test_seeds_of_every_width_equal_the_power_construction(self, beta, count, trials, seed):
@@ -508,8 +492,9 @@ class TestSamplePowerTrials:
     @pytest.mark.parametrize("count", [7, (1 << 18) + 1])
     @pytest.mark.parametrize("beta", [0.5, 2.0])
     def test_blocks_of_trials_join_seamlessly(self, beta, count, rows, monkeypatch):
-        # seeding blocks of 1 or 2 trials at two chunks, of 1 to 5 at one;
-        # the gammas alone (beta <= 1) and the gammas with their 1 - U
+        # seeding blocks of 1, 3 or 5 trials, at one trial a draw block
+        # (2**18 + 1) and at all five in one (7); the gammas alone (beta <= 1)
+        # and the gammas with their 1 - U
         monkeypatch.setattr(distribution, "_SEED_ROWS", rows)
         p = GenNormParams(1.0, beta)
         got = [(m, terms.tobytes())

@@ -48,7 +48,7 @@ def _numerical_mle(samples, beta):
 
 def _reference_ratio(beta, n, seed):
     # theta_hat/theta of one trial as |X/theta|**beta = G * (1 - U)**beta
-    # builds it: G ~ Gamma(1 + 1/beta), then U, on chunk 0's stream; at beta
+    # builds it: G ~ Gamma(1 + 1/beta), then U, on the trial's stream; at beta
     # in {2, 4, 8} the power is (w/m) squared log2(beta) times.  At beta = 2
     # the normals z give |X/theta|**2 = z**2 / 2, and m = 1
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
@@ -66,25 +66,18 @@ def _reference_ratio(beta, n, seed):
     return m * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
 
 
-def _reference_chunked_ratio(beta, n, seed):
-    # _reference_ratio at any n and shape: chunk i of 2**18 draws on
-    # SeedSequence(seed, spawn_key=(i,)), its gammas and then its U; the power
-    # by squares at beta in {2, 4, 8}, by np.power at any other; at beta = 2
-    # each chunk's normals z, as z**2 / 2 with m = 1
-    g, w = [], []
-    for i, lo in enumerate(range(0, n, 1 << 18)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-        size = min(1 << 18, n - lo)
-        if beta == 2:
-            g.append(rng.standard_normal(size))
-            continue
-        g.append(rng.standard_gamma(1.0 + 1.0 / beta, size=size))
-        w.append(1.0 - rng.random(size))
+def _reference_stream_ratio(beta, n, seed):
+    # _reference_ratio at any n and shape, on the one stream
+    # SeedSequence(seed, spawn_key=(0,)): its gammas for all n draws, then
+    # its U; the power by squares at beta in {2, 4, 8}, by np.power at any
+    # other; at beta = 2 the normals z, as z**2 / 2 with m = 1
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
     if beta == 2:
-        z = np.concatenate(g)
+        z = rng.standard_normal(n)
         p = z * z * 0.5
         return 1.0 * (beta * (float(p.sum()) / n)) ** (1.0 / beta)
-    g, w = np.concatenate(g), np.concatenate(w)
+    g = rng.standard_gamma(1.0 + 1.0 / beta, size=n)
+    w = 1.0 - rng.random(n)
     m = float(w.max())
     power = w / m
     if beta in (2, 4, 8):
@@ -189,6 +182,31 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=100, trials=10, seed=0)
         assert cfg.beta == stored and type(cfg.beta) is type(stored)
 
+    @pytest.mark.parametrize("beta", [2**53, 1e20, 1e300])
+    def test_an_integral_shape_from_2_53_stays_a_float(self, beta):
+        # it prints as 1e+20, not as its 21 digits
+        cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=10, trials=3, seed=0)
+        assert cfg.beta == beta and type(cfg.beta) is float
+        assert ExperimentConfig(beta=2**53 - 1, theta_true=1.0, n=10, trials=3, seed=0).beta == (
+            2**53 - 1)
+
+    @pytest.mark.parametrize("beta, n", [(1e-5, 1), (1e-6, 1), (1e-4, 10)])
+    def test_a_shape_whose_ratio_law_overflows_is_rejected(self, beta, n):
+        # (1e-5, n = 1, 50 trials) ran with mle_variance = inf and stderr = nan
+        message = (f"the moments of the MLE at beta={beta!r}, theta=2.0, n={n} are not all "
+                   "positive finite doubles")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(beta=beta, theta_true=2.0, n=n, trials=50, seed=0)
+
+    def test_the_bound_is_checked_before_the_ratio_law(self):
+        with pytest.raises(ValueError, match="^theta_true=1e[+]160 puts the bound"):
+            ExperimentConfig(beta=1e-5, theta_true=1e160, n=1, trials=50, seed=0)
+
+    def test_the_law_is_checked_at_theta_true(self):
+        # the bound at theta = 1, 1e-308, is subnormal, and at theta_true it is not
+        cfg = ExperimentConfig(beta=1e303, theta_true=10.0, n=10**5, trials=3, seed=0)
+        assert run_crlb_experiment(cfg).crlb == 100.0 / (10**5 * 1e303)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -265,8 +283,8 @@ class TestCrlbExperiment:
     @pytest.mark.parametrize("beta", [2, 4, 8])
     def test_equals_reference_loop_bitwise(self, beta):
         # the experiment from numpy's Generator calls: each trial's gammas and
-        # uniforms on the stream of sample_abs(params, n, trial_seed(seed, t))
-        # (n <= 2**18: one chunk), taken as standardized powers, and the
+        # uniforms on the stream of sample_abs(params, n, trial_seed(seed, t)),
+        # taken as standardized powers, and the
         # statistics on theta_hat itself (theta_true = 1, so no scaling)
         cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=700, trials=40, seed=beta)
         estimates = np.array([_reference_ratio(beta, cfg.n, trial_seed(cfg.seed, t))
@@ -288,10 +306,10 @@ class TestCrlbExperiment:
     @pytest.mark.parametrize("beta", [2, 4, 8, 10**6])
     def test_blocks_of_trials_equal_reference_loop_bitwise(self, beta, n, trials):
         # 700 draws a trial: blocks of 46, 46 and 8 trials; 1 draw: one block
-        # of 50; 2**18 + 3 draws: a block per trial, of two chunks.  Under
-        # -W error: at 10**6 the finish underflows, and warns of nothing
+        # of 50; 2**18 + 3 draws: a block per trial.  Under -W error: at
+        # 10**6 the finish underflows, and warns of nothing
         ratios = estimation._trial_ratios(float(beta), n, 7, trials)
-        want = [_reference_chunked_ratio(beta, n, trial_seed(7, t)) for t in range(trials)]
+        want = [_reference_stream_ratio(beta, n, trial_seed(7, t)) for t in range(trials)]
         assert ratios.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("n", [1, 10, 100, 10**4, (1 << 18) + 3])
@@ -305,6 +323,14 @@ class TestCrlbExperiment:
         for t, ratio in enumerate(ratios):
             want = mle_theta(sample_abs(params, n, trial_seed(11, t)), beta)
             assert abs(ratio - want) <= 4 * math.ulp(want), (t, ratio, want)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_ratio_past_the_double_range_names_the_shape(self):
+        # the float power raised OverflowError (34, 'Numerical result out of range')
+        with pytest.raises(OverflowError) as exc:
+            estimation._trial_ratios(1e-6, 1, 0, 50)
+        assert exc.value.args == (
+            "theta_hat/theta_true overflows double precision at beta=1e-06, n=1",)
 
     def test_degenerate_trials_are_counted(self, monkeypatch):
         def zero_in_odd_trials(params, count, seed, trials):
@@ -510,6 +536,15 @@ class TestExactMleLaw:
     def test_rejects_bad_arguments_and_unrepresentable_moments(self, args):
         with pytest.raises(ValueError):
             mle_moments_exact(*args)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta, n", [(1e-4, 10), (3e-4, 1), (1e-3, 1), (1e-5, 1), (1e-300, 1)])
+    def test_a_tiny_shape_raises_the_documented_error(self, beta, n):
+        # (1e-4, 10) and (3e-4, 1) raised a bare OverflowError: math range error
+        with pytest.raises(ValueError, match=f"^the moments of the MLE at beta={beta!r}, "
+                                             f"theta=1.0, n={n} are not all positive finite "
+                                             "doubles$"):
+            mle_moments_exact(beta, 1.0, n)
 
     def test_a_variance_past_the_double_range_is_rejected(self):
         # the bound 1e304 / (1 * 0.1) = 1e305 is finite, but Var(theta_hat/theta)

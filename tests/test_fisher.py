@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from gennorm_fisher import (
     fisher_beta_sweep,
     fisher_closed_form,
     fisher_mc_score_variance,
+    fisher_moment_identity,
     fisher_quad_neg_hessian,
     fisher_quad_score_variance,
     log_pdf,
@@ -131,6 +133,46 @@ class TestClosedForm:
             FisherEstimate(value=1.0, method="closed_form", error_estimate=float("nan"))
 
 
+class TestMomentIdentity:
+    @pytest.mark.parametrize("beta", [1, 2, 3, 5, 7, 11, 2**53 + 2, 1e300])
+    def test_an_integral_shape_gives_beta_exactly(self, beta):
+        # Lemma 2: beta m_beta = 1 and beta**2 m_2beta = beta + 1, in integers
+        assert fisher_moment_identity(beta, 1.0) == float(beta)
+        assert fisher_moment_identity(float(beta), 2.0) == float(beta) / 2.0 / 2.0
+
+    @pytest.mark.parametrize("beta", [1e-7, 1e-3, 0.05, 0.5, 1.5, 2.5, 7.25, 1e6 + 0.5])
+    def test_any_other_shape_within_its_rounding(self, beta):
+        # from log Gamma ratios; the sum cancels toward beta -> 0, to about
+        # eps/beta (0.5 eps/beta seen)
+        got = fisher_moment_identity(beta, 1.0)
+        assert abs(got - beta) / beta <= 2 * sys.float_info.epsilon * (1.0 + 1.0 / beta) + 1e-14
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 3.0])
+    def test_the_moments_are_the_densitys(self, beta):
+        # beta**2 m_2beta - 2 beta m_beta + 1 with m_k = Gamma((k+1)/beta)/Gamma(1/beta)
+        b = mp.mpf(beta)
+        m = [mp.gamma((k + 1) / b) / mp.gamma(1 / b) for k in (b, 2 * b)]
+        want = float(b * b * m[1] - 2 * b * m[0] + 1)
+        assert fisher_moment_identity(beta, 1.0) == pytest.approx(want, rel=4e-16)
+
+    @pytest.mark.parametrize("theta", [0.5, 3.0, 1e-100])
+    def test_scale_law(self, theta):
+        for beta in (3, 2.5):
+            assert fisher_moment_identity(beta, theta) == (
+                fisher_moment_identity(beta, 1.0) / theta / theta)
+
+    def test_a_shape_below_sqrt_eps_is_rejected(self):
+        with pytest.raises(ValueError, match="below sqrt[(]eps[)] = 1.5e-8, where the moment "
+                                             "identity keeps less than half its digits"):
+            fisher_moment_identity(1e-9, 1.0)
+
+    @pytest.mark.parametrize("beta, theta", [(0.0, 1.0), (True, 1.0), (3, 0.0), (3, "1"),
+                                             (3, 1e160), (0.5, 1e-160)])
+    def test_rejects_bad_arguments_and_unrepresentable_values(self, beta, theta):
+        with pytest.raises(ValueError):
+            fisher_moment_identity(beta, theta)
+
+
 class TestQuadratureRoutes:
     def test_score_variance_examples(self):
         assert abs(fisher_quad_score_variance(GenNormParams(1.0, 2.0)).value - 2.0) <= 1e-8
@@ -191,7 +233,7 @@ class TestMonteCarloRoute:
     def test_agrees_with_the_scores_of_signed_draws(self, params):
         # the route's draws are sample's at trial_seed(seed, 0); it takes their
         # powers without the root and raise-back, so it agrees to rounding only
-        n = (1 << 18) + 5  # two sampler chunks
+        n = (1 << 18) + 5
         sq = score_z(params.beta, sample(params, n, trial_seed(17, 0)) / params.theta)
         sq *= sq
         unit = 1.0 / params.theta / params.theta
@@ -201,7 +243,7 @@ class TestMonteCarloRoute:
             float(sq.std(ddof=1)) / math.sqrt(n) * unit, rel=1e-13)
 
     @pytest.mark.parametrize("theta", [0.7, 1.0, 3.0])
-    @pytest.mark.parametrize("beta", [1e-10, 0.5, 1.0, 2.0, 2.5, 8.0, 1e6])
+    @pytest.mark.parametrize("beta", [1e-10, 0.5, 1.0, 2.0, 2.5, 8.0, 800.0])
     def test_equals_the_squared_scores_of_trial_zero_of_the_power_sampler(self, beta, theta):
         # |z|**beta = m**beta * p from sample_power_trials(beta, n, seed, 1), so
         # the score is beta * m**beta * p - 1; theta enters as 1/theta/theta
@@ -213,6 +255,30 @@ class TestMonteCarloRoute:
         expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
                                   float(sq.std(ddof=1)) / math.sqrt(n) * unit)
         assert fisher_mc_score_variance(GenNormParams(theta, beta), n, 3) == expected
+
+    @pytest.mark.parametrize("beta, n", [(1e6, 5000), (1e6, 1000), (1e6, 6_000_001),
+                                         (16.5, 100), (1000.0, 6001)])
+    def test_too_few_draws_for_the_shape_are_rejected(self, beta, n):
+        # the relative standard error sqrt((6 beta + 2)/n) would exceed 1; at
+        # beta = 10**6 and n = 1000 the route returned 1.0 with error 0.0
+        bound = 6.0 * beta + 2.0
+        with pytest.raises(ValueError, match=(
+                f"^n={n} is below 6[*]beta [+] 2 = {bound!r} at beta={beta!r}, where the Monte "
+                "Carlo route's relative standard error exceeds 1$")):
+            fisher_mc_score_variance(GenNormParams(1.0, beta), n, 0)
+
+    @pytest.mark.parametrize("beta, n", [(16.5, 101), (1000.0, 6002)])
+    def test_draws_at_the_bound_are_taken(self, beta, n):
+        got = fisher_mc_score_variance(GenNormParams(1.0, beta), n, 0)
+        assert got.value > 0.0 and got.error_estimate > 0.0
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
+    def test_the_standard_error_follows_the_squared_scores_variance(self, beta):
+        # Var (beta p - 1)**2 = beta**2 (6 beta + 2): the reported error,
+        # relative to beta, is sqrt((6 beta + 2)/n) to within 5 %
+        n = 10**5
+        got = fisher_mc_score_variance(GenNormParams(1.0, beta), n, 2)
+        assert got.error_estimate / beta == pytest.approx(math.sqrt((6 * beta + 2) / n), rel=0.05)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_a_shape_whose_draws_overflow_as_magnitudes(self, seed):

@@ -52,6 +52,13 @@ def test_sweep_crlb_at_every_shape(capsys):
         mle_moments_exact(beta, 1.0, 10).efficiency for beta in (1.0, 2.5, 1e6)]
 
 
+def test_sweep_crlb_writes_a_huge_integral_shape_as_a_float(capsys):
+    # 1e20 wrote its 21 digits; 2 and 1000000 keep theirs
+    assert main(["sweep", "crlb", "--betas", "1e20,2,1e6", "--sizes", "10", "--trials", "3"]) == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == ["1e+20", "2", "1000000"]
+
+
 def test_sweep_routes(tmp_path):
     out = tmp_path / "routes.csv"
     assert main(["sweep", "routes", "--betas", "2,4", "--theta", "1.3", "--n", "200",
@@ -97,6 +104,12 @@ def test_a_sweep_writes_a_progress_line_per_cell_and_the_table_to_stdout(capsys)
         (["crlb", "--betas", "2", "--thetas", "1,1e160", "--sizes", "10", "--trials", "3"],
          "error: theta_true=1e+160 puts the bound theta_true**2/(n*beta) = inf outside the "
          "finite, normal doubles at n=10, beta=2\n"),
+        (["crlb", "--betas", "2,1e-5", "--sizes", "1", "--trials", "3"],
+         "error: the moments of the MLE at beta=1e-05, theta=1.0, n=1 are not all positive "
+         "finite doubles\n"),
+        (["routes", "--betas", "2,100", "--n", "500"],
+         "error: n=500 is below 6*beta + 2 = 602.0 at beta=100.0, where the Monte Carlo "
+         "route's relative standard error exceeds 1\n"),
     ],
 )
 def test_a_sweep_checks_every_cell_before_the_sweep(capsys, argv, message):
@@ -252,6 +265,7 @@ def test_exact_commands_start_without_numpy(argv, exit_code):
            "from gennorm_fisher.exact import cramer_rao_bound, fisher_information\n"
            "p = gf.GenNormParams(1.0, 2.0)\n"
            "gf.mle_moments_exact(2, 1.0, 10), gf.fisher_closed_form(p)\n"
+           "gf.fisher_moment_identity(3, 1.0), gf.fisher_moment_identity(2.5, 1.0)\n"
            "fisher_information(2.0, 1.0), cramer_rao_bound(2.0, 1.0, 10)\n"
            "code = 0"
            if argv is None
