@@ -25,8 +25,7 @@ _HOME = {
         ),
         "quadrature": ("QuadResult", "integrate_decaying"),
         "distribution": (
-            "abs_moment_quad", "log_pdf", "pdf", "pdf_normalization", "sample", "sample_abs",
-            "trial_seed",
+            "abs_moment_quad", "log_pdf", "pdf", "pdf_normalization", "sample", "trial_seed",
         ),
         "fisher": (
             "METHODS", "d2_log_pdf", "expected_score_quad", "fisher_beta_sweep",

@@ -15,9 +15,10 @@ opened before the first.  Exit codes: 0 success,
 1 a failed check or a numerical failure, 2 usage or input error (an option the
 command's mode does not read, or an --output that cannot be written, included).
 
-The parser, the exact commands (moments, verify lemma2) and the error
-handling use only the numpy-free layer (exact, special_functions); every
-other command imports numpy and the numeric modules it calls when it runs.
+The parser, the exact commands (moments, verify lemma2, verify attainment)
+and the error handling use only the numpy-free layer (exact,
+special_functions); every other command imports numpy and the numeric
+modules it calls when it runs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import sys
 
 from . import __version__
 from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
-from .exact import exact_moment, fisher_information, fisher_moment_identity, mle_moments_exact
+from .exact import bhattacharyya_bound, cramer_rao_bound, exact_moment, fisher_information
+from .exact import fisher_moment_identity, mle_moments_exact
 from .exact import require_even_shape, require_mc_draws, require_tol
 from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
 
@@ -253,7 +255,7 @@ _ESTIMATE_MODES = {"--input": {}, "--simulate": {"theta": 1.0, "n": 1_000_000, "
 
 
 def _cmd_estimate(args) -> int:
-    from .distribution import sample_abs
+    from .distribution import sample
     from .estimation import mle_theta
     from .fisher import score_z
 
@@ -263,13 +265,16 @@ def _cmd_estimate(args) -> int:
     vars(args).update(_mode_options(args, mode, _ESTIMATE_MODES))
     if args.simulate:
         params = GenNormParams(theta=args.theta, beta=args.beta)
-        draws = sample_abs(params, args.n, args.seed)  # theta_hat and the score use |x| only
+        draws = sample(params, args.n, args.seed)
         source = {"generator": {"theta": params.theta, "beta": params.beta,
                                 "n": args.n, "seed": args.seed}}
     else:
         draws = _read_samples(args.input)
         source = {"file": args.input}
     theta_hat = mle_theta(draws, args.beta)
+    if theta_hat < sys.float_info.min:  # the rule FisherEstimate applies
+        raise ValueError(f"theta_hat={theta_hat!r} is below the normal doubles, where the "
+                         "score residual, in units of 1/theta_hat, can overflow")
     draws /= theta_hat
     residual = float(score_z(args.beta, draws, out=draws).sum()) / theta_hat
     outputs = {"theta_hat": theta_hat, "score_residual": residual,
@@ -364,10 +369,25 @@ def _verify_crlb(*, theta: float = 1.0, beta: float = 2.0, n: int = 10_000, tria
     yield f"{tag} failed-trials", report.failed_trials == 0, report.failed_trials, 0, "exact"
 
 
+def _verify_attainment():
+    """How much room the CRLB leaves at theta = 1: the order-2 Bhattacharyya
+    bound B2 lies between it and the UMVUE's variance, which attains B2 at
+    beta = 1/2 and 1 (so the second check allows 4 ulp)."""
+    for beta in (0.5, 1, 2, 8, 64, 1024):
+        for n in (1, 10, 100):
+            crlb = cramer_rao_bound(beta, 1.0, n)
+            b2 = bhattacharyya_bound(beta, 1.0, n)
+            umvue = mle_moments_exact(beta, 1.0, n).unbiased_variance
+            tag = f"attainment[beta={beta},n={n}]"
+            yield f"{tag} crlb-le-b2", crlb <= b2, b2, crlb, "b2 >= crlb"
+            yield (f"{tag} b2-le-umvue", b2 <= umvue + 4.0 * math.ulp(umvue), b2, umvue,
+                   "b2 <= umvue + 4 ulp")
+
+
 # Each suite's keyword arguments are the options it reads, with their defaults.
 _VERIFY_SUITES = {"lemma2": _verify_lemma2, "theorem1": _verify_theorem1,
                   "shapes": _verify_shapes, "equivalence": _verify_equivalence,
-                  "crlb": _verify_crlb}
+                  "crlb": _verify_crlb, "attainment": _verify_attainment}
 
 
 def _verify_modes() -> dict:

@@ -31,7 +31,6 @@ __all__ = [
     "log_pdf",
     "pdf",
     "sample",
-    "sample_abs",
     "sample_power_trials",
     "trial_seed",
     "pdf_normalization",
@@ -116,31 +115,52 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     and an independent equiprobable sign.  The generator depends on the
     shape alone.  At beta <= 1, G is drawn directly (numpy draws Gamma(1),
     the Laplace shape, as an exponential).  At beta = 2, the Gaussian shape,
-    |X| = theta * |Z| / sqrt(2) with Z a standard normal, one draw per
-    variate, and X keeps the sign of Z.  At every other beta > 1 the gamma
-    shape is below 1, so G comes from the boost G = G1 * U**beta with
-    G1 ~ Gamma(1 + 1/beta); folding the U power into the magnitude gives
+    X = theta * Z / sqrt(2) with Z a standard normal, one draw per variate,
+    sign and all.  At every other beta > 1 the gamma shape is below 1, so G
+    comes from the boost G = G1 * U**beta with G1 ~ Gamma(1 + 1/beta);
+    folding the U power into the magnitude gives
 
         |X| = theta * U * G1**(1/beta)
 
     which stays well-scaled for arbitrarily large beta (it tends to the
     uniform theta*U).  Every draw comes from one PCG64 stream, seeded by
     SeedSequence(seed, spawn_key=(0,)): the magnitudes' draws first and the
-    signs last (at beta = 2 the normals are the only draws), so sample_abs,
-    which stops before the signs (takes |Z|), returns |sample(...)| bit for
-    bit.  A boosted shape holds its uniforms in a second buffer of count
-    doubles.  A draw past the double range (G**(1/beta) at beta = 0.005, or
-    theta near the largest double) raises OverflowError naming theta and beta.
+    signs last (at beta = 2 the normals are the only draws), so |x| depends
+    only on the draws before the signs, the stream each trial of
+    sample_power_trials draws.  A boosted shape holds its uniforms in a
+    second buffer of count doubles, freed before the signs are drawn.  A
+    draw past the double range (G**(1/beta) at beta = 0.005, or theta near
+    the largest double) raises OverflowError naming theta and beta.
     """
-    return _draw(params, count, seed, signed=True)
-
-
-def sample_abs(params: GenNormParams, count: int, seed: int) -> np.ndarray:
-    """|sample(params, count, seed)|, bit for bit, without drawing the signs.
-
-    For callers that use only |x| (estimate --simulate's MLE).
-    """
-    return _draw(params, count, seed, signed=False)
+    require_count("count", count, 1)
+    require_count("seed", seed, 0)
+    beta = params.beta
+    x = np.empty(count)
+    w = np.empty(count) if _boosted(beta) else None  # the boost's 1 - U
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    _draw_variates(x, w, rng, beta)
+    with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
+        if beta == _GAUSSIAN:
+            x *= _SQRT_HALF  # X/theta = N(0, 1) / sqrt(2)
+        else:
+            x **= 1.0 / beta
+            if w is not None:
+                x *= np.subtract(1.0, w, out=w)
+        # theta enters in exactly one multiply and signs are exact, so
+        # samples scale bit-for-bit with theta
+        x *= params.theta
+    del w  # folded in: its buffer is free before the signs are drawn
+    # the one finite check, before any sign is drawn; the normals reach
+    # their largest magnitude at either end
+    if not math.isfinite(max(x.max(), -x.min())):
+        raise OverflowError(
+            f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
+    if beta != _GAUSSIAN:  # the normals carry their own signs
+        signs = rng.integers(0, 2, size=count)
+        signs *= 2
+        signs -= 1
+        x *= signs
+    return x
 
 
 def trial_seed(seed: int, trial: int) -> int:
@@ -166,10 +186,11 @@ def sample_power_trials(
 
     A block holds max(1, min(trials, 2**15 // count)) trials (_BLOCK_DRAWS),
     the last one those left over.  Trial t draws the stream of
-    sample_abs(GenNormParams(theta, beta), count, trial_seed(seed, t)) at any
-    theta, in the same order, with sample's generator for the shape; only
-    the finish differs, once per block.  The trial seeds and their streams'
-    seed words are derived a block of trials at a time (the seeding module).
+    sample(GenNormParams(theta, beta), count, trial_seed(seed, t)) at any
+    theta, up to its signs, in the same order, with sample's generator for
+    the shape; only the finish differs, once per block.  The trial seeds and
+    their streams' seed words are derived a block of trials at a time (the
+    seeding module).
     For a boosted shape (beta > 1, beta != 2), |X/theta|**beta =
     G * (1 - U)**beta exactly (G ~ Gamma(1 + 1/beta)), so p_j =
     G_j * ((1 - U_j)/m)**beta with m = max(1 - U_j) over the trial: one
@@ -195,52 +216,13 @@ def sample_power_trials(
 
 def _trial_streams(seed: int, trials: int):
     """Trial t's generator: PCG64 on SeedSequence(trial_seed(seed, t), spawn_key=(0,)),
-    sample_abs's stream, its seed words derived a block of trials at a time."""
+    sample's stream, its seed words derived a block of trials at a time."""
     from . import seeding  # on first use: it imports numpy.random, which most callers never need
 
     for first in range(0, trials, _SEED_ROWS):
         seeds = seeding.trial_seeds(seed, np.arange(first, min(first + _SEED_ROWS, trials)))
         for words in seeding.stream_words(seeds, np.zeros_like(seeds)):
             yield np.random.Generator(np.random.PCG64(seeding.SeedWords(words)))
-
-
-def _draw(params: GenNormParams, count: int, seed: int, signed: bool) -> np.ndarray:
-    """sample (signed) or sample_abs: the magnitudes and then, if signed, the
-    signs, the last draws on the stream.  At the Gaussian shape the normals
-    carry their own signs: signed keeps them and sample_abs takes |z|, so no
-    sign is drawn."""
-    require_count("count", count, 1)
-    require_count("seed", seed, 0)
-    beta = params.beta
-    x = np.empty(count)
-    w = np.empty(count) if _boosted(beta) else None  # the boost's 1 - U
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    _draw_variates(x, w, rng, beta)
-    with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
-        if beta == _GAUSSIAN:
-            if not signed:
-                np.absolute(x, out=x)
-            x *= _SQRT_HALF  # |X/theta| = |N(0, 1)| / sqrt(2)
-        else:
-            x **= 1.0 / beta
-            if w is not None:
-                x *= np.subtract(1.0, w, out=w)
-        # theta enters in exactly one multiply and signs are exact, so
-        # samples scale bit-for-bit with theta
-        x *= params.theta
-    del w  # folded in: its buffer is free before the signs are drawn
-    # the one finite check, before any sign is drawn; signed normals reach
-    # their largest magnitude at either end
-    top = max(x.max(), -x.min()) if signed and beta == _GAUSSIAN else x.max()
-    if not math.isfinite(top):
-        raise OverflowError(
-            f"a draw overflows the double range at theta={params.theta!r}, beta={beta!r}")
-    if signed and beta != _GAUSSIAN:  # skipping this draw changes no magnitude
-        signs = rng.integers(0, 2, size=count)
-        signs *= 2
-        signs -= 1
-        x *= signs
-    return x
 
 
 def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndarray]:

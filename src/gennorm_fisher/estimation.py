@@ -154,13 +154,13 @@ def _trial_ratios(beta: float, n: int, seed: int, trials: int) -> np.ndarray:
 def run_crlb_experiment(config: ExperimentConfig) -> EstimationReport:
     """Estimate theta over config.trials independent repetitions.
 
-    Trial t takes the streams of sample_abs(GenNormParams(theta, beta), n,
-    trial_seed(seed, t)) at any theta, drawn by sample's generator for the
-    shape, as their standardized powers (sample_power_trials, a block of
-    trials at a time), so trials may run in any order, in blocks of any size
-    or in parallel without changing the report.  Its theta_hat/theta_true
-    is m * (beta * mean(p))**(1/beta), within a few ulp of mle_theta of
-    those draws over theta_true (not bit for bit).  The statistics below are
+    Trial t takes the stream of sample(GenNormParams(theta, beta), n,
+    trial_seed(seed, t)) at any theta, up to its signs, drawn by sample's
+    generator for the shape, as its standardized powers (sample_power_trials,
+    a block of trials at a time), so trials may run in any order, in blocks
+    of any size or in parallel without changing the report.  Its
+    theta_hat/theta_true is m * (beta * mean(p))**(1/beta), within a few ulp
+    of mle_theta of those draws over theta_true (not bit for bit).  The statistics below are
     reduced with numpy pairwise summation over the trial-indexed array, which
     is order-independent; they are taken from theta_hat/theta_true and scaled
     back, so they neither overflow nor underflow at extreme scales.

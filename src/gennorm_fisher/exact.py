@@ -27,6 +27,7 @@ __all__ = [
     "MleMoments",
     "MomentSpec",
     "QuadratureError",
+    "bhattacharyya_bound",
     "cramer_rao_bound",
     "exact_moment",
     "fisher_closed_form",
@@ -156,6 +157,40 @@ def cramer_rao_bound(beta, theta, n) -> float:
     return bound
 
 
+def bhattacharyya_bound(beta, theta, n) -> float:
+    """The order-2 Bhattacharyya bound on the variance of an unbiased estimate
+    of theta from n draws: theta**2 (2 beta n + 3 beta**2 - 2 beta + 1) /
+    (2 beta**2 n (n + beta)).
+
+    It bounds with L''/L as well as the score L'/L.  Both are polynomials in
+    T = sum |x_i/theta|**beta ~ Gamma(n/beta): at theta = 1, L'/L = D =
+    beta T - n and L''/L = D**2 - (beta + 1) D - beta n, and T's central
+    moments a, 2a and 3a**2 + 6a (a = n/beta) give J11 = n beta,
+    J12 = n beta (beta - 1) and J22 = 2 beta**2 n**2 + n (3 beta**3 -
+    2 beta**2 + beta); the bound is J22/(J11 J22 - J12**2).  It is taken as
+    the Cramer-Rao bound plus theta**2 ((beta - 1)/beta)**2 / (2 n (n + beta)),
+    so it is never below cramer_rao_bound in floating point and equals it bit
+    for bit at beta = 1, where the MLE attains both; the square is taken of
+    theta (beta - 1)/beta, which stays a normal double where theta**2 alone
+    would not.  At beta = 1/2 the UMVUE, a quadratic in T, attains it: it
+    equals mle_moments_exact's unbiased_variance.
+
+    beta is a shape as GenNormParams takes it, theta > 0 and n >= 1 an
+    integer; ValueError otherwise, wherever cramer_rao_bound raises, and
+    where the bound, about theta**2/(2 beta**2 n**2) at a tiny shape,
+    exceeds the double range.
+    """
+    bf = require_shape(beta)
+    tf = require_real("theta", theta, positive=True)
+    require_count("n", n, 1)
+    excess = tf * ((bf - 1.0) / bf)
+    bound = cramer_rao_bound(bf, tf, n) + excess * excess / (2.0 * n * (n + bf))
+    if bound == math.inf:
+        raise ValueError(f"theta={tf!r} puts the order-2 Bhattacharyya bound past the double "
+                         f"range at n={n}, beta={bf!r}")
+    return bound
+
+
 @dataclass(frozen=True, init=False)
 class FisherEstimate:
     """One estimate of I(theta): value, producing method, and an error bound.
@@ -235,9 +270,13 @@ class MleMoments:
     draws at known beta, next to the bound crlb = cramer_rao_bound(beta, theta, n).
 
     efficiency = crlb/variance; unbiased_variance and unbiased_efficiency are
-    those of the unbiased rescaling theta_hat/E[theta_hat/theta].  The MLE's
-    efficiency can exceed 1 (1.0269 at beta 2, n 10): the bound holds only
-    for unbiased estimators.
+    those of the unbiased rescaling theta_hat/E[theta_hat/theta].  That
+    rescaling is a function of the complete sufficient statistic
+    T = sum |x_i/theta|**beta, so by Lehmann-Scheffe it is the UMVUE, and
+    unbiased_variance is the least variance of any unbiased estimate of
+    theta: at least bhattacharyya_bound(beta, theta, n), and equal to it at
+    beta = 1/2 and 1.  The MLE's efficiency can exceed 1 (1.0269 at beta 2,
+    n 10): the bound holds only for unbiased estimators.
     """
 
     mean: float

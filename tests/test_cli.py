@@ -355,13 +355,15 @@ class TestEstimateCommand:
         band = 4.0 * math.sqrt(4.0 / (100000 * 4.0))
         assert abs(record["outputs"]["theta_hat"] - 2.0) <= band
 
-    def test_simulated_input_equals_signed_draws(self, capsys):
-        code, out, _ = run(capsys, "estimate", "--beta", "0.5", "--simulate",
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 4.0])
+    def test_simulated_input_equals_signed_draws(self, capsys, beta):
+        # the gammas alone, the normals and the boost
+        code, out, _ = run(capsys, "estimate", "--beta", str(beta), "--simulate",
                            "--theta", "1.7", "--n", "1000", "--seed", "3")
         assert code == 0
-        draws = sample(GenNormParams(1.7, 0.5), 1000, 3)
-        theta_hat = mle_theta(draws, 0.5)
-        residual = float(score_z(0.5, draws / theta_hat).sum()) / theta_hat
+        draws = sample(GenNormParams(1.7, beta), 1000, 3)
+        theta_hat = mle_theta(draws, beta)
+        residual = float(score_z(beta, draws / theta_hat).sum()) / theta_hat
         assert json.loads(out)["outputs"] == {"theta_hat": theta_hat, "score_residual": residual,
                                               "n_samples": 1000}
 
@@ -385,6 +387,22 @@ class TestEstimateCommand:
         code, out, err = run(capsys, "estimate", "--beta", "0.5", "--input", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "underflows" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("source, theta_hat", [
+        (("--simulate", "--n", "1000", "--theta", "1e-320"), "9.447e-321"),
+        (("--input", "tiny.txt"), "3.055e-320"),
+    ], ids=["simulate", "input"])
+    def test_a_subnormal_estimate_is_named(self, capsys, tmp_path, monkeypatch, source,
+                                           theta_hat, fmt):
+        # the residual is in units of 1/theta_hat: it printed inf, and the
+        # JSON record held Infinity
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.txt").write_text("1e-320\n2e-320\n-3e-320\n")
+        code, out, err = run(capsys, "estimate", "--beta", "2", *source, "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: theta_hat={theta_hat} is below the normal doubles, where the "
+                       "score residual, in units of 1/theta_hat, can overflow\n")
 
     def test_empty_and_unparsable_files(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
@@ -585,6 +603,10 @@ class TestVerifyCommand:
                                                ("zero-mean-score", "abs 1e-9"))]),
             ("crlb", [("crlb[beta=2,theta=1.0] efficiency", "band [0.9, 1.1]"),
                       ("crlb[beta=2,theta=1.0] failed-trials", "exact")]),
+            ("attainment", [(f"attainment[beta={beta},n={n}] {name}", tol)
+                            for beta in (0.5, 1, 2, 8, 64, 1024) for n in (1, 10, 100)
+                            for name, tol in (("crlb-le-b2", "b2 >= crlb"),
+                                              ("b2-le-umvue", "b2 <= umvue + 4 ulp"))]),
         ],
     )
     def test_each_suite_prints_its_checks_in_order(self, capsys, suite, checks):
@@ -662,6 +684,7 @@ class TestUnreadOptions:
             (("verify", "equivalence", "--trials", "2"), "--trials"),
             (("verify", "theorem1", "--trials", "2"), "--trials"),
             (("verify", "crlb", "--tol", "1e-9"), "--tol"),
+            (("verify", "attainment", "--n", "7"), "--n"),
         ],
     )
     def test_a_verify_suite_rejects_options_it_does_not_read(self, capsys, argv, option):
@@ -730,7 +753,7 @@ class TestModeOptions:
         assert run(capsys, "verify", "scaled", "--scale", "2")[1].startswith(
             "PASS scaled observed=2.0 expected=3 ")
         assert "--scale SCALE" in run(capsys, "verify", "--help")[1]
-        for suite in ("lemma2", "theorem1", "shapes", "equivalence", "crlb"):
+        for suite in ("lemma2", "theorem1", "shapes", "equivalence", "crlb", "attainment"):
             assert run(capsys, "verify", suite, "--scale", "2") == (
                 2, "", f"error: verify {suite} does not read --scale (verify scaled only)\n")
 

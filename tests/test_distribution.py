@@ -24,7 +24,6 @@ from gennorm_fisher import (
     pdf,
     pdf_normalization,
     sample,
-    sample_abs,
     seeding,
     special_functions,
 )
@@ -305,16 +304,12 @@ class TestSample:
         assert np.abs(draws).max() < 1.2  # essentially uniform on [-1, 1]
 
     @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
-    @pytest.mark.parametrize("draw", [
-        lambda p: sample(p, 5, 1),
-        lambda p: sample_abs(p, 5, 1),
-    ], ids=["sample", "sample_abs"])
-    def test_a_draw_that_overflows_raises(self, draw, theta, beta):
+    def test_a_draw_that_overflows_raises(self, theta, beta):
         # G**(1/beta) at beta = 0.005 (G near 200), or theta * |z| with |z|
         # near 1e200, is past the double range: an error naming both, not inf
         message = f"a draw overflows the double range at theta={theta!r}, beta={beta!r}"
         with np.errstate(over="raise"), pytest.raises(OverflowError) as exc:
-            draw(GenNormParams(theta, beta))
+            sample(GenNormParams(theta, beta), 5, 1)
         assert str(exc.value) == message
 
 
@@ -335,26 +330,12 @@ def _reference_sample(params, count, seed):
     return x * params.theta * signs
 
 
-class TestSampleAbs:
-    @pytest.mark.parametrize("theta", [1.0, 3.0, 1e-3])
-    @pytest.mark.parametrize("count", [1, 1000, (1 << 18) + 3])
-    @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 7.5, 1e6])
-    def test_is_abs_of_sample_bitwise(self, beta, count, theta):
-        p = GenNormParams(theta, beta)
-        magnitudes = sample_abs(p, count, seed=13)
-        assert magnitudes.dtype == np.float64 and magnitudes.shape == (count,)
-        assert magnitudes.tobytes() == np.abs(sample(p, count, seed=13)).tobytes()
-
+class TestSampleStream:
     @pytest.mark.parametrize("beta", [0.3, 2.0, 7.5])
     def test_sample_keeps_its_stream(self, beta):
         p = GenNormParams(1.7, beta)
         n = (1 << 18) + 3
         assert sample(p, n, seed=21).tobytes() == _reference_sample(p, n, 21).tobytes()
-
-    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
-    def test_count_validation(self, count):
-        with pytest.raises(ValueError):
-            sample_abs(_P, count, seed=1)
 
 
 def _numpy_words(entropy, key, n_words):
@@ -503,9 +484,9 @@ class TestSamplePowerTrials:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0])
     def test_the_terms_are_the_gammas_at_beta_le_1(self, beta):
-        # |x| = theta * G**(1/beta): the same draws as sample_abs, bit for bit
+        # |x| = theta * G**(1/beta): the same draws as sample, bit for bit
         p = GenNormParams(0.7, beta)
-        magnitudes = (sample_abs(p, 300, distribution.trial_seed(2, t)) for t in range(3))
+        magnitudes = (np.abs(sample(p, 300, distribution.trial_seed(2, t))) for t in range(3))
         for (m, terms), x in zip(_power_trials(p, 300, 2, 3), magnitudes):
             assert m == 1.0
             assert (terms ** (1.0 / beta) * 0.7).tobytes() == x.tobytes()
@@ -529,7 +510,7 @@ class TestSamplePowerTrials:
 
     @pytest.mark.parametrize("theta, beta", [(1.0, 0.005), (1e300, 0.01)])
     def test_a_draw_that_overflows_as_a_magnitude_stays_finite_as_powers(self, theta, beta):
-        # the shapes where sample and sample_abs raise OverflowError: the
+        # the shapes where sample raises OverflowError: the
         # terms are the gammas themselves, with no root taken and no theta
         p = GenNormParams(theta, beta)
         with np.errstate(over="raise"):

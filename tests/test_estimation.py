@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -25,11 +26,11 @@ from gennorm_fisher import (
     mle_theta,
     run_crlb_experiment,
     sample,
-    sample_abs,
     score,
     seeding,
     trial_seed,
 )
+from gennorm_fisher.exact import bhattacharyya_bound, cramer_rao_bound
 
 
 def _numerical_mle(samples, beta):
@@ -283,7 +284,7 @@ class TestCrlbExperiment:
     @pytest.mark.parametrize("beta", [2, 4, 8])
     def test_equals_reference_loop_bitwise(self, beta):
         # the experiment from numpy's Generator calls: each trial's gammas and
-        # uniforms on the stream of sample_abs(params, n, trial_seed(seed, t)),
+        # uniforms on the stream of sample(params, n, trial_seed(seed, t)),
         # taken as standardized powers, and the
         # statistics on theta_hat itself (theta_true = 1, so no scaling)
         cfg = ExperimentConfig(beta=beta, theta_true=1.0, n=700, trials=40, seed=beta)
@@ -321,7 +322,7 @@ class TestCrlbExperiment:
         trials = 3 if n > 10**4 else 20
         ratios = estimation._trial_ratios(params.beta, n, 11, trials)
         for t, ratio in enumerate(ratios):
-            want = mle_theta(sample_abs(params, n, trial_seed(11, t)), beta)
+            want = mle_theta(sample(params, n, trial_seed(11, t)), beta)
             assert abs(ratio - want) <= 4 * math.ulp(want), (t, ratio, want)
 
     @pytest.mark.filterwarnings("error")
@@ -569,3 +570,69 @@ class TestExactMleLaw:
         assert report.crlb == law.crlb
         assert abs(report.mle_variance - law.variance) <= 5 * report.variance_stderr
         assert abs(report.mle_mean - law.mean) <= 5 * math.sqrt(law.variance / cfg.trials)
+
+
+def _bhattacharyya_exact(beta, n, theta):
+    # the order-2 bound J22/(J11 J22 - J12**2) in rationals, J from the scores
+    # at theta = 1: L'/L = D = beta (T - a) and L''/L = D**2 - (beta + 1) D -
+    # beta n, with T ~ Gamma(a = n/beta) of central moments a, 2a, 3a**2 + 6a
+    b, a = Fraction(beta), Fraction(n, beta)
+    d2, d3, d4 = b**2 * a, b**3 * 2 * a, b**4 * (3 * a * a + 6 * a)
+    c = -b * n  # the constant of L''/L
+    j11 = d2
+    j12 = d3 - (b + 1) * d2
+    j22 = d4 - 2 * (b + 1) * d3 + (b + 1) ** 2 * d2 + 2 * c * d2 + c * c
+    return j22 / (j11 * j22 - j12 * j12) * Fraction(theta) ** 2
+
+
+class TestBhattacharyyaBound:
+    @pytest.mark.parametrize("beta, n, want", [
+        (2, 1, 0.5417), (2, 10, 0.05104), (8, 10, 0.01463), (64, 100, 1.858e-4),
+        (1024, 100, 1.421e-5), (1e6, 10, 1.5e-7)])
+    def test_known_values(self, beta, n, want):
+        assert float(f"{bhattacharyya_bound(beta, 1.0, n):.4g}") == want
+
+    @pytest.mark.parametrize("theta", [1.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 10, 100, 10**4])
+    @pytest.mark.parametrize("beta", [1, 2, 3, 8, 64, 1024])
+    def test_equals_the_information_matrix_at_integer_shapes(self, beta, n, theta):
+        want = float(_bhattacharyya_exact(beta, n, theta))
+        assert abs(bhattacharyya_bound(beta, theta, n) - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 10**4])
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1, 2, 8, 64, 1024, 1e6])
+    def test_lies_between_the_crlb_and_the_umvue_variance(self, beta, n):
+        # equal to the CRLB, bit for bit, at beta = 1; attained by the UMVUE,
+        # a quadratic in T, at beta = 1/2 (and, with the CRLB, at beta = 1):
+        # there the two computations agree within 4 ulp, elsewhere the bound
+        # lies strictly inside
+        crlb = cramer_rao_bound(beta, 1.0, n)
+        b2 = bhattacharyya_bound(beta, 1.0, n)
+        umvue = mle_moments_exact(beta, 1.0, n).unbiased_variance
+        if beta == 1:
+            assert b2 == crlb
+        if beta in (0.5, 1):
+            assert crlb <= b2 and abs(b2 - umvue) <= 4 * math.ulp(umvue)
+        else:
+            assert crlb < b2 < umvue
+
+    @pytest.mark.parametrize("beta, theta, n", [(1e-3, 1e-155, 1), (1e-4, 3e-156, 1),
+                                                (0.25, 1e-154, 1), (2.5, 3.3, 7)])
+    def test_keeps_its_digits_where_theta_squared_is_subnormal(self, beta, theta, n):
+        # theta**2 = 1e-310 kept 14 digits; the bound is a normal double
+        b, t = Fraction(beta), Fraction(theta)
+        want = float(t * t * (2 * b * n + 3 * b * b - 2 * b + 1) / (2 * b * b * n * (n + b)))
+        assert abs(bhattacharyya_bound(beta, theta, n) - want) <= 2 * math.ulp(want)
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 10), (True, 1.0, 10), (1e-310, 1.0, 10), (2.0, -1.0, 10), (2.0, "1", 10),
+        (2.0, 1.0, 0), (2.0, 1.0, 2.5), (2.0, 1e160, 10), (2.0, 1e-170, 10)])
+    def test_rejects_what_the_crlb_rejects_and_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            bhattacharyya_bound(*args)
+
+    def test_a_bound_past_the_double_range_is_named(self):
+        # the CRLB, 1e300, is finite; B2, about 1/(2 beta**2), is not
+        with pytest.raises(ValueError, match="^theta=1.0 puts the order-2 Bhattacharyya bound "
+                                             "past the double range at n=1, beta=1e-300$"):
+            bhattacharyya_bound(1e-300, 1.0, 1)

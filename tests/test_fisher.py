@@ -21,7 +21,6 @@ from gennorm_fisher import (
     fisher_quad_score_variance,
     log_pdf,
     sample,
-    sample_abs,
     score,
     trial_seed,
 )
@@ -287,7 +286,7 @@ class TestMonteCarloRoute:
         got = fisher_mc_score_variance(GenNormParams(1.0, 0.005), 1000, seed)
         assert abs(got.value - 0.005) <= 4.0 * got.error_estimate
         with pytest.raises(OverflowError):
-            sample_abs(GenNormParams(1.0, 0.005), 1000, seed)
+            sample(GenNormParams(1.0, 0.005), 1000, seed)
 
     @pytest.mark.parametrize("beta", [sys.float_info.epsilon, 1e-15, 1e-12])
     def test_the_smallest_shapes_it_resolves(self, beta):
@@ -319,7 +318,7 @@ class TestMonteCarloRoute:
         # not; the route forms neither, and I = 1e-202 is a normal double
         params, unit = GenNormParams(1e100, 0.01), 1.0 / 1e100 / 1e100
         with pytest.raises(OverflowError, match="theta=1e[+]100, beta=0.01"):
-            sample_abs(params, 1000, 5)
+            sample(params, 1000, 5)
         at_one = fisher_mc_score_variance(GenNormParams(1.0, 0.01), 1000, 5)
         got = fisher_mc_score_variance(params, 1000, 5)
         assert got.value == at_one.value * unit

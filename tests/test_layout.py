@@ -257,6 +257,7 @@ def _run_fresh(probe, **variables):
         (["pdf", "--min", "0"], 2),
         (["fisher", "--methods", "sorcery"], 2),
         (["pdf", "--min", "1", "--max", "0", "--count", "5"], 2),
+        (["verify", "attainment"], 0),
     ],
 )
 def test_exact_commands_start_without_numpy(argv, exit_code):
