@@ -16,11 +16,10 @@ _HOME = {
     name: module
     for module, names in {
         "special_functions": (
-            "GAMMA_OVERFLOW_Z", "RationalArg", "gamma", "gamma_rational", "log_gamma",
-            "multifactorial",
+            "GAMMA_OVERFLOW_Z", "gamma", "gamma_rational", "log_gamma", "multifactorial",
         ),
         "exact": (
-            "FisherEstimate", "GenNormParams", "MleMoments", "MomentSpec", "QuadratureError",
+            "FisherEstimate", "GenNormParams", "MleMoments", "QuadratureError",
             "exact_moment", "fisher_closed_form", "fisher_moment_identity", "mle_moments_exact",
         ),
         "quadrature": ("QuadResult", "integrate_decaying"),

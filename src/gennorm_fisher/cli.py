@@ -31,11 +31,11 @@ import os
 import sys
 
 from . import __version__
-from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, MomentSpec, QuadratureError
+from .exact import MC_MIN_DRAWS, METHOD_NAMES, GenNormParams, QuadratureError
 from .exact import bhattacharyya_bound, cramer_rao_bound, exact_moment, fisher_information
 from .exact import fisher_moment_identity, mle_moments_exact
 from .exact import require_even_shape, require_mc_draws, require_tol
-from .special_functions import RationalArg, gamma, gamma_rational, require_count, require_real
+from .special_functions import gamma, gamma_rational, require_count, require_real
 
 DEFAULT_SEED = 20260819
 
@@ -221,7 +221,7 @@ def _cmd_fisher(args) -> int:
 def _cmd_moments(args) -> int:
     params = GenNormParams(theta=args.theta, beta=args.beta)
     orders = _comma_list("--k", args.k, int)
-    rows = [(k, exact_moment(MomentSpec(k=k, params=params))) for k in orders]
+    rows = [(k, exact_moment(params, k)) for k in orders]
     inputs = {"theta": params.theta, "beta": params.beta, "k": orders}
     _write_result(args, "moments", inputs, {"columns": ["k", "value"], "rows": rows})
     return 0
@@ -289,7 +289,7 @@ def _verify_lemma2():
     for n in range(1, 7):
         for p in range(1, 7):
             direct = gamma(n + 1.0 / p)
-            via_identity = gamma_rational(RationalArg(n=n, p=p))
+            via_identity = gamma_rational(n, p)
             ok = abs(via_identity - direct) / direct <= 1e-12
             yield f"lemma2[n={n},p={p}]", ok, via_identity, direct, "rel 1e-12"
 

@@ -25,7 +25,6 @@ __all__ = [
     "FisherEstimate",
     "GenNormParams",
     "MleMoments",
-    "MomentSpec",
     "QuadratureError",
     "bhattacharyya_bound",
     "cramer_rao_bound",
@@ -59,17 +58,6 @@ class GenNormParams:
         fields = self.__dict__
         fields["theta"] = require_real("theta", theta, positive=True)
         fields["beta"] = require_shape(beta)
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment order k >= 0 and the parameters to evaluate it under."""
-
-    k: int
-    params: GenNormParams
-
-    def __post_init__(self):
-        require_count("moment order k", self.k, 0)
 
 
 def require_shape(beta) -> float:
@@ -111,19 +99,21 @@ def require_tol(tol) -> float:
     return tf
 
 
-def exact_moment(spec: MomentSpec) -> float:
+def exact_moment(params: GenNormParams, k: int) -> float:
     """E[X^k]: 0 for odd k, theta^k * Gamma((k+1)/beta) / Gamma(1/beta) for even k.
 
-    The even branch is one exp of k log theta + log_gamma_ratio(1/beta, k/beta), finite
-    while the result is; beyond that, OverflowError naming the order and the parameters.
+    k is an integer >= 0 (ValueError otherwise).  The even branch is one exp of
+    k log theta + log_gamma_ratio(1/beta, k/beta), finite while the result is;
+    beyond that, OverflowError naming the order and the parameters.
     """
-    if spec.k % 2 == 1:
+    require_count("moment order k", k, 0)
+    if k % 2 == 1:
         return 0.0
-    p = spec.params
+    theta, beta = params.theta, params.beta
     try:
-        return math.exp(spec.k * math.log(p.theta) + log_gamma_ratio(1.0 / p.beta, spec.k / p.beta))
+        return math.exp(k * math.log(theta) + log_gamma_ratio(1.0 / beta, k / beta))
     except OverflowError:
-        raise OverflowError(f"E[X^{spec.k}] at theta={p.theta!r}, beta={p.beta!r} "
+        raise OverflowError(f"E[X^{k}] at theta={theta!r}, beta={beta!r} "
                             "exceeds the double range") from None
 
 
@@ -145,10 +135,12 @@ def cramer_rao_bound(beta, theta, n) -> float:
     """theta**2/(n*beta) = 1/(n I(theta)), the Cramer-Rao bound on the variance
     of an unbiased estimate of theta from n draws.
 
-    ValueError, naming theta as the experiment's theta_true, where it is not
-    a finite, normal double.
+    Where theta*theta falls below the normal doubles, and so has lost digits,
+    it is taken as theta*(theta/(n*beta)).  ValueError, naming theta as the
+    experiment's theta_true, where the bound is not a finite, normal double.
     """
-    bound = theta * theta / (n * beta)
+    square = theta * theta
+    bound = square / (n * beta) if square >= sys.float_info.min else theta * (theta / (n * beta))
     if not sys.float_info.min <= bound < math.inf:
         raise ValueError(
             f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {bound!r} "

@@ -140,14 +140,16 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
     sample_power_trials(beta, n, seed, 1), whose score is beta * m**beta * p - 1
     (|z|**beta = m**beta * p: no root is taken and raised back).
 
-    error_estimate is its standard error, the unbiased standard deviation over
-    sqrt(n); deterministic given seed.  theta enters only as 1/theta/theta.
-    The relative standard error is sqrt((6 beta + 2)/n): ValueError where
-    n < 6 beta + 2 (require_mc_draws), and even n/beta near 100 can still
-    under-cover, most draws scoring -1.  The score spreads sqrt(beta) about
-    0 and is rounded to about eps, a relative eps/sqrt(beta): below
-    beta = eps (2.2e-16) that passes sqrt(eps), half the digits, and
-    ValueError is raised.
+    error_estimate is the standard error of that mean under the law: the
+    squared score has variance beta**2 (6 beta + 2) at theta = 1, so the
+    error is I(theta) sqrt((6 beta + 2)/n).  A sampled standard deviation,
+    set by rare large scores where most draws score -1, mostly falls short
+    of it (by 13 % at beta = 100, n = 10**5 at seeds 2 and 3).
+    Deterministic given seed; theta enters only as 1/theta/theta.
+    ValueError where n < 6 beta + 2 (require_mc_draws), a relative error
+    above 1.  The score spreads sqrt(beta) about 0 and is rounded to about
+    eps, a relative eps/sqrt(beta): below beta = eps (2.2e-16) that passes
+    sqrt(eps), half the digits, and ValueError is raised.
     """
     require_count("n", n, MC_MIN_DRAWS)
     beta = params.beta
@@ -158,13 +160,9 @@ def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> Fisher
     m, p = next(sample_power_trials(beta, n, seed, 1))
     sq = _affine(p[0], beta * float(standardized_power(beta, m, out=m)[0]))
     sq *= sq
-    # sq.mean() and sq.std(ddof=1), bit for bit, on the one buffer
-    mean = float(sq.sum()) / n
-    sq -= mean
-    sq *= sq
     unit = 1.0 / params.theta / params.theta
-    stderr = math.sqrt(float(sq.sum()) / (n - 1)) / math.sqrt(n) * unit
-    return FisherEstimate(mean * unit, "mc_score_variance", stderr)
+    stderr = beta * math.sqrt((6.0 * beta + 2.0) / n) * unit
+    return FisherEstimate(float(sq.sum()) / n * unit, "mc_score_variance", stderr)
 
 
 def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadResult:

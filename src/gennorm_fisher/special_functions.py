@@ -12,11 +12,9 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 __all__ = [
     "GAMMA_OVERFLOW_Z",
-    "RationalArg",
     "gamma",
     "log_gamma",
     "log_gamma_ratio",
@@ -195,27 +193,14 @@ def multifactorial(m: int, p: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class RationalArg:
-    """Argument n + 1/p of the gamma product identity, with n >= 1, p >= 1."""
-
-    n: int
-    p: int
-
-    def __post_init__(self):
-        require_count("n", self.n, 1)
-        require_count("p", self.p, 1)
-
-
-def gamma_rational(arg: RationalArg) -> float:
-    """Gamma(n + 1/p) via the multifactorial identity.
+def gamma_rational(n: int, p: int) -> float:
+    """Gamma(n + 1/p) via the multifactorial identity, for integers n >= 1, p >= 1.
 
     Evaluates Gamma(1/p) * (p*n - (p-1))!^(p) / p**n in log space and
     exponentiates once, which keeps n up to ~50 usable before the final
     exp() overflows (propagated as OverflowError).
     """
-    if not isinstance(arg, RationalArg):
-        raise ValueError(f"gamma_rational expects a RationalArg, got {arg!r}")
-    n, p = arg.n, arg.p
+    require_count("n", n, 1)
+    require_count("p", p, 1)
     mf = multifactorial(p * n - (p - 1), p)
     return math.exp(log_gamma(1.0 / p) + math.log(mf) - n * math.log(p))

@@ -445,6 +445,14 @@ class TestCrlbExtremeScales:
             ExperimentConfig(beta=2, theta_true=theta, n=n, trials=5, seed=1)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("beta, theta, n", [(1e-4, 3e-156, 1), (1e-100, 1e-160, 1),
+                                                (1e-10, 1e-157, 3), (1e-3, 1e-155, 1)])
+    def test_the_bound_keeps_its_digits_where_theta_squared_is_subnormal(self, beta, theta, n):
+        # theta*theta/(n*beta) was 511 ulp off at the first point, and 1.1e-5
+        # relative at the second, which still passed as a normal double
+        want = float(Fraction(theta) ** 2 / (n * Fraction(beta)))
+        assert abs(cramer_rao_bound(beta, theta, n) - want) <= math.ulp(want)
+
 
 @pytest.fixture(scope="module")
 def perfbench_workloads():

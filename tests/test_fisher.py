@@ -238,21 +238,20 @@ class TestMonteCarloRoute:
         unit = 1.0 / params.theta / params.theta
         got = fisher_mc_score_variance(params, n, 17)
         assert got.value == pytest.approx(float(sq.mean()) * unit, rel=1e-13)
-        assert got.error_estimate == pytest.approx(
-            float(sq.std(ddof=1)) / math.sqrt(n) * unit, rel=1e-13)
 
     @pytest.mark.parametrize("theta", [0.7, 1.0, 3.0])
     @pytest.mark.parametrize("beta", [1e-10, 0.5, 1.0, 2.0, 2.5, 8.0, 800.0])
     def test_equals_the_squared_scores_of_trial_zero_of_the_power_sampler(self, beta, theta):
         # |z|**beta = m**beta * p from sample_power_trials(beta, n, seed, 1), so
-        # the score is beta * m**beta * p - 1; theta enters as 1/theta/theta
+        # the score is beta * m**beta * p - 1; theta enters as 1/theta/theta.
+        # The error is the law's, I(theta) sqrt((6 beta + 2)/n), not sampled
         n = 5000
         m, p = next(sample_power_trials(beta, n, 3, 1))
         sq = beta * float(standardized_power(beta, m)[0]) * p[0] - 1.0
         sq *= sq
         unit = 1.0 / theta / theta
         expected = FisherEstimate(float(sq.mean()) * unit, "mc_score_variance",
-                                  float(sq.std(ddof=1)) / math.sqrt(n) * unit)
+                                  beta * math.sqrt((6 * beta + 2) / n) * unit)
         assert fisher_mc_score_variance(GenNormParams(theta, beta), n, 3) == expected
 
     @pytest.mark.parametrize("beta, n", [(1e6, 5000), (1e6, 1000), (1e6, 6_000_001),
@@ -273,11 +272,12 @@ class TestMonteCarloRoute:
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
     def test_the_standard_error_follows_the_squared_scores_variance(self, beta):
-        # Var (beta p - 1)**2 = beta**2 (6 beta + 2): the reported error,
-        # relative to beta, is sqrt((6 beta + 2)/n) to within 5 %
-        n = 10**5
-        got = fisher_mc_score_variance(GenNormParams(1.0, beta), n, 2)
-        assert got.error_estimate / beta == pytest.approx(math.sqrt((6 * beta + 2) / n), rel=0.05)
+        # Var (beta p - 1)**2 = beta**2 (6 beta + 2): the spread of the squared
+        # scores, relative to beta, is sqrt(6 beta + 2) to within 5 %
+        m, p = next(sample_power_trials(beta, 10**5, 2, 1))
+        sq = beta * float(standardized_power(beta, m)[0]) * p[0] - 1.0
+        sq *= sq
+        assert float(sq.std(ddof=1)) / beta == pytest.approx(math.sqrt(6 * beta + 2), rel=0.05)
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_a_shape_whose_draws_overflow_as_magnitudes(self, seed):

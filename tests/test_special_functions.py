@@ -1,6 +1,7 @@
 """Gamma machinery against high-precision and brute-force oracles."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from gennorm_fisher import (
     GAMMA_OVERFLOW_Z,
-    RationalArg,
     gamma,
     gamma_rational,
     log_gamma,
@@ -223,35 +223,32 @@ class TestMultifactorial:
 
 class TestGammaRational:
     def test_known_values(self):
-        assert gamma_rational(RationalArg(n=1, p=2)) == pytest.approx(
-            0.8862269254527580, rel=1e-13
-        )
-        assert gamma_rational(RationalArg(n=3, p=2)) == pytest.approx(
-            3.3233509704478426, rel=1e-13
-        )
-        assert gamma_rational(RationalArg(n=1, p=1)) == 1.0
+        assert gamma_rational(1, 2) == pytest.approx(0.8862269254527580, rel=1e-13)
+        assert gamma_rational(3, 2) == pytest.approx(3.3233509704478426, rel=1e-13)
+        assert gamma_rational(1, 1) == 1.0
 
     def test_identity_against_direct_gamma(self):
         # the product identity must reproduce Gamma(n + 1/p) on the full grid
         for n in range(1, 7):
             for p in range(1, 7):
                 direct = gamma(n + 1.0 / p)
-                assert gamma_rational(RationalArg(n=n, p=p)) == pytest.approx(
-                    direct, rel=1e-12
-                )
+                assert gamma_rational(n, p) == pytest.approx(direct, rel=1e-12)
 
     def test_large_n_stays_finite(self):
-        val = gamma_rational(RationalArg(n=50, p=3))
+        val = gamma_rational(50, 3)
         expected = mp.gamma(50 + mp.mpf(1) / 3)
         assert val == pytest.approx(float(expected), rel=1e-11)
 
-    @pytest.mark.parametrize("n,p", [(0, 1), (1, 0), (-1, 2), (2, -3), (True, 2), (1, True)])
-    def test_arg_validation(self, n, p):
-        with pytest.raises(ValueError):
-            RationalArg(n=n, p=p)
-
-    def test_non_integer_fields_rejected(self):
-        with pytest.raises(ValueError):
-            RationalArg(n=1.5, p=2)
-        with pytest.raises(ValueError):
-            gamma_rational((1, 2))
+    @pytest.mark.parametrize("n,p,message", [
+        (0, 1, "n must be an integer >= 1, got 0"),
+        (-1, 2, "n must be an integer >= 1, got -1"),
+        (True, 2, "n must be an integer >= 1, got True"),
+        (1.5, 2, "n must be an integer >= 1, got 1.5"),
+        (1, 0, "p must be an integer >= 1, got 0"),
+        (2, -3, "p must be an integer >= 1, got -3"),
+        (1, True, "p must be an integer >= 1, got True"),
+        (1, 2.0, "p must be an integer >= 1, got 2.0"),
+    ])
+    def test_arg_validation(self, n, p, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gamma_rational(n, p)
