@@ -123,7 +123,7 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
         |X| = theta * U * G1**(1/beta)
 
     which stays well-scaled for arbitrarily large beta (it tends to the
-    uniform theta*U).  Every draw comes from one PCG64 stream, seeded by
+    uniform theta*U).  Every draw comes from one SFC64 stream, seeded by
     SeedSequence(seed, spawn_key=(0,)): the magnitudes' draws first and the
     signs last (at beta = 2 the normals are the only draws), so |x| depends
     only on the draws before the signs, the stream each trial of
@@ -137,7 +137,7 @@ def sample(params: GenNormParams, count: int, seed: int) -> np.ndarray:
     beta = params.beta
     x = np.empty(count)
     w = np.empty(count) if _boosted(beta) else None  # the boost's 1 - U
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0,))))
     _draw_variates(x, w, rng, beta)
     with np.errstate(over="ignore"):  # an overflow is raised below, naming its inputs
         if beta == _GAUSSIAN:
@@ -215,14 +215,14 @@ def sample_power_trials(
 
 
 def _trial_streams(seed: int, trials: int):
-    """Trial t's generator: PCG64 on SeedSequence(trial_seed(seed, t), spawn_key=(0,)),
+    """Trial t's generator: SFC64 on SeedSequence(trial_seed(seed, t), spawn_key=(0,)),
     sample's stream, its seed words derived a block of trials at a time."""
     from . import seeding  # on first use: it imports numpy.random, which most callers never need
 
     for first in range(0, trials, _SEED_ROWS):
         seeds = seeding.trial_seeds(seed, np.arange(first, min(first + _SEED_ROWS, trials)))
         for words in seeding.stream_words(seeds, np.zeros_like(seeds)):
-            yield np.random.Generator(np.random.PCG64(seeding.SeedWords(words)))
+            yield np.random.Generator(np.random.SFC64(seeding.SeedWords(words)))
 
 
 def _powers(g: np.ndarray, w, beta: float, streams) -> tuple[np.ndarray, np.ndarray]:

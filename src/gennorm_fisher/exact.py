@@ -135,18 +135,31 @@ def cramer_rao_bound(beta, theta, n) -> float:
     """theta**2/(n*beta) = 1/(n I(theta)), the Cramer-Rao bound on the variance
     of an unbiased estimate of theta from n draws.
 
-    Where theta*theta falls below the normal doubles, and so has lost digits,
-    it is taken as theta*(theta/(n*beta)).  ValueError, naming theta as the
+    Where theta*theta is subnormal, and so has lost digits, or overflows, it
+    is taken as theta*(theta/(n*beta)).  ValueError, naming theta as the
     experiment's theta_true, where the bound is not a finite, normal double.
     """
-    square = theta * theta
-    bound = square / (n * beta) if square >= sys.float_info.min else theta * (theta / (n * beta))
+    bound = _square_over(theta, n * beta)
     if not sys.float_info.min <= bound < math.inf:
         raise ValueError(
             f"theta_true={theta!r} puts the bound theta_true**2/(n*beta) = {bound!r} "
             f"outside the finite, normal doubles at n={n}, beta={beta!r}"
         )
     return bound
+
+
+def _square_over(x: float, d: float) -> float:
+    """x*x/d, taken as x*(x/d) where x*x is not a finite, normal double: below
+    the normal doubles it has lost digits, and past them d can bring the
+    quotient back (theta = 1e160 at n*beta = 1e21)."""
+    square = x * x
+    return square / d if sys.float_info.min <= square < math.inf else x * (x / d)
+
+
+def _square_times(x: float, v: float) -> float:
+    """x*x*v, taken as x*(x*v) where x*x overflows and v can bring the product back."""
+    square = x * x
+    return square * v if square < math.inf else x * (x * v)
 
 
 def bhattacharyya_bound(beta, theta, n) -> float:
@@ -176,7 +189,7 @@ def bhattacharyya_bound(beta, theta, n) -> float:
     tf = require_real("theta", theta, positive=True)
     require_count("n", n, 1)
     excess = tf * ((bf - 1.0) / bf)
-    bound = cramer_rao_bound(bf, tf, n) + excess * excess / (2.0 * n * (n + bf))
+    bound = cramer_rao_bound(bf, tf, n) + _square_over(excess, 2.0 * n * (n + bf))
     if bound == math.inf:
         raise ValueError(f"theta={tf!r} puts the order-2 Bhattacharyya bound past the double "
                          f"range at n={n}, beta={bf!r}")
@@ -308,8 +321,8 @@ def mle_moments_exact(beta, theta, n) -> MleMoments:
     moments = MleMoments(
         mean=tf * ew,
         bias=tf * math.expm1(log_ew),
-        variance=tf * tf * var_w,
-        unbiased_variance=tf * tf * rel_var,
+        variance=_square_times(tf, var_w),
+        unbiased_variance=_square_times(tf, rel_var),
         crlb=cramer_rao_bound(bf, tf, n),
         efficiency=unit / var_w,
         unbiased_efficiency=unit / rel_var,

@@ -4,7 +4,7 @@ SeedSequence(entropy, spawn_key=(key,)) hashes its entropy and spawn key
 into a pool of four uint32 words and hashes the pool out again.  Its hash
 constants do not depend on the data, so the same steps run on uint32 arrays
 with one element per stream.  seed_words reproduces that hash bit for bit;
-PCG64's own seeding stays in numpy, which receives the words through
+SFC64's own seeding stays in numpy, which receives the words through
 SeedWords.
 
 distribution imports this module on first use, so importing the package
@@ -52,20 +52,20 @@ def trial_seeds(seed: int, trials: np.ndarray) -> np.ndarray:
 
 
 def stream_words(entropy, keys: np.ndarray) -> np.ndarray:
-    """PCG64's seed, SeedSequence(...).generate_state(4, np.uint64), per row."""
-    return _as_uint64(seed_words(entropy, keys, 8))
+    """SFC64's seed, SeedSequence(...).generate_state(3, np.uint64), per row."""
+    return _as_uint64(seed_words(entropy, keys, 6))
 
 
 class SeedWords(ISeedSequence):
-    """One stream's precomputed PCG64 seed words, from a row of stream_words."""
+    """One stream's precomputed SFC64 seed words, from a row of stream_words."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly this; anything else has no words here
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        # SFC64 asks for exactly this; anything else has no words here
+        if n_words != 3 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 3 uint64 words, not {n_words} of {np.dtype(dtype)}")
         return self.words
 
 

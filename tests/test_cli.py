@@ -390,7 +390,7 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("source, theta_hat", [
-        (("--simulate", "--n", "1000", "--theta", "1e-320"), "9.447e-321"),
+        (("--simulate", "--n", "1000", "--theta", "1e-320"), "9.857e-321"),
         (("--input", "tiny.txt"), "3.055e-320"),
     ], ids=["simulate", "input"])
     def test_a_subnormal_estimate_is_named(self, capsys, tmp_path, monkeypatch, source,
@@ -543,7 +543,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "crlb", "--beta", "1")
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "crlb: 2/2 checks passed"
-        assert out.startswith("PASS crlb[beta=1,theta=1.0] efficiency observed=1.099")
+        assert out.startswith("PASS crlb[beta=1,theta=1.0] efficiency observed=1.0013787")
 
     def test_crlb_names_a_huge_integral_shape_as_a_float(self, capsys):
         # an integral shape from 2**53 printed all 301 digits of 1e300
