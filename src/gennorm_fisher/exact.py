@@ -102,19 +102,31 @@ def require_tol(tol) -> float:
 def exact_moment(params: GenNormParams, k: int) -> float:
     """E[X^k]: 0 for odd k, theta^k * Gamma((k+1)/beta) / Gamma(1/beta) for even k.
 
-    k is an integer >= 0 (ValueError otherwise).  The even branch is one exp of
-    k log theta + log_gamma_ratio(1/beta, k/beta), finite while the result is;
-    beyond that, OverflowError naming the order and the parameters.
+    k is an integer >= 0 (ValueError otherwise).  At an integral beta = p
+    that divides k = h p, up to k = 1024 (integers of at most ~1e6 bits), it
+    is theta**k * _lemma2_moment(p, h) / p**h in integers, rounded once, so it
+    is exact wherever the result is a double; otherwise one exp of
+    k log theta + log_gamma_ratio(1/beta, k/beta).  Finite while the result
+    is; beyond that, OverflowError naming the order and the parameters.
     """
     require_count("moment order k", k, 0)
     if k % 2 == 1:
         return 0.0
     theta, beta = params.theta, params.beta
     try:
+        if beta.is_integer() and k % int(beta) == 0 and k <= 1024:
+            p, (a, b) = int(beta), theta.as_integer_ratio()
+            return a**k * _lemma2_moment(p, k // p) / (b**k * p ** (k // p))
         return math.exp(k * math.log(theta) + log_gamma_ratio(1.0 / beta, k / beta))
     except OverflowError:
         raise OverflowError(f"E[X^{k}] at theta={theta!r}, beta={beta!r} "
                             "exceeds the double range") from None
+
+
+def _lemma2_moment(p: int, h: int) -> int:
+    """p**h E|Z|**(h p) at the integral shape p, by Lemma 2 the integer
+    p**h Gamma(h + 1/p)/Gamma(1/p) = multifactorial((h - 1) p + 1, p), 1 at h = 0."""
+    return multifactorial((h - 1) * p + 1, p) if h else 1
 
 
 def fisher_information(beta, theta) -> float:
@@ -243,7 +255,7 @@ def fisher_moment_identity(beta, theta) -> float:
     m_k = E|Z|**k: Theorem 1 at any shape, from the absolute moments.
 
     With s_h = beta**h m_(h beta), I(1) = s_2 - 2 s_1 + 1.  At an integral
-    beta = p, Lemma 2 gives s_h = multifactorial((h - 1) p + 1, p), that is
+    beta = p, Lemma 2 gives s_h = _lemma2_moment(p, h), that is
     s_1 = 1 and s_2 = p + 1 (m_p = 1/p, m_2p = (p + 1)/p**2), so I(1) = p
     exactly, in integers, odd p included.  At any other beta,
     s_h = exp(log_gamma_ratio_excess(1/beta, h)), analytically 1 and
@@ -258,7 +270,7 @@ def fisher_moment_identity(beta, theta) -> float:
     tf = require_real("theta", theta, positive=True)
     if bf.is_integer():
         p = int(bf)
-        s1, s2 = (multifactorial((h - 1) * p + 1, p) for h in (1, 2))
+        s1, s2 = (_lemma2_moment(p, h) for h in (1, 2))
         i1 = float(s2 - 2 * s1 + 1)
     elif bf < math.sqrt(sys.float_info.epsilon):
         raise ValueError(f"beta={bf!r} is below sqrt(eps) = 1.5e-8, where the moment identity "

@@ -83,7 +83,7 @@ def d2_log_pdf(params: GenNormParams, x) -> float:
     return -float(neg_d2_z(params.beta, z)) / (params.theta * params.theta)
 
 
-def _scaled_quad(weight, beta: float, unit: float, **tol) -> QuadResult:
+def _scaled_quad(weight: tuple, beta: float, unit: float, **tol) -> QuadResult:
     """expect_power of weight against f_Z, times unit; a QuadratureError's
     partial value and error are rescaled by unit too."""
     try:
@@ -94,10 +94,10 @@ def _scaled_quad(weight, beta: float, unit: float, **tol) -> QuadResult:
 
 
 def _fisher_quad(params, weight, method, tol, max_level) -> FisherEstimate:
-    """Integrate I(1)/beta = E[weight(p)] over z, then multiply by beta/theta^2.
+    """Integrate I(1)/beta = E[weight] over z, then multiply by beta/theta^2.
 
-    Taking I/beta keeps every weight below beta * 700^2, so beta^2 never
-    overflows.  tol must pass require_tol.
+    weight is in expect_power's basis: taking I/beta keeps every term below
+    beta * 700^2, so beta^2 never overflows.  tol must pass require_tol.
     """
     tf = require_tol(tol)
     beta = params.beta
@@ -115,24 +115,16 @@ def fisher_quad_score_variance(
     Non-convergence within max_level refinements raises QuadratureError
     carrying the partial value (in the units of I(theta)).
     """
-    b = params.beta
-
-    def score_sq_over_beta(p):  # (beta p - 1)^2 / beta
-        return (b * p - 1.0) * (p - 1.0 / b)
-
-    return _fisher_quad(params, score_sq_over_beta, "quad_score_variance", tol, max_level)
+    # (beta p - 1)^2 / beta = s (p - 1/beta)
+    return _fisher_quad(params, (0.0, 0.0, 1.0), "quad_score_variance", tol, max_level)
 
 
 def fisher_quad_neg_hessian(
     params: GenNormParams, tol: float = 1e-9, max_level: int = 22
 ) -> FisherEstimate:
     """Negative-expected-Hessian route: quadrature of -d2_log_pdf * pdf."""
-    b = params.beta
-
-    def neg_d2_over_beta(p):  # (beta (beta+1) p - 1) / beta
-        return (b + 1.0) * p - 1.0 / b
-
-    return _fisher_quad(params, neg_d2_over_beta, "quad_neg_hessian", tol, max_level)
+    b = params.beta  # (beta (beta+1) p - 1) / beta = 1 + (beta+1)/beta * s
+    return _fisher_quad(params, (1.0, (b + 1.0) / b), "quad_neg_hessian", tol, max_level)
 
 
 def fisher_mc_score_variance(params: GenNormParams, n: int, seed: int) -> FisherEstimate:
@@ -172,8 +164,7 @@ def expected_score_quad(params: GenNormParams, abs_tol: float = 1e-11) -> QuadRe
     the dimensionless theta * E[score], so the work does not depend on theta
     and the result's error bound is abs_tol / theta.
     """
-    beta = params.beta
-    return _scaled_quad(lambda p: beta * p - 1.0, beta, 1.0 / params.theta, abs_tol=abs_tol)
+    return _scaled_quad((0.0, 1.0), params.beta, 1.0 / params.theta, abs_tol=abs_tol)
 
 
 _ROUTES = {

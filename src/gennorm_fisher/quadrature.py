@@ -31,8 +31,8 @@ is still a normal double, and a subnormal exp costs ~30x a normal one.
 
   * integrate_decaying(f, scale, shape, ...) integrates any vectorized f over
     R, odd parts included: each pass evaluates f once, on the nodes [x, -x].
-  * expect_power(weight, beta, ...) takes E[weight(p)], p = |z|**beta, under
-    f_Z (log_norm_z), the form of every quadrature route of the package.
+  * expect_power(weight, beta, ...) takes E[weight] under f_Z (log_norm_z),
+    weight given on (1, s, s (p - 1/beta)), s = beta p - 1, p = |z|**beta.
     The integrand is even, so it evaluates the half-line once and doubles it.
 
 No level below min_level may end a call, so the first pass evaluates the
@@ -49,16 +49,16 @@ both step over the drop there would agree on a wrong value (0, for the
 information at beta = 1e300).
 
 The rule of a shape (its range and floor raise) is cached for the 128 most
-recent shapes.  Each of its passes of up to 1025 nodes keeps expect_power's
-p and density terms, in one slot for the last (log_const, exponent) it
-served: the routes at one shape integrate different weights against the
-same density, so a repeated pass is its weight times the kept terms.  A
-pass asked for another (log_const, exponent), and every pass of
-integrate_decaying, builds its nodes afresh.
+recent shapes.  The trapezoid sum is linear in the weight, so each pass of
+expect_power keeps the sums of its density terms times the basis (for a
+first pass, over its even-indexed nodes too), in one slot for the last
+(log_const, exponent) it served: a repeated pass, of any route at the
+shape, is a dot product.  Other passes, and integrate_decaying's, build.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -81,12 +81,6 @@ _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal doubl
 _LOG_P_DROP = math.log(_P_DROP)
 _LOG_2 = math.log(2.0)
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
-# A cached rule keeps one slot of density terms, 16 B a node, for each of its
-# passes of at most _KEEP_COUNT nodes: the first and midpoint passes of levels
-# 1-6, 4038 nodes, so 128 rules keep at most ~8.3 MB.  One caller at one floor
-# keeps at most 2049 nodes a rule (a first pass and the midpoint levels up to
-# 6), so the package's routes keep at most ~4.2 MB.
-_KEEP_COUNT = 1025
 
 # Floor of expect_power, the integrator of the package's own routes: their
 # integrands are the density times a power of |z| or a polynomial in
@@ -124,18 +118,18 @@ class _Rule(NamedTuple):
     floor_raise: int  # levels added to the caller's min_level
     u_ref: float  # s is taken relative to s_ref = pi sinh(u_ref)
     exp_ref: float  # exp(-s_ref)
-    # (start, step, count) -> the slot of a kept pass's density terms:
-    # ((log_const, exponent), p, w), for the last pair expect_power asked of it
+    # (start, step, count) -> the slot of a kept pass: ((log_const, exponent),
+    # its sums), for the last pair expect_power asked of it
     densities: dict
 
 
 @functools.lru_cache
 def _rule(shape: float, log_p_end: float) -> _Rule:
     """The u range, floor raise and reference node of the half-line rule of
-    exp(-|z|**shape) cut at p_end, with an empty store of density terms.
+    exp(-|z|**shape) cut at p_end, with an empty store of density sums.
 
     Cached: the same shape recurs across routes and calls, and each cached
-    rule keeps a slot of density terms for each of its small passes (see
+    rule keeps a slot of density sums for each of its passes (see
     expect_power).
     """
     # s = log(z/b) at the left cutoff z = eps * Gamma(1 + 1/shape), b = p_end**(1/shape)
@@ -172,15 +166,17 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
     )
 
 
-def _nodes(rule: _Rule, key: tuple):
+def _nodes(rule: _Rule, key: tuple) -> np.ndarray:
     """jac = cosh(u) * exp(-s) and L = log1p(exp(-s)) at u_k = start + k*step,
-    k < count, as new arrays; key is (start, step, count)."""
+    k < count, as rows 1 and 2 of a new (3, count) array whose row 0 the
+    caller may use; key is (start, step, count)."""
     start, step, count = key
-    u = np.arange(count, dtype=np.float64)
+    nodes = np.arange(3 * count, dtype=np.float64).reshape(3, count)
+    u, jac, x = nodes[0], nodes[1], nodes[2]  # u_k = k, exactly
     u *= step
     u += start
-    jac = np.cosh(u)
-    x = np.add(u, rule.u_ref)
+    np.cosh(u, out=jac)
+    np.add(u, rule.u_ref, out=x)
     x *= 0.5
     np.cosh(x, out=x)
     u -= rule.u_ref
@@ -190,17 +186,18 @@ def _nodes(rule: _Rule, key: tuple):
     np.exp(x, out=x)
     x *= rule.exp_ref  # exp(-s)
     jac *= x
-    return jac, np.log1p(x, out=x)
+    np.log1p(x, out=x)
+    return nodes
 
 
-def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) -> QuadResult:
+def _half_line(sums, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) -> QuadResult:
     """The trapezoid rule in u over the half-line of exp(-|z|**shape), cut
     where exp(-|z|**shape) = exp(-p_end), refined by step halving.
 
-    terms(rule, key) returns the terms of the pass key = (start, step, count)
-    of the rule, each still to be multiplied by pi * step; _nodes(rule, key)
-    gives its nodes.  _half_line only reads the terms, so they may be arrays
-    the rule keeps.
+    sums(rule, key, first) returns the float sum of the terms of the pass
+    key = (start, step, count) of the rule, still to be multiplied by
+    pi * step, and for the first pass the pair (it, the sum over its
+    even-indexed nodes); _nodes(rule, key) gives its nodes.
     """
     if not (  # the common case, checked in one expression; _budget checks the rest
         type(abs_tol) is float and type(rel_tol) is float and abs_tol >= 0.0 and rel_tol >= 0.0
@@ -216,10 +213,9 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
     level = max(min(min_level, max_level), 1)
     n = _BASE_INTERVALS << level
     h = (rule.u_right - u_left) / n
-    first = terms(rule, (u_left, h, n + 1))
-    # np.add.reduce is the reduction ndarray.sum runs, without its Python wrapper
-    previous = 2.0 * math.pi * h * float(np.add.reduce(first[::2]))
-    total = math.pi * h * float(np.add.reduce(first))
+    total, even = sums(rule, (u_left, h, n + 1), True)
+    previous = 2.0 * math.pi * h * even
+    total = math.pi * h * total
     while True:
         err = abs(total - previous)
         if not math.isfinite(total):
@@ -228,9 +224,9 @@ def _half_line(terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level) 
             return QuadResult(value=total, error_estimate=err, intervals=2 * n)
         if level >= max_level:
             raise QuadratureError(f"no convergence after {level} refinements", total, err)
-        midpoints = terms(rule, (u_left + 0.5 * h, h, n))
+        midpoints = sums(rule, (u_left + 0.5 * h, h, n), False)
         previous = total
-        total = 0.5 * total + 0.5 * math.pi * h * float(np.add.reduce(midpoints))
+        total = 0.5 * total + 0.5 * math.pi * h * midpoints
         n *= 2
         h *= 0.5
         level += 1
@@ -283,17 +279,19 @@ def integrate_decaying(
     if log_b > _LOG_MAX:
         raise ValueError(f"scale * 700**(1/shape) overflows at shape {shape!r}, scale {scale!r}")
 
-    def fold_terms(rule, key):
-        # jac * b * exp(-2L) * (f(x) + f(-x)), x = b * exp(-L)
-        jac, big_l = _nodes(rule, key)
-        x = np.exp(log_b - big_l)
+    def fold_sums(rule, key, first):
+        # the terms jac * b * exp(-2L) * (f(x) + f(-x)), x = b * exp(-L)
+        x, jac, big_l = _nodes(rule, key)
+        np.exp(np.subtract(log_b, big_l, out=x), out=x)
         fx = f(np.concatenate((x, -x)))
         t = np.exp(log_b - 2.0 * big_l)
         t *= jac
         t *= fx[: x.size] + fx[x.size :]
-        return t
+        # np.add.reduce is the reduction ndarray.sum runs, without its Python wrapper
+        total = float(np.add.reduce(t))
+        return (total, float(np.add.reduce(t[::2]))) if first else total
 
-    return _half_line(fold_terms, shape, log_p_end, abs_tol, rel_tol, min_level, max_level)
+    return _half_line(fold_sums, shape, log_p_end, abs_tol, rel_tol, min_level, max_level)
 
 
 def _p_end(exponent: float) -> float:
@@ -316,7 +314,7 @@ def _p_end(exponent: float) -> float:
 
 
 def expect_power(
-    weight: Optional[Callable[[np.ndarray], np.ndarray]],
+    weight: Optional[tuple],
     beta: float,
     *,
     exponent: float = 0.0,
@@ -325,26 +323,34 @@ def expect_power(
     rel_tol: float = 0.0,
     max_level: int = 22,
 ) -> QuadResult:
-    """exp(log_unit) * E[p**exponent * weight(p)] under
-    f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|**beta), with p = |z|**beta.
+    """exp(log_unit) * E[p**exponent * (c0 + c1 s + c2 s (p - 1/beta))] under
+    f_Z(z) = beta / (2 Gamma(1/beta)) * exp(-|z|**beta), with p = |z|**beta
+    and s = beta p - 1, the standardized score.
 
     log_unit is the log of the caller's own unit: the normalizer is
-    log_norm_z's.  weight maps a read-only ndarray of p values to a new array
-    of weights of at most polynomial growth; None stands for 1.  p**exponent
-    (that is |z|**(beta*exponent)) and exp(log_unit) enter the integrand
-    through its logarithm, so that neither overflows or underflows ahead of
-    the result.  Tolerances as in integrate_decaying; the floor is
-    ROUTE_MIN_LEVEL or above (see the module docstring).  Raises ValueError
-    for a beta or an exponent out of range or not a real number (a bool or
-    text), or where the range p_end**(1/beta) overflows (beta below 0.00923
-    for the density alone), and OverflowError where the rule's sum exceeds
-    the double range: where the result does, or comes within a factor of
-    about 20 of its top (1e3 at beta = 1e300).
+    log_norm_z's.  weight is the tuple (c0, c1, c2) of real coefficients,
+    trailing ones left out at will; None stands for (1,).  s (p - 1/beta) is
+    s**2/beta, so that beta**2 never overflows.  p**exponent (that is
+    |z|**(beta*exponent)) and exp(log_unit) enter the integrand through its
+    logarithm, so that neither overflows or underflows ahead of the result.
+    Tolerances as in integrate_decaying; the floor is ROUTE_MIN_LEVEL or above
+    (see the module docstring).  Raises ValueError for a weight, beta or
+    exponent out of range or not real numbers (a bool or text), or where the
+    range p_end**(1/beta) overflows (beta below 0.00923 for the density
+    alone), and OverflowError where the rule's sum exceeds the double range:
+    where the result does, or comes within a factor of about 20 of its top
+    (1e3 at beta = 1e300).
     """
     beta = require_real("beta", beta, positive=True)
     exponent = require_real("exponent", exponent)
     if exponent < 0.0:
         raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
+    if weight is None:  # terms: (index in the basis, coefficient) of each nonzero coefficient
+        terms = ((0, 1.0),)
+    elif type(weight) is tuple and 1 <= len(weight) <= 3:  # a zero one could make an inf sum nan
+        terms = [(i, c) for i, c in enumerate([require_real("weight", c) for c in weight]) if c]
+    else:
+        raise ValueError(f"weight must be None or a tuple of 1 to 3 coefficients, got {weight!r}")
     log_p_end = math.log(_p_end(exponent)) if exponent else _LOG_P_DROP
     log_b = log_p_end / beta  # z = b * exp(-L)
     if log_b > _LOG_MAX:
@@ -355,37 +361,49 @@ def expect_power(
 
     density_key = (log_const, exponent)
 
-    def power_terms(rule, key):
-        # weight(p) * w: the weight at p = p_end * exp(-beta L) times the
-        # density terms w = jac * exp(log_const - 2L + exponent*log p - p)
+    def power_sums(rule, key, first):
+        # the weight's dot product with the sums of the pass's density terms w
+        # = jac * exp(log_const - 2L + exponent*log p - p), p = p_end * exp(-beta L)
         slot = rule.densities.get(key)
-        if slot is not None and slot[0] == density_key:
-            _, p, w = slot
-        else:
-            jac, big_l = _nodes(rule, key)
-            log_p = big_l * -beta
-            log_p += log_p_end
-            w = np.multiply(big_l, -2.0, out=big_l)
-            w += log_const
-            if exponent:
-                w += exponent * log_p
-            p = np.exp(log_p, out=log_p)
-            p.setflags(write=False)
-            w -= p
-            np.exp(w, out=w)
-            w *= jac
-            del jac  # before the weight allocates: a fresh pass peaks at 4 arrays, not 5
-            if key[2] <= _KEEP_COUNT:  # a kept pass keeps one slot, for the last density_key
-                w.setflags(write=False)
-                rule.densities[key] = (density_key, p, w)
-        out = w if w.flags.writeable else None  # a fresh pass multiplies its own w in place
-        return w if weight is None else np.multiply(w, weight(p), out=out)
+        if slot is None or slot[0] != density_key:
+            # A term is at most cosh(u) < e**7 times exp(log_const + exponent log
+            # p_end) times beta p_end**2 (beta > 0.0092, p_end >= 700): below that,
+            # no sum can overflow, and the pass skips np.errstate (a few ufunc
+            # calls' cost); past it, an inf or nan sum, even unused, is reported.
+            log_sum = log_const + (exponent + 2.0) * log_p_end + math.log(beta * key[2]) + 7.0
+            with (contextlib.nullcontext() if log_sum < _LOG_MAX
+                  else np.errstate(over="ignore", invalid="ignore")):
+                nodes = _nodes(rule, key)
+                w, jac, log_p = nodes[0], nodes[1], nodes[2]  # log_p holds L until it is rewritten
+                np.multiply(log_p, -2.0, out=w)
+                w += log_const
+                log_p *= -beta
+                log_p += log_p_end
+                if exponent:
+                    w += exponent * log_p
+                p = np.exp(log_p, out=log_p)
+                w -= p
+                np.exp(w, out=w)
+                w *= jac
+                s = np.multiply(p, beta, out=jac)
+                s -= 1.0
+                p -= 1.0 / beta
+                p *= s
+                nodes[1:] *= w  # the rows w, w s, w s (p - 1/beta)
+                sums = np.add.reduce(nodes, axis=1).tolist()
+                if first:
+                    sums += np.add.reduce(nodes[:, ::2], axis=1).tolist()
+            slot = rule.densities[key] = (density_key, tuple(sums))
+        sums = slot[1]
+        total = even = -0.0  # -0.0 + x is x, bit for bit
+        for i, c in terms:
+            total += c * sums[i]
+            if first:
+                even += c * sums[i + 3]
+        return (total, even) if first else total
 
     try:
-        with np.errstate(over="ignore"):  # an inf term is reported below
-            return _half_line(
-                power_terms, beta, log_p_end, abs_tol, rel_tol, ROUTE_MIN_LEVEL, max_level
-            )
+        return _half_line(power_sums, beta, log_p_end, abs_tol, rel_tol, ROUTE_MIN_LEVEL, max_level)
     except QuadratureError as exc:
         if math.isinf(exc.partial):
             raise OverflowError(

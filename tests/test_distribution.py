@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -152,6 +153,30 @@ class TestExactMoment:
         )
         got = exact_moment(GenNormParams(theta, beta), k)
         assert got == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0, 8.0])
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 1.1, 3.0])
+    def test_correctly_rounded_at_an_integral_shape_that_divides_k(self, theta, beta):
+        # E|Z|**(h p) = prod_{j < h} (j p + 1) / p**h (Lemma 2), times theta**k
+        # in rationals: the moment is this value rounded once
+        p = int(beta)
+        for k in range(0, 33, 2 * p if p % 2 else p):
+            lemma2 = math.prod(Fraction(j * p + 1, p) for j in range(k // p))
+            want = float(Fraction(theta) ** k * lemma2)
+            assert exact_moment(GenNormParams(theta, beta), k) == want, (theta, beta, k)
+
+    def test_exact_where_the_gamma_ratio_was_ulps_off(self):
+        # 0.4999999999999997, 0.7500000000000001 and 7918.066406249977 through exp
+        # of the log-Gamma ratio; 7918.06640625 = 15!!/2**8
+        params = GenNormParams(1.0, 2.0)
+        assert [exact_moment(params, k) for k in (2, 4, 16)] == [0.5, 0.75, 7918.06640625]
+
+    @pytest.mark.parametrize("theta, beta, k, want", [
+        (1.5e154, 2.0, 2, float(Fraction(1.5e154) ** 2 / 2)),  # theta**2 alone overflows
+        (0.1, 1.0, 200, float(Fraction(0.1) ** 200 * math.factorial(200))),  # 200! overflows
+    ])
+    def test_an_integral_shape_keeps_the_range_of_the_result(self, theta, beta, k, want):
+        assert exact_moment(GenNormParams(theta, beta), k) == want
 
     @pytest.mark.parametrize(
         "k, theta, beta, message",

@@ -1,6 +1,7 @@
 """Closed-form MLE and the Cramer-Rao experiment harness."""
 
 import importlib.util
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -30,7 +31,9 @@ from gennorm_fisher import (
     seeding,
     trial_seed,
 )
+from gennorm_fisher import cli
 from gennorm_fisher.exact import bhattacharyya_bound, cramer_rao_bound
+from gennorm_fisher.special_functions import log_gamma_ratio_excess
 
 
 def _numerical_mle(samples, beta):
@@ -682,3 +685,52 @@ class TestBhattacharyyaBound:
         with pytest.raises(ValueError, match="^theta=1.0 puts the order-2 Bhattacharyya bound "
                                              "past the double range at n=1, beta=1e-300$"):
             bhattacharyya_bound(1e-300, 1.0, 1)
+
+
+def _variance_law(beta, n, trials):
+    """The exact mean and standard deviation of the ddof-1 variance S**2 of
+    theta_hat = W over trials independent trials at theta = 1, from E W**k,
+    k <= 4.  log E W**k = g(k/beta), g = log_gamma_ratio_excess(n/beta, .),
+    so X = W/E W has E X**k - 1 = e_k = expm1(g(k/beta) - k g(1/beta)),
+    Var X = e_2 and E (X - 1)**4 = e_4 - 4 e_3 + 6 e_2, the terms in 1
+    cancelling exactly; Var S**2 = mu_4/T - sigma**4 (T - 3)/(T (T - 1))."""
+    g = [log_gamma_ratio_excess(n / beta, k / beta) for k in range(5)]
+    e2, e3, e4 = (math.expm1(g[k] - k * g[1]) for k in (2, 3, 4))
+    scale = math.exp(2.0 * g[1])  # (E W)**2
+    var, mu4 = e2 * scale, (e4 - 4.0 * e3 + 6.0 * e2) * scale * scale
+    return var, math.sqrt(mu4 / trials - var * var * (trials - 3) / (trials * (trials - 1)))
+
+
+class TestSeededGateWidths:
+    """How wide a seeded gate is, in standard deviations of its statistic
+    under the exact law: reported here, never widened."""
+
+    @pytest.mark.parametrize("beta, n, trials", [(0.5, 10, 50), (2, 100, 1000), (8, 10**4, 1000)])
+    def test_the_variance_law_against_high_precision(self, beta, n, trials):
+        with mp.workdps(60):
+            b = mp.mpf(beta)
+            ew = [mp.exp(mp.log(b / n) * k / b + mp.loggamma((n + k) / b) - mp.loggamma(n / b))
+                  for k in range(5)]
+            var = ew[2] - ew[1] ** 2
+            mu4 = ew[4] - 4 * ew[3] * ew[1] + 6 * ew[2] * ew[1] ** 2 - 3 * ew[1] ** 4
+            sd = mp.sqrt(mu4 / trials - var * var * (trials - 3) / (trials * (trials - 1)))
+        got = _variance_law(beta, n, trials)
+        assert got[0] == pytest.approx(float(var), rel=1e-13)
+        assert got[1] == pytest.approx(float(sd), rel=1e-9)
+        assert got[0] == pytest.approx(mle_moments_exact(beta, 1.0, n).variance, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_the_default_crlb_gate_is_about_two_sigma_wide(self, beta):
+        # verify crlb passes while crlb/S**2 lies in [0.9, 1.1], S**2 the ddof-1
+        # variance of theta_hat over its default 1000 trials of n = 10**4 draws:
+        # S**2 within [crlb/1.1, crlb/0.9], which sits about 2.03 sigma below
+        # its exact mean and 2.48 above at every shape, a normal-approximation
+        # false-fail rate near 2.8 %
+        defaults = inspect.signature(cli._verify_crlb).parameters
+        n, trials = defaults["n"].default, defaults["trials"].default
+        assert (n, trials) == (10**4, 1000)
+        var, sigma = _variance_law(beta, n, trials)
+        crlb = cramer_rao_bound(beta, 1.0, n)
+        below, above = (var - crlb / 1.1) / sigma, (crlb / 0.9 - var) / sigma
+        assert below == pytest.approx(2.03, abs=0.01) and above == pytest.approx(2.48, abs=0.01), (
+            f"the gate is {below:.3f} sigma below and {above:.3f} sigma above at beta={beta}")

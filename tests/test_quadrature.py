@@ -244,18 +244,28 @@ class TestExpectPower:
         with pytest.raises(ValueError):
             quadrature.expect_power(None, **kwargs)
 
-    def test_weight_sees_the_power_and_one_half_line(self):
-        # E[p] = 1/beta; the weight gets p itself, on intervals/2 + 1 nodes
-        seen = []
-
-        def weight(p):
-            seen.append(p.copy())
-            return p
-
-        res = quadrature.expect_power(weight, 2.5, rel_tol=1e-12)
+    def test_the_weight_takes_the_power_on_one_half_line(self, built):
+        # E[p] = 1/beta, with p = (1 + s)/beta, on intervals/2 + 1 nodes
+        res = quadrature.expect_power((1.0 / 2.5, 1.0 / 2.5), 2.5, rel_tol=1e-12)
         assert res.value == pytest.approx(1.0 / 2.5, rel=1e-12)
-        assert sum(p.size for p in seen) == res.intervals // 2 + 1
-        assert all(p.min() >= 0.0 and p.max() < 700.0 for p in seen)
+        assert sum(built) == res.intervals // 2 + 1
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 7.0, 1e300])
+    def test_each_basis_weight_has_its_gamma_moment(self, beta):
+        # p ~ Gamma(1/beta) under f_Z: E[s] = 0 and E[s (p - 1/beta)] = E[s**2]/beta = 1
+        assert abs(quadrature.expect_power((0.0, 1.0), beta, abs_tol=1e-12).value) <= 1e-12
+        res = quadrature.expect_power((0.0, 0.0, 1.0), beta, rel_tol=1e-12)
+        assert res.value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "weight",
+        [lambda p: p, (), (1.0, 0.0, 0.0, 0.0), [1.0], (math.nan,), (1.0, math.inf), (True,),
+         ("1",), (None,)],
+        ids=repr,
+    )
+    def test_a_weight_is_one_to_three_real_coefficients(self, weight):
+        with pytest.raises(ValueError, match="weight"):
+            quadrature.expect_power(weight, 2.0, abs_tol=1e-9)
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 7.0])
     def test_no_weight_integrates_the_density(self, beta):
@@ -358,30 +368,6 @@ PINNED_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("beta", PINNED_SHAPES)
-@pytest.mark.parametrize("route", list(PINNED_INTERVALS))
-def test_route_node_sets_are_pinned(route, beta, monkeypatch):
-    seen = []
-
-    def counted_expect_power(weight, *args, **kwargs):
-        passes = []
-
-        def counting(p):
-            passes.append(p.size)
-            return np.ones_like(p) if weight is None else weight(p)
-
-        res = quadrature.expect_power(counting, *args, **kwargs)
-        seen.append((res.intervals, sum(passes)))
-        return res
-
-    monkeypatch.setattr(distribution, "expect_power", counted_expect_power)
-    monkeypatch.setattr(fisher, "expect_power", counted_expect_power)
-    PINNED_ROUTES[route](GenNormParams(1.3, beta))
-    intervals = PINNED_INTERVALS[route][PINNED_SHAPES.index(beta)]
-    # one half-line: intervals/2 + 1 nodes, each evaluated once
-    assert seen == [(intervals, intervals // 2 + 1)]
-
-
 @pytest.fixture
 def rules(monkeypatch):
     """The cached rule maker, emptied, and every rule _half_line takes from it."""
@@ -390,6 +376,43 @@ def rules(monkeypatch):
     monkeypatch.setattr(quadrature, "_rule", lambda *key: seen.append(cached(*key)) or seen[-1])
     yield cached, seen
     cached.cache_clear()
+
+
+@pytest.fixture
+def built(rules, monkeypatch):
+    """The node count of every pass built, from an emptied rule cache."""
+    counts, nodes = [], quadrature._nodes
+    monkeypatch.setattr(quadrature, "_nodes",
+                        lambda rule, key: counts.append(key[2]) or nodes(rule, key))
+    return counts
+
+
+@pytest.mark.parametrize("beta", PINNED_SHAPES)
+@pytest.mark.parametrize("route", list(PINNED_INTERVALS))
+def test_route_node_sets_are_pinned(route, beta, built, monkeypatch):
+    seen = []
+
+    def recorded_expect_power(*args, **kwargs):
+        res = quadrature.expect_power(*args, **kwargs)
+        seen.append(res.intervals)
+        return res
+
+    monkeypatch.setattr(distribution, "expect_power", recorded_expect_power)
+    monkeypatch.setattr(fisher, "expect_power", recorded_expect_power)
+    PINNED_ROUTES[route](GenNormParams(1.3, beta))
+    intervals = PINNED_INTERVALS[route][PINNED_SHAPES.index(beta)]
+    # one half-line: intervals/2 + 1 nodes, each built once
+    assert seen == [intervals] and sum(built) == intervals // 2 + 1
+
+
+@pytest.mark.parametrize("route", list(PINNED_ROUTES))
+def test_a_repeated_call_builds_no_nodes(route, built):
+    # 1e100 raises the floor by 5 levels: a first pass of 8193 nodes
+    params = [GenNormParams(1.3, beta) for beta in [*PINNED_SHAPES, 1e100]]
+    first = [PINNED_ROUTES[route](p) for p in params]
+    count = len(built)
+    assert [PINNED_ROUTES[route](p) for p in params] == first
+    assert count and len(built) == count
 
 
 @pytest.mark.parametrize("route", list(PINNED_ROUTES))
@@ -407,39 +430,38 @@ def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
     evicted = results()
     assert cached.cache_info().misses == misses + len(PINNED_SHAPES)
     assert cold == warm == evicted
-    kept = _densities(seen)
-    assert kept and not any(a.flags.writeable for a in kept)
+    assert _slots(seen)
 
 
-def _densities(seen):
-    """The (p, w) arrays of every density slot the rules in seen keep."""
-    return [a for rule in seen for _, *pw in rule.densities.values() for a in pw]
-
-
-def _slot_nodes(rule):
-    """The nodes a rule keeps density terms for, after checking that each
-    slot holds the p and w of its whole pass."""
-    assert all(p.size == w.size == count for (_, _, count), (_, p, w) in rule.densities.items())
-    return sum(count for _, _, count in rule.densities)
+def _slots(seen):
+    """The slots of every rule in seen, after checking that each holds its
+    (log_const, exponent) and the three sums of its pass, then for a first
+    pass the three over its even-indexed nodes, all of them floats."""
+    slots = [(rule, key, slot) for rule in seen for key, slot in rule.densities.items()]
+    for rule, (start, _, _), (density_key, sums) in slots:
+        assert type(density_key) is tuple and type(sums) is tuple
+        assert len(sums) == (6 if start == rule.u_left else 3)
+        assert all(type(x) is float for x in (*density_key, *sums))
+    return slots
 
 
 def test_the_rule_cache_is_bounded(rules):
     cached, seen = rules
     for beta in np.geomspace(0.5, 50.0, 200):
         pdf_normalization(GenNormParams(1.0, float(beta)))
-    # a route at its floor: a first pass and the midpoint levels up to 6
-    assert max(_slot_nodes(rule) for rule in seen) <= 2049
-    # at a shape whose floor is level 6: first passes of 33 to 1025 nodes,
-    # then midpoint passes of 1024 and 2048 nodes, with a weight that is 0 on
-    # alternate nodes and grows with the pass, so that no level converges
+    # a route at its floor: a first pass and the midpoint levels up to 7
+    assert max(len(rule.densities) for rule in seen) <= 4
+    # at a shape whose floor is level 6, a mean score of about 0 that no
+    # level meets to 1e-300 relative: the first passes of levels 1 to 6, then
+    # the midpoint passes of levels 7 and 8
     for level in range(8, 0, -1):
         with pytest.raises(QuadratureError):
-            quadrature.expect_power(lambda p: np.arange(p.size) % 2.0 * p.size, 1e12,
-                                    rel_tol=1e-12, max_level=level)
+            quadrature.expect_power((0.0, 1.0), 1e12, abs_tol=0.0, rel_tol=1e-300, max_level=level)
     assert cached.cache_info().currsize == cached.cache_info().maxsize == 128
-    assert max(a.size for a in _densities(seen)) <= 1025
-    # at most the first and midpoint passes of levels 1-6
-    assert 2049 < max(_slot_nodes(rule) for rule in seen) <= 4038
+    assert sorted(count for _, _, count in seen[-1].densities) == [33, 65, 129, 257, 513, 1024,
+                                                                   1025, 2048]
+    assert sum(len(sums) for _, (_, sums) in seen[-1].densities.items()) == 6 * 6 + 2 * 3
+    _slots(seen)
 
 
 def test_integrate_decaying_keeps_nothing(rules):
@@ -455,7 +477,7 @@ INTERLEAVED = {
     **PINNED_ROUTES,
     "abs_moment_quad_order_0": lambda params: abs_moment_quad(params, 0.0),
     "other_log_unit": lambda params: quadrature.expect_power(
-        lambda p: p, params.beta, log_unit=0.25, rel_tol=1e-12),
+        (1.0 / params.beta, 1.0 / params.beta), params.beta, log_unit=0.25, rel_tol=1e-12),
 }
 
 
@@ -472,35 +494,17 @@ def test_interleaved_routes_give_the_bits_of_uncached_calls(beta, rules):
     orders = [names, names[::-1], names[1::2] + names[::2], names[3:] + names[:3]]
     for order in orders:
         assert {name: INTERLEAVED[name](params) for name in order} == fresh
-    assert _densities(seen) and not any(a.flags.writeable for a in _densities(seen))
+    assert _slots(seen)
 
 
-def test_a_weight_that_writes_to_p_fails_and_leaves_the_kept_terms_as_they_were(rules):
-    # every pass hands the weight a read-only p: a kept first pass of 257 nodes
-    # at beta 2.5, and a fresh one of 8193 nodes at beta 1e100, whose floor is
-    # raised by 5 levels
+@pytest.mark.parametrize("beta", [0.05, 2.5, 1e4, 1e300])
+def test_every_slot_holds_only_floats(beta, rules):
+    # a slot keeps sums, never an array that a caller could write to
     cached, seen = rules
-    sizes = []
-
-    def overwrite(p):
-        sizes.append(p.size)
-        p *= 3.0
-        return p
-
-    def result(weight, beta=2.5):
-        return quadrature.expect_power(weight, beta, log_unit=-0.5, rel_tol=1e-12)
-
-    first = result(lambda p: 3.0 * p - 1.0)
-    kept = _densities(seen)
-    copies = [a.copy() for a in kept]
-    for beta in (2.5, 1e100):
-        with pytest.raises(ValueError, match="read-only"):
-            result(overwrite, beta)
-    assert sizes == [257, 8193]
-    assert kept and all(np.array_equal(a, c) for a, c in zip(kept, copies))
-    warm = result(lambda p: 3.0 * p - 1.0)
-    cached.cache_clear()
-    assert first == warm == result(lambda p: 3.0 * p - 1.0)
+    for route in INTERLEAVED.values():
+        route(GenNormParams(1.3, beta))
+    slots = _slots(seen)
+    assert slots and not any(isinstance(x, np.ndarray) for _, _, slot in slots for x in slot)
 
 
 def test_a_pass_keeps_one_density_slot(rules):
@@ -509,12 +513,11 @@ def test_a_pass_keeps_one_density_slot(rules):
     first = [abs_moment_quad(p, 1.0) for p in params]
     rule = seen[0]
     assert all(r is rule for r in seen)
-    # each theta has its own log_unit, so each call rewrote the slots of its
-    # passes: one slot a pass, a first pass and no midpoints at this floor
-    assert _slot_nodes(rule) == 257
+    # each theta has its own log_unit, so each call rewrote the slot of its
+    # pass: one slot a pass, a first pass and no midpoints at this floor
+    assert [count for _, _, count in rule.densities] == [257]
     cached.cache_clear()
     assert [abs_moment_quad(p, 1.0) for p in params[::-1]] == first[::-1]
-
 
 
 # A tolerance must be a real number >= 0 or +inf: a nan, a bool or numeric
