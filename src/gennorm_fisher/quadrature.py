@@ -50,15 +50,16 @@ information at beta = 1e300).
 
 The rule of a shape (its range and floor raise) is cached for the 128 most
 recent shapes.  The trapezoid sum is linear in the weight, so each pass of
-expect_power keeps the sums of its density terms times the basis (for a
-first pass, over its even-indexed nodes too), in one slot for the last
-(log_const, exponent) it served: a repeated pass, of any route at the
-shape, is a dot product.  Other passes, and integrate_decaying's, build.
+expect_power keeps the sums of its density terms times rows of the basis
+(for a first pass, over its even-indexed nodes too), in one slot for the
+last (log_const, exponent) it served: a repeated pass, of any route whose
+rows the slot holds, is a dot product.  A pass builds the rows up to the
+last its weight reads, or all three where its slot lacked one, and a call
+that builds sets np.errstate once.  integrate_decaying's passes all build.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
@@ -81,6 +82,9 @@ _P_DROP = 700.0  # the right cut: exp(-700) below the peak, still a normal doubl
 _LOG_P_DROP = math.log(_P_DROP)
 _LOG_2 = math.log(2.0)
 _S_SPACING = 0.25  # widest s step of the floor grid at s = ln(shape)
+# Constants of the node and density terms, as 0-d arrays (as are a rule's half_ref
+# and exp_ref): numpy takes one as an operand faster than a float, with the same bits.
+_NEG_2PI, _NEG_2, _ONE = np.array(-2.0 * math.pi), np.array(-2.0), np.array(1.0)
 
 # Floor of expect_power, the integrator of the package's own routes: their
 # integrands are the density times a power of |z| or a polynomial in
@@ -116,10 +120,11 @@ class _Rule(NamedTuple):
     u_left: float  # the u range, widened to multiples of 2**-20
     u_right: float
     floor_raise: int  # levels added to the caller's min_level
-    u_ref: float  # s is taken relative to s_ref = pi sinh(u_ref)
-    exp_ref: float  # exp(-s_ref)
-    # (start, step, count) -> the slot of a kept pass: ((log_const, exponent),
-    # its sums), for the last pair expect_power asked of it
+    half_ref: np.ndarray  # u_ref / 2, where s is taken relative to s_ref = pi sinh(u_ref)
+    exp_ref: np.ndarray  # exp(-s_ref)
+    # (start, step, count) -> the slot of a kept pass: ((log_const, exponent), the
+    # sums of its basis rows, those over its even-indexed nodes or None), for
+    # the last pair expect_power asked of it
     densities: dict
 
 
@@ -160,29 +165,29 @@ def _rule(shape: float, log_p_end: float) -> _Rule:
         u_left=math.floor(u_left * _U_GRID) / _U_GRID,
         u_right=math.ceil(u_right * _U_GRID) / _U_GRID,
         floor_raise=floor_raise,
-        u_ref=u_ref,
-        exp_ref=math.exp(-math.pi * math.sinh(u_ref)),
+        half_ref=np.array(0.5 * u_ref),
+        exp_ref=np.array(math.exp(-math.pi * math.sinh(u_ref))),
         densities={},
     )
 
 
 def _nodes(rule: _Rule, key: tuple) -> np.ndarray:
-    """jac = cosh(u) * exp(-s) and L = log1p(exp(-s)) at u_k = start + k*step,
-    k < count, as rows 1 and 2 of a new (3, count) array whose row 0 the
+    """L = log1p(exp(-s)) and jac = cosh(u) * exp(-s) at u_k = start + k*step,
+    k < count, as rows 0 and 1 of a new (3, count) array whose row 2 the
     caller may use; key is (start, step, count)."""
     start, step, count = key
-    nodes = np.arange(3 * count, dtype=np.float64).reshape(3, count)
-    u, jac, x = nodes[0], nodes[1], nodes[2]  # u_k = k, exactly
-    u *= step
-    u += start
-    np.cosh(u, out=jac)
-    np.add(u, rule.u_ref, out=x)
-    x *= 0.5
-    np.cosh(x, out=x)
-    u -= rule.u_ref
-    u *= 0.5
-    x *= np.sinh(u, out=u)
-    x *= -2.0 * math.pi  # -d
+    half = np.arange(count, dtype=np.float64)
+    half *= 0.5 * step  # u_k / 2, exactly: the halves of exact sums are exact
+    half += 0.5 * start
+    nodes = np.empty((3, count))
+    x, jac = nodes[0], nodes[1]
+    np.add(half, rule.half_ref, out=x)
+    np.add(half, half, out=jac)
+    pair = nodes[:2]
+    np.cosh(pair, out=pair)  # one call for both rows
+    half -= rule.half_ref
+    x *= np.sinh(half, out=half)
+    x *= _NEG_2PI  # -d
     np.exp(x, out=x)
     x *= rule.exp_ref  # exp(-s)
     jac *= x
@@ -281,7 +286,8 @@ def integrate_decaying(
 
     def fold_sums(rule, key, first):
         # the terms jac * b * exp(-2L) * (f(x) + f(-x)), x = b * exp(-L)
-        x, jac, big_l = _nodes(rule, key)
+        nodes = _nodes(rule, key)
+        big_l, jac, x = nodes[0], nodes[1], nodes[2]
         np.exp(np.subtract(log_b, big_l, out=x), out=x)
         fx = f(np.concatenate((x, -x)))
         t = np.exp(log_b - 2.0 * big_l)
@@ -360,46 +366,52 @@ def expect_power(
     log_const = _LOG_2 + log_b + (log_norm_z(beta) + log_unit)
 
     density_key = (log_const, exponent)
+    rows = terms[-1][0] + 1 if terms else 1  # the basis up to the last row the weight reads
+    state = None  # the error state of the passes this call builds, entered at the first
 
     def power_sums(rule, key, first):
-        # the weight's dot product with the sums of the pass's density terms w
-        # = jac * exp(log_const - 2L + exponent*log p - p), p = p_end * exp(-beta L)
+        # The weight's dot product with the sums in the pass's slot: those of the
+        # density terms w = jac * exp(log_const - 2L + exponent*log p - p), p =
+        # p_end * exp(-beta L), times rows of the basis, then for a first pass
+        # those over its even-indexed nodes.  A slot of another density is built
+        # with the rows up to the weight's last, one that lacks a row with all
+        # three, so that the routes at a shape build each pass twice at most.
+        nonlocal state
         slot = rule.densities.get(key)
-        if slot is None or slot[0] != density_key:
-            # A term is at most cosh(u) < e**7 times exp(log_const + exponent log
-            # p_end) times beta p_end**2 (beta > 0.0092, p_end >= 700): below that,
-            # no sum can overflow, and the pass skips np.errstate (a few ufunc
-            # calls' cost); past it, an inf or nan sum, even unused, is reported.
-            log_sum = log_const + (exponent + 2.0) * log_p_end + math.log(beta * key[2]) + 7.0
-            with (contextlib.nullcontext() if log_sum < _LOG_MAX
-                  else np.errstate(over="ignore", invalid="ignore")):
-                nodes = _nodes(rule, key)
-                w, jac, log_p = nodes[0], nodes[1], nodes[2]  # log_p holds L until it is rewritten
-                np.multiply(log_p, -2.0, out=w)
-                w += log_const
-                log_p *= -beta
-                log_p += log_p_end
-                if exponent:
-                    w += exponent * log_p
-                p = np.exp(log_p, out=log_p)
-                w -= p
-                np.exp(w, out=w)
-                w *= jac
-                s = np.multiply(p, beta, out=jac)
-                s -= 1.0
-                p -= 1.0 / beta
-                p *= s
-                nodes[1:] *= w  # the rows w, w s, w s (p - 1/beta)
-                sums = np.add.reduce(nodes, axis=1).tolist()
-                if first:
-                    sums += np.add.reduce(nodes[:, ::2], axis=1).tolist()
-            slot = rule.densities[key] = (density_key, tuple(sums))
-        sums = slot[1]
+        if slot is None or slot[0] != density_key or len(slot[1]) < rows:
+            built = 3 if slot is not None and slot[0] == density_key else rows
+            if state is None:  # at the call's first build: an inf or nan sum is reported
+                state = np.errstate(over="ignore", invalid="ignore")
+                state.__enter__()
+            nodes = _nodes(rule, key)
+            w, s, p = nodes[0], nodes[1], nodes[2]  # w holds L and s jac until rewritten
+            np.multiply(w, -beta, out=p)
+            p += log_p_end  # log p
+            w *= _NEG_2
+            w += log_const
+            if exponent:
+                w += exponent * p
+            np.exp(p, out=p)
+            w -= p
+            np.exp(w, out=w)
+            w *= s
+            if built > 1:
+                np.multiply(p, beta, out=s)
+                s -= _ONE
+                s *= w  # w s first, so that w s (p - 1/beta) is finite where beta p is
+                if built > 2:
+                    p -= 1.0 / beta
+                    p *= s
+            live = nodes[:built]
+            sums = np.add.reduce(live, axis=1).tolist()
+            evens = np.add.reduce(live[:, ::2], axis=1).tolist() if first else None
+            slot = rule.densities[key] = (density_key, sums, evens)
+        _, sums, evens = slot
         total = even = -0.0  # -0.0 + x is x, bit for bit
         for i, c in terms:
             total += c * sums[i]
             if first:
-                even += c * sums[i + 3]
+                even += c * evens[i]
         return (total, even) if first else total
 
     try:
@@ -411,3 +423,6 @@ def expect_power(
                 f"exponent {exponent!r}, log_unit {log_unit!r}"
             ) from None
         raise
+    finally:
+        if state is not None:
+            state.__exit__(None, None, None)

@@ -1,7 +1,9 @@
 """Real-line quadrature core against scipy and closed forms."""
 
+import contextlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +417,56 @@ def test_a_repeated_call_builds_no_nodes(route, built):
     assert count and len(built) == count
 
 
+def test_a_pass_builds_the_rows_its_weight_reads(built, rules):
+    # a fresh pass builds the basis (1, s, s (p - 1/beta)) up to the last row
+    # its weight reads: the density 1, the mean score and the negative Hessian
+    # 1 and s, the score variance all three; a pass whose slot holds the
+    # density but lacks a row builds all three, so every later route is kept
+    cached, seen = rules
+    params = GenNormParams(1.3, 2.5)
+    routes = [pdf_normalization, expected_score_quad, fisher_quad_neg_hessian,
+              fisher_quad_score_variance]
+    for route, rows in zip(routes, [1, 2, 2, 3]):
+        cached.cache_clear()
+        route(params)
+        [(_, sums, _)] = seen[-1].densities.values()  # one pass at this floor
+        assert len(sums) == rows
+    cached.cache_clear()
+    log = []
+    for route in routes + routes[::-1]:
+        count = len(built)
+        route(params)
+        [(_, sums, _)] = seen[-1].densities.values()
+        log.append((len(sums), len(built) > count))
+    assert log == [(1, True), (3, True)] + [(3, False)] * 6
+
+
+def test_a_pass_at_a_huge_shape_warns_nothing():
+    # at beta = 1e305 the row s (p - 1/beta) of a pass reaches beta p_end**2,
+    # past the double range; a pass is built under its own error state, so
+    # no route, whatever rows it reads, warns or raises from numpy
+    params = GenNormParams(1e-10, 1e305)
+    quadrature._rule.cache_clear()
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        for _ in range(2):
+            assert abs_moment_quad(params, 2.0).value == pytest.approx(1e-20 / 3.0, rel=1e-12)
+            assert pdf_normalization(params).value == pytest.approx(1.0, rel=1e-12)
+            assert abs(expected_score_quad(params).value) <= 1e-4 / 1e-10
+            with contextlib.suppress(QuadratureError):  # an inf row times 0 sums to nan
+                quadrature.expect_power((0.0, 0.0, 1.0), params.beta, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("beta", [1e303, 1e304, 1e305])
+def test_the_score_variance_holds_while_beta_p_is_finite(beta):
+    # w s is formed before it meets p - 1/beta, so the row s (p - 1/beta),
+    # up to beta * 700**2, never overflows while beta * 700 does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = fisher_quad_score_variance(GenNormParams(1.0, beta))
+    assert est.value == pytest.approx(beta, rel=1e-9)
+
+
 @pytest.mark.parametrize("route", list(PINNED_ROUTES))
 def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
     cached, seen = rules
@@ -435,13 +487,17 @@ def test_kept_rules_give_the_bits_of_fresh_ones(route, rules):
 
 def _slots(seen):
     """The slots of every rule in seen, after checking that each holds its
-    (log_const, exponent) and the three sums of its pass, then for a first
-    pass the three over its even-indexed nodes, all of them floats."""
+    (log_const, exponent), the sums of its pass over the basis up to one of
+    its rows, and for a first pass the same over its even-indexed nodes (None
+    for a midpoint pass), all of them floats."""
     slots = [(rule, key, slot) for rule in seen for key, slot in rule.densities.items()]
-    for rule, (start, _, _), (density_key, sums) in slots:
-        assert type(density_key) is tuple and type(sums) is tuple
-        assert len(sums) == (6 if start == rule.u_left else 3)
-        assert all(type(x) is float for x in (*density_key, *sums))
+    for rule, (start, _, _), (density_key, sums, evens) in slots:
+        assert type(density_key) is tuple and type(sums) is list and 1 <= len(sums) <= 3
+        if start == rule.u_left:
+            assert type(evens) is list and len(evens) == len(sums)
+        else:
+            assert evens is None
+        assert all(type(x) is float for x in (*density_key, *sums, *(evens or ())))
     return slots
 
 
@@ -460,7 +516,9 @@ def test_the_rule_cache_is_bounded(rules):
     assert cached.cache_info().currsize == cached.cache_info().maxsize == 128
     assert sorted(count for _, _, count in seen[-1].densities) == [33, 65, 129, 257, 513, 1024,
                                                                    1025, 2048]
-    assert sum(len(sums) for _, (_, sums) in seen[-1].densities.items()) == 6 * 6 + 2 * 3
+    # the mean score reads the rows 1 and s: four sums a first pass, two a midpoint pass
+    assert sum(len(sums) + len(evens or ()) for _, sums, evens in seen[-1].densities.values()) == (
+        6 * 4 + 2 * 2)
     _slots(seen)
 
 
